@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ratmat
 from .errors import LengthMismatch, NoBlocks, OverlappingSets
-from .orthogonality import cross_incidence, gram, orth_through
+from .orthogonality import adjusted_information, gram
 from .plan import BLOCK, GENERAL, design_matrix
 
 __all__ = [
@@ -117,7 +117,9 @@ def _as_tuple(t):
 
 
 def _stack_design(plan, idents):
-    return np.hstack([design_matrix(plan, u) for u in idents])
+    """[X_u1 X_u2 ...], n x 0 for an empty set."""
+    return np.hstack([np.empty((plan.n, 0), dtype=object),
+                      *(design_matrix(plan, u) for u in idents)])
 
 
 def ss_adjusted(plan, y, target, adjust_for=()):
@@ -140,20 +142,15 @@ def ss_adjusted(plan, y, target, adjust_for=()):
 
     x_u = _stack_design(plan, target)
     xu_y = x_u.T @ y_col
-    if adjust:
-        x_t = _stack_design(plan, adjust)
-        n_ut = np.vstack([cross_incidence(plan, u, adjust) for u in target])
-        xt_y = x_t.T @ y_col
-        sol = ratmat.solve_consistent(gram(plan, adjust),
-                                      np.hstack([n_ut.T, xt_y]))
-        z_n, z_y = sol[:, :-1], sol[:, -1:]
-        q_vec = xu_y - n_ut @ z_y
-        c_mat = gram(plan, target) - n_ut @ z_n
-        v_mat = x_u - x_t @ z_n
-    else:
-        q_vec = xu_y
-        c_mat = gram(plan, target)
-        v_mat = x_u
+    g = gram(plan, adjust + target)
+    t = g.shape[0] - x_u.shape[1]
+    g_tt, n_ut, g_uu = g[:t, :t], g[t:, :t], g[t:, t:]
+    x_t = _stack_design(plan, adjust)
+    sol = ratmat.solve_consistent(g_tt, np.hstack([n_ut.T, x_t.T @ y_col]))
+    z_n, z_y = sol[:, :-1], sol[:, -1:]
+    q_vec = xu_y - n_ut @ z_y
+    c_mat = g_uu - n_ut @ z_n
+    v_mat = x_u - x_t @ z_n
 
     # projection route
     w = v_mat.T @ y_col
@@ -242,7 +239,7 @@ def estssq_equivalence(plan, a, adjust_for, trials=20, seed=0):
         others.append(GENERAL)
     if plan.blocked and BLOCK not in adjust:
         others.append(BLOCK)
-    condition = all(orth_through(plan, a, b, adjust).passed for b in others)
+    condition = ratmat.is_zero(adjusted_information(plan, a, others, adjust))
 
     full = _full_adjusting_set(plan, a)
     equal = 0

@@ -26,10 +26,10 @@ from .constructions import (
     construct_potp,
     seed_plans,
 )
-from .errors import NoBlocks, UnknownFactor
+from .errors import NoBlocks, UnknownFactor, VerificationFailed
 from .gf import field_new
 from .optimality import universal_ledger
-from .orthogonality import OrthReport, is_potb, is_potp, orth_through
+from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
 from .plan import (
     BLOCK,
     GENERAL,
@@ -219,12 +219,8 @@ def _cmd_verify(args):
             raise ValueError("--through is required for --check potp")
         rep = is_potp(plan, _split_idents(args.through))
     elif args.check == "pfc":
-        pairs = []
-        names = plan.factor_names
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                pairs.append(orth_through(plan, a, b, (GENERAL,)))
-        rep = OrthReport(plan_name=plan.name, check="pfc", pairs=tuple(pairs))
+        pairs, _ = pair_checks(plan, plan.factor_names, (GENERAL,))
+        rep = OrthReport(plan_name=plan.name, check="pfc", pairs=pairs)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown check {args.check!r}")
     _emit(_dump(rep.to_json()), args.out)
@@ -263,14 +259,14 @@ def _cmd_catalog(args):
         if plan.blocked:
             ledgers[name] = universal_ledger(plan).to_json()
 
-    built = [
-        ("potp_3_8", lambda: construct_potp(4, 3)),
-        ("potb_2_14", lambda: construct_potb2(2)),
-        ("potb_3_15", construct_potb3),
-        ("asym_3", lambda: construct_asym(3)),
-        ("asym_7", lambda: construct_asym(7)),
+    built = [   # name, builder, the contrast scalar a potb plan must reach
+        ("potp_3_8", lambda: construct_potp(4, 3), None),
+        ("potb_2_14", lambda: construct_potb2(2), 8),
+        ("potb_3_15", construct_potb3, 27),
+        ("asym_3", lambda: construct_asym(3), None),
+        ("asym_7", lambda: construct_asym(7), None),
     ]
-    for name, build in built:
+    for name, build, scalar in built:
         plan = build()
         plans[name] = plan_to_json(plan)
         if name.startswith("potp"):
@@ -286,7 +282,7 @@ def _cmd_catalog(args):
             rep = is_potb(plan)
             ok, val = rep.c_matrix.scalar_identity()
             claims.append(_claim(f"{name}-all-pairs-through-block", rep.passed))
-            claims.append(_claim(f"{name}-contrast-scalar", ok))
+            claims.append(_claim(f"{name}-contrast-scalar", ok and val == scalar))
         reports[name] = rep.to_json()
         if plan.blocked:
             ledgers[name] = universal_ledger(plan).to_json()
@@ -358,7 +354,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:  # a self-verification failed
+    except (AssertionError, VerificationFailed) as exc:  # a self-verification failed
         print(f"claim failed: {exc}", file=sys.stderr)
         return 1
 

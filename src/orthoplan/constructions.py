@@ -10,6 +10,7 @@ recomputed on the concrete output.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,15 +25,7 @@ from .errors import (
 )
 from .gf import field_new, square_classes
 from .optimality import bibd_check
-from .orthogonality import (
-    OrthReport,
-    PairCheck,
-    _core_pair,
-    contrast_c_matrix,
-    is_potb,
-    is_potp,
-    proportional_frequencies,
-)
+from .orthogonality import OrthReport, is_potb, is_potp
 from .plan import Factor, Plan, block_incidence, incidence
 
 __all__ = [
@@ -409,17 +402,10 @@ def asym_report(plan):
     the extended factor are reported informationally, with the identity's
     residual alongside the proportional frequency status (which is what
     actually holds for them)."""
-    from itertools import combinations
-
-    checks = []
-    for a, b in combinations(plan.factor_names, 2):
-        residual = _core_pair(plan, a, b)
-        checks.append(PairCheck(
-            a=a, b=b, through=("block",), passed=ratmat.is_zero(residual),
-            residual=residual, pfc=proportional_frequencies(plan, a, b),
-            informational="inf" in (a, b)))
-    return OrthReport(plan_name=plan.name, check="asym-dual",
-                      pairs=tuple(checks), c_matrix=contrast_c_matrix(plan))
+    rep = is_potb(plan)
+    pairs = tuple(replace(p, informational="inf" in (p.a, p.b)) for p in rep.pairs)
+    return OrthReport(plan_name=plan.name, check="asym-dual", pairs=pairs,
+                      c_matrix=rep.c_matrix)
 
 
 def _verify_asym(plan, field, sq, t):

@@ -71,3 +71,7 @@ class LengthMismatch(ValueError):
 
 class ShapeMismatch(ValueError):
     """Matrix shape incompatible with the requested check."""
+
+
+class VerificationFailed(ArithmeticError):
+    """An exact self-check on a computed result did not hold."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import ratmat
 from .errors import NoBlocks, ShapeMismatch
-from .orthogonality import c_matrix_factor, contrast_c_matrix, orth_through
+from .orthogonality import adjusted_information, c_matrix_factor, contrast_c_matrix
 from .plan import BLOCK, block_incidence
 
 __all__ = [
@@ -127,9 +127,8 @@ def check_universal_factor(plan, a):
     counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
     count_pass = all(
         c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
-    orth_pass = all(
-        orth_through(plan, a, other, (BLOCK,)).passed
-        for other in plan.factor_names if other != a)
+    others = [f for f in plan.factor_names if f != a]
+    orth_pass = ratmat.is_zero(adjusted_information(plan, a, others, (BLOCK,)))
     scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(c_matrix_factor(plan, a))
     return FactorConditions(factor=a, count_pass=count_pass,
                             block_counts=counts, t_floor=floors,
@@ -149,8 +148,9 @@ def universal_ledger(plan):
     """Assemble the full ledger: per-factor conditions, the global scalar
     identity, and the contrast spectrum."""
     factors = tuple(check_universal_factor(plan, f) for f in plan.factor_names)
-    global_pass, global_a = check_universal_global(plan)
-    spectrum = tuple(contrast_spectrum(plan))
+    c_con = contrast_c_matrix(plan)
+    global_pass, global_a = c_con.scalar_identity()
+    spectrum = tuple(c_con.eigenvalues())
     return OptimalityLedger(plan_name=plan.name, factors=factors,
                             global_pass=global_pass, global_a=global_a,
                             spectrum=spectrum)

@@ -5,25 +5,26 @@ Factors A and B are orthogonal through a set T of other factors when
     X_A' (I - P_T) X_B = 0,
 
 with P_T the orthogonal projector on the span of the design matrices of
-the members of T.  Everything here is evaluated in exact rational
-arithmetic via the small-matrix identity
+the members of T.  One function, ``adjusted_information``, evaluates it,
+for sets of factors A and B at once, in exact arithmetic via the
+small-matrix identity
 
-    X_A' (I - P_T) X_B = N_AB - N_AT (X_T' X_T)^- N_BT',
+    X_A' (I - P_T) X_B = N_AB - N_AT (X_T' X_T)^- N_TB,
 
-which never materializes an n x n projector.  Special cases:
+which never materializes an n x n projector.  Every report reads slices
+of its stacked result; the classical special cases are such slices:
 
-* T = {G}: reduces to the proportional frequency condition
-  n N_AB = r_A r_B'.
+* T = {G}: the proportional frequency condition n N_AB = r_A r_B';
 * T = {block}: the defining condition of a plan orthogonal through the
-  block factor, N_AB = L_A D_k^{-1} L_B'.
+  block factor, N_AB = L_A D_k^{-1} L_B', whose stacked matrix over all
+  factors also gives the contrast C-matrix.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -31,20 +32,13 @@ import numpy as np
 from . import ratmat
 from .contrasts import ContrastMatrix, helmert_norms, helmert_raw
 from .errors import NoBlocks, OverlappingSets
-from .plan import (
-    BLOCK,
-    GENERAL,
-    block_diagonal,
-    block_incidence,
-    incidence,
-    levels_of,
-    replication,
-)
+from .plan import BLOCK, GENERAL, incidence, levels_of
 
 __all__ = [
     "PairCheck",
     "OrthReport",
     "orth_through",
+    "pair_checks",
     "proportional_frequencies",
     "is_potb",
     "is_potp",
@@ -64,46 +58,47 @@ def _as_tuple(t):
     return tuple(t)
 
 
-def gram(plan, idents):
-    """X_T' X_T for the stacked design matrices of ``idents``, assembled
-    from pairwise incidence counts (exact, small)."""
-    idents = _as_tuple(idents)
-    sizes = [levels_of(plan, u) for u in idents]
-    total = sum(sizes)
-    out = ratmat.zeros(total, total)
-    offs = np.cumsum([0] + sizes)
-    for a, u in enumerate(idents):
-        for b, v in enumerate(idents):
-            out[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = incidence(plan, u, v)
+def _columns(plan, idents):
+    """Slice of each identifier's columns in the stacked design matrix."""
+    out = {}
+    pos = 0
+    for u in idents:
+        s = levels_of(plan, u)
+        out[u] = slice(pos, pos + s)
+        pos += s
     return out
 
 
-def cross_incidence(plan, a, idents):
-    """N_AT = X_A' X_T as one wide exact matrix."""
+def gram(plan, idents):
+    """X_T' X_T for the stacked design matrices of ``idents``, assembled
+    from pairwise incidence counts (exact Python ints, small)."""
     idents = _as_tuple(idents)
-    blocks = [incidence(plan, a, u) for u in idents]
-    if not blocks:
-        return ratmat.zeros(levels_of(plan, a), 0)
-    return np.hstack(blocks)
+    if not idents:
+        return np.empty((0, 0), dtype=object)
+    return np.block([[incidence(plan, u, v) for v in idents] for u in idents])
 
 
 def adjusted_information(plan, a, b, through, reverse=False):
-    """X_A' (I - P_T) X_B = N_AB - N_AT (X_T'X_T)^- N_BT', exact.
+    """X_A' (I - P_T) X_B, exact, for a factor identifier or a tuple of
+    them on each side (the result then stacks one block per identifier).
 
-    The middle factor (X_T'X_T)^- N_BT' is obtained by solving the
-    always-consistent normal system X_T'X_T Z = N_BT'; the product
+    Computed as N_AB - N_AT Z from one gram matrix over T, A and B and one
+    fraction-free solve of X_T'X_T Z = N_TB with every B column at once;
     N_AT Z does not depend on the solution choice (``reverse`` flips the
     elimination order, which the invariance tests exploit).
     """
-    through = _as_tuple(through)
-    n_ab = ratmat.rational(incidence(plan, a, b))
-    if not through:
-        return n_ab
-    g_mat = gram(plan, through)
-    n_at = ratmat.rational(cross_incidence(plan, a, through))
-    n_bt = ratmat.rational(cross_incidence(plan, b, through))
-    z = ratmat.solve_consistent(g_mat, n_bt.T, reverse=reverse)
-    return n_ab - n_at @ z
+    a, b, through = _as_tuple(a), _as_tuple(b), _as_tuple(through)
+    idents = tuple(dict.fromkeys(through + a + b))
+    g = gram(plan, idents)
+    cols = _columns(plan, idents)
+
+    def pick(group):
+        return np.array([i for u in group for i in range(cols[u].start, cols[u].stop)],
+                        dtype=np.intp)
+
+    ta, ia, ib = pick(through), pick(a), pick(b)
+    return ratmat.schur_complement(g[np.ix_(ia, ib)], g[np.ix_(ia, ta)],
+                                   g[np.ix_(ta, ta)], g[np.ix_(ta, ib)], reverse=reverse)
 
 
 @dataclass(frozen=True)
@@ -169,35 +164,30 @@ def orth_through(plan, a, b, through):
     through = _as_tuple(through)
     if a == b or a in through or b in through:
         raise OverlappingSets(f"{a!r}, {b!r} must be distinct and outside {through!r}")
-    return _orth_through_cached(plan, a, b, through)
-
-
-@lru_cache(maxsize=None)
-def _orth_through_cached(plan, a, b, through):
     residual = adjusted_information(plan, a, b, through)
     return PairCheck(a=a, b=b, through=through, passed=ratmat.is_zero(residual),
                      residual=residual)
 
 
+def pair_checks(plan, names, through):
+    """A PairCheck for every unordered pair of ``names`` (in combinations
+    order), each read off one stacked ``adjusted_information`` call, which
+    is returned alongside: (checks, stacked matrix)."""
+    through = _as_tuple(through)
+    info = adjusted_information(plan, names, names, through)
+    cols = _columns(plan, names)
+    checks = []
+    for a, b in combinations(names, 2):
+        residual = info[cols[a], cols[b]]
+        checks.append(PairCheck(a=a, b=b, through=through,
+                                passed=ratmat.is_zero(residual), residual=residual))
+    return tuple(checks), info
+
+
 def proportional_frequencies(plan, a, b):
     """The proportional frequency condition n N_AB = r_A r_B' (equivalent
     to orthogonality through the general effect alone)."""
-    n_ab = ratmat.rational(incidence(plan, a, b))
-    ra = ratmat.rational(replication(plan, a))
-    rb = ratmat.rational(replication(plan, b))
-    return bool((plan.n * n_ab == ra @ rb.T).all())
-
-
-def _eq_blocked(plan, a, b):
-    """Residual of the blocked condition N_AB - L_A D_k^{-1} L_B'."""
-    n_ab = ratmat.rational(incidence(plan, a, b))
-    la = ratmat.rational(block_incidence(plan, a))
-    lb = ratmat.rational(block_incidence(plan, b))
-    dk = block_diagonal(plan)
-    dinv = ratmat.zeros(plan.b, plan.b)
-    for j in range(plan.b):
-        dinv[j, j] = Fraction(1, int(dk[j, j]))
-    return n_ab - la @ dinv @ lb.T
+    return ratmat.is_zero(adjusted_information(plan, a, b, (GENERAL,)))
 
 
 def is_potb(plan):
@@ -205,14 +195,12 @@ def is_potb(plan):
     block factor; PFC status through {G} is recorded per pair as well."""
     if not plan.blocked:
         raise NoBlocks(f"plan {plan.name!r} has no blocks")
-    checks = []
-    for a, b in combinations(plan.factor_names, 2):
-        residual = _core_pair(plan, a, b)
-        checks.append(PairCheck(
-            a=a, b=b, through=(BLOCK,), passed=ratmat.is_zero(residual),
-            residual=residual, pfc=proportional_frequencies(plan, a, b)))
-    return OrthReport(plan_name=plan.name, check="potb", pairs=tuple(checks),
-                      c_matrix=contrast_c_matrix(plan))
+    names = plan.factor_names
+    checks, info = pair_checks(plan, names, (BLOCK,))
+    pfc, _ = pair_checks(plan, names, (GENERAL,))
+    pairs = tuple(replace(c, pfc=p.passed) for c, p in zip(checks, pfc))
+    return OrthReport(plan_name=plan.name, check="potb", pairs=pairs,
+                      c_matrix=_contrast(plan, info))
 
 
 def is_potp(plan, through):
@@ -222,26 +210,14 @@ def is_potp(plan, through):
     for t in through:
         plan.factor(t)
     rest = [f for f in plan.factor_names if f not in through]
-    checks = []
-    for a, b in combinations(rest, 2):
-        checks.append(orth_through(plan, a, b, through))
-    return OrthReport(plan_name=plan.name, check="potp", pairs=tuple(checks),
+    checks, _ = pair_checks(plan, rest, through)
+    return OrthReport(plan_name=plan.name, check="potp", pairs=checks,
                       c_matrix=contrast_c_matrix(plan))
 
 
-@lru_cache(maxsize=None)
-def _core_pair(plan, a, b):
-    """The pair matrix entering the contrast C-matrix: N_AB for unblocked
-    plans, N_AB - L_A D_k^{-1} L_B' for blocked ones.  Cached; treat the
-    result as read-only."""
-    if plan.blocked:
-        return _eq_blocked(plan, a, b)
-    return ratmat.rational(incidence(plan, a, b))
-
-
-def contrast_c_matrix(plan):
-    """The C-matrix of all normalized main-effect contrasts, dimension
-    v = sum_A (s_A - 1), as an exact ContrastMatrix."""
+def _contrast(plan, info):
+    """The contrast C-matrix H info H' of the stacked information ``info``
+    over all factors, H the block-diagonal integer Helmert rows."""
     names = plan.factor_names
     raws = {f: helmert_raw(plan.factor(f).levels) for f in names}
     norms = []
@@ -250,22 +226,19 @@ def contrast_c_matrix(plan):
         s = plan.factor(f).levels
         norms.extend(helmert_norms(s))
         labels.extend([f"{f}[{j}]" for j in range(1, s)])
-    v = len(norms)
-    raw = ratmat.zeros(v, v)
-    offs = {}
-    pos = 0
-    for f in names:
-        offs[f] = pos
-        pos += plan.factor(f).levels - 1
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            core = _core_pair(plan, a, b)
-            block = raws[a] @ core @ raws[b].T
-            ia, ib = offs[a], offs[b]
-            raw[ia:ia + block.shape[0], ib:ib + block.shape[1]] = block
-            if a != b:
-                raw[ib:ib + block.shape[1], ia:ia + block.shape[0]] = block.T
+    cols = _columns(plan, names)
+    rows = np.vstack([raws[f] @ info[cols[f], :] for f in names])
+    raw = np.hstack([rows[:, cols[f]] @ raws[f].T for f in names])
     return ContrastMatrix(raw=raw, norms=tuple(norms), labels=tuple(labels))
+
+
+def contrast_c_matrix(plan):
+    """The C-matrix of all normalized main-effect contrasts, dimension
+    v = sum_A (s_A - 1), as an exact ContrastMatrix: the contrasts of
+    X'(I - P_block)X for blocked plans, of X'X otherwise."""
+    names = plan.factor_names
+    through = (BLOCK,) if plan.blocked else ()
+    return _contrast(plan, adjusted_information(plan, names, names, through))
 
 
 def c_matrix_factor(plan, a, adjust_for=None):

@@ -2,18 +2,21 @@
 
 Matrices are plain ``np.ndarray`` with ``dtype=object`` holding Python
 ``Fraction`` (or ``int``) entries, so ``A @ B``, ``A.T`` and elementwise
-comparison stay exact.  Floating point enters only in
-``sym_eigenvalues``.
+comparison stay exact.  Rank, inverse, g-inverse and the consistent
+solve all run on one fraction-free (Bareiss) elimination over Python ints,
+and verify their results over ints with checks that ``python -O`` keeps.
+Floating point enters only in ``checked_eigenvalues``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import lcm
 
 import numpy as np
 
-from .errors import NotSymmetric
+from .errors import NotSymmetric, VerificationFailed
 
 __all__ = [
     "rational",
@@ -29,8 +32,10 @@ __all__ = [
     "inverse",
     "g_inverse",
     "solve_consistent",
+    "schur_complement",
     "projector",
     "projector_decompose",
+    "checked_eigenvalues",
     "sym_eigenvalues",
 ]
 
@@ -86,88 +91,123 @@ def is_idempotent(m):
     return bool((m @ m == m).all())
 
 
-def _echelon(m, reverse=False):
-    """Row-reduce a copy of ``m`` and return the pivot list.
+def _scaled_ints(*mats):
+    """The rows of the side-by-side matrices ``mats`` as lists of Python
+    ints, every entry multiplied by the least common denominator s of all
+    of them; returns (rows, s)."""
+    rows = [[x if type(x) is int else Fraction(x) for x in chain.from_iterable(parts)]
+            for parts in zip(*mats)]
+    scale = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
-    Pivots are (original_row, column) pairs.  The scan is deterministic:
-    columns left to right and, within a column, the first still-unused row
-    with a nonzero entry, both in row-major order (everything reversed
-    when ``reverse`` is set, giving an independent second route for the
-    invariance tests).
+
+def _eliminate(rows, ncol, reverse=False):
+    """The one exact elimination: a fraction-free (Bareiss 1968) forward
+    pass over a copy of the integer ``rows``.
+
+    Pivots come from the first ``ncol`` columns; later columns (right-hand
+    sides) ride along.  The scan is deterministic: columns left to right
+    and, within a column, the first still-unused row with a nonzero entry,
+    both in row-major order (everything reversed when ``reverse`` is set,
+    giving an independent second route for the invariance tests).  Every
+    division by the previous pivot is exact, and each eliminated row is a
+    nonzero multiple of the row ordinary Gaussian elimination would give,
+    so the pivots are the ones that elimination picks.
+
+    Returns (eliminated rows, (original_row, column) pivots in order, d),
+    d being the last pivot: the determinant of the pivot submatrix, up to
+    sign, and 1 when there is no pivot.
     """
-    nrow, ncol = m.shape
-    work = [[Fraction(x) for x in row] for row in m]
-    free = list(range(nrow))
+    rows = [row[:] for row in rows]
+    free = list(range(len(rows)))
     if reverse:
         free.reverse()
     cols = range(ncol - 1, -1, -1) if reverse else range(ncol)
     pivots = []
+    prev = 1
     for c in cols:
-        pivot = next((r for r in free if work[r][c] != 0), None)
-        if pivot is None:
+        pr = next((r for r in free if rows[r][c] != 0), None)
+        if pr is None:
             continue
-        pivots.append((pivot, c))
-        free.remove(pivot)
-        prow = work[pivot]
+        pivots.append((pr, c))
+        free.remove(pr)
+        p = rows[pr][c]
+        prow = rows[pr]
         for r in free:
-            if work[r][c] != 0:
-                f = work[r][c] / prow[c]
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
-    return pivots
+            f = rows[r][c]
+            row = rows[r]
+            if f:
+                rows[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            else:
+                rows[r] = [p * a // prev for a in row]
+        prev = p
+    return rows, pivots, prev
 
 
-def rank(m):
-    if m.size == 0:
-        return 0
-    return len(_echelon(m))
+def _back_substitute(rows, pivots, d, ncol, t):
+    """Integer Z with M Z = d RHS from eliminated rows [M | RHS], free
+    variables zero.  Each division is exact: d is the determinant of the
+    pivot submatrix, so d Z is integral by Cramer's rule."""
+    z = [[0] * t for _ in range(ncol)]
+    solved = []
+    for pr, c in reversed(pivots):
+        row = rows[pr]
+        p = row[c]
+        for j in range(t):
+            acc = d * row[ncol + j]
+            for c2 in solved:
+                if row[c2]:
+                    acc -= row[c2] * z[c2][j]
+            z[c][j] = acc // p
+        solved.append(c)
+    return z
 
 
-def inverse(m):
-    """Exact inverse of a nonsingular square matrix (Gauss-Jordan)."""
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("inverse needs a square matrix")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[c], work[pivot] = work[pivot], work[c]
-        prow = [x / work[c][c] for x in work[c]]
-        work[c] = prow
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
-    out = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = work[i][n + j]
+def _object(rows, ncol):
+    return np.array(rows, dtype=object).reshape(len(rows), ncol)
+
+
+def _over(num, d):
+    """The matrix num / d with Fraction entries."""
+    out = np.empty(num.shape, dtype=object)
+    for idx, x in np.ndenumerate(num):
+        out[idx] = Fraction(x, d)
     return out
 
 
-def g_inverse(m, reverse=False):
-    """A generalized inverse G with M G M = M, exact.
+def _require_equal(got, want, what):
+    """Raise VerificationFailed unless two exact matrices are equal.  The
+    kernel's self-checks go through here, so ``python -O`` keeps them."""
+    if not (got == want).all():
+        raise VerificationFailed(f"{what} does not hold")
 
-    Found from a full-rank submatrix: elimination picks r independent rows
-    I and columns J, and G carries (M[I,J])^-1 on the (J, I) positions,
-    zero elsewhere.  ``reverse`` flips the pivot scan order, giving a
-    second, generally different, g-inverse.
-    """
+
+def rank(m):
+    return len(_eliminate(_scaled_ints(m)[0], m.shape[1])[1])
+
+
+def _solve_scaled(m, rhs, reverse=False):
+    """The solution of ``solve_consistent`` as (Z_int, d) with Z = Z_int / d:
+    Z_int an object matrix of Python ints, d a nonzero int, and
+    M Z_int = d RHS verified over ints."""
     nrow, ncol = m.shape
-    piv = _echelon(m, reverse=reverse)
-    g = zeros(ncol, nrow)
-    if piv:
-        rows = [p[0] for p in piv]
-        cols = [p[1] for p in piv]
-        sub = rational([[m[r, c] for c in cols] for r in rows])
-        inv = inverse(sub)
-        for a, c in enumerate(cols):
-            for b, r in enumerate(rows):
-                g[c, r] = inv[a, b]
-    assert (m @ g @ m == m).all()
-    return g
+    t = rhs.shape[1]
+    if rhs.shape[0] != nrow:
+        raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix has {nrow}")
+    system, _ = _scaled_ints(m, rhs)
+    rows, pivots, d = _eliminate(system, ncol, reverse=reverse)
+    used = {pr for pr, _ in pivots}
+    for r, row in enumerate(rows):
+        if r in used:
+            continue
+        if any(row[:ncol]):
+            raise VerificationFailed("elimination left a free row with a nonzero coefficient")
+        if any(row[ncol:]):
+            raise ArithmeticError("system is inconsistent")
+    z = _object(_back_substitute(rows, pivots, d, ncol, t), t)
+    system = _object(system, ncol + t)
+    _require_equal(system[:, :ncol] @ z, d * system[:, ncol:], "M Z = d RHS")
+    return z, d
 
 
 def solve_consistent(m, rhs, reverse=False):
@@ -179,68 +219,57 @@ def solve_consistent(m, rhs, reverse=False):
     generalized inverse G; products P @ Z with the rows of P inside the
     row space of M do not depend on the choice, and ``reverse`` flips the
     elimination order to let tests confirm exactly that.
+    """
+    z, d = _solve_scaled(m, rhs, reverse=reverse)
+    return _over(z, d)
 
-    Elimination is fraction-free over cleared-denominator integers
-    (divisions by the previous pivot are exact), which keeps large exact
-    systems fast; the returned Z is verified against M Z = RHS before
-    returning.
+
+def schur_complement(corner, left, m, right, reverse=False):
+    """corner - left M^- right, exact, as Fractions.
+
+    M^- right is the solution Z of M Z = right from ``_solve_scaled``; the
+    product left Z is the same for every solution when the rows of
+    ``left`` lie in the row space of M.  It is formed over ints as
+    (d corner - left Z_int) / d, dividing only at the end.
+    """
+    z, d = _solve_scaled(m, right, reverse=reverse)
+    return _over(d * corner - left @ z, d)
+
+
+def inverse(m):
+    """Exact inverse of a nonsingular square matrix."""
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError("inverse needs a square matrix")
+    if rank(m) < n:
+        raise ValueError("matrix is singular")
+    return solve_consistent(m, eye(n))
+
+
+def g_inverse(m, reverse=False):
+    """A generalized inverse G with M G M = M, exact.
+
+    Found from a full-rank submatrix: elimination picks r independent rows
+    I and columns J, and G carries (M[I,J])^-1 on the (J, I) positions,
+    zero elsewhere.  ``reverse`` flips the pivot scan order, giving a
+    second, generally different, g-inverse.  M G M = M is verified over
+    ints.
     """
     nrow, ncol = m.shape
-    t = rhs.shape[1]
-    if rhs.shape[0] != nrow:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix has {nrow}")
-    denom = 1
-    for x in list(m.flat) + list(rhs.flat):
-        d = Fraction(x).denominator
-        denom = denom * d // gcd(denom, d)
-    work = []
-    for i in range(nrow):
-        row = [int(Fraction(m[i, j]) * denom) for j in range(ncol)]
-        row += [int(Fraction(rhs[i, j]) * denom) for j in range(t)]
-        work.append(row)
-
-    free = list(range(nrow))
-    if reverse:
-        free.reverse()
-    cols = range(ncol - 1, -1, -1) if reverse else range(ncol)
-    pivots = []
-    prev = 1
-    for c in cols:
-        pr = next((r for r in free if work[r][c] != 0), None)
-        if pr is None:
-            continue
-        pivots.append((pr, c))
-        free.remove(pr)
-        p = work[pr][c]
-        prow = work[pr]
-        for r in free:
-            f = work[r][c]
-            row = work[r]
-            if f:
-                work[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-            else:
-                work[r] = [p * a // prev for a in row]
-        prev = p
-
-    for r in free:
-        assert all(work[r][c] == 0 for c in range(ncol))
-        if any(work[r][ncol + j] != 0 for j in range(t)):
-            raise ArithmeticError("system is inconsistent")
-
-    z = zeros(ncol, t)
-    solved = []
-    for pr, c in reversed(pivots):
-        row = work[pr]
-        p = row[c]
-        for j in range(t):
-            acc = Fraction(row[ncol + j])
-            for c2 in solved:
-                if row[c2]:
-                    acc -= row[c2] * z[c2, j]
-            z[c, j] = acc / p
-        solved.append(c)
-    assert (m @ z == rhs).all()
-    return z
+    system, scale = _scaled_ints(m)
+    _, piv, _ = _eliminate(system, ncol, reverse=reverse)
+    g_int = _object([[0] * nrow for _ in range(ncol)], nrow)
+    d = 1
+    if piv:
+        rows = [p[0] for p in piv]
+        cols = [p[1] for p in piv]
+        inv, d = _solve_scaled(m[np.ix_(rows, cols)], eye(len(piv)))
+        g_int[np.ix_(cols, rows)] = inv
+    # M = M_int / scale and G = G_int / d, so M G M = M reads
+    # M_int G_int M_int = d scale M_int
+    m_int = _object(system, ncol)
+    _require_equal(m_int @ g_int @ m_int, d * scale * m_int, "M G M = M")
+    return _over(g_int, d)
 
 
 def projector(m, reverse=False):
@@ -270,18 +299,23 @@ def projector_decompose(u, v):
     return pz
 
 
-def sym_eigenvalues(m, tol=1e-9):
-    """Eigenvalues of an exactly-symmetric rational matrix, ascending.
+def checked_eigenvalues(f, tol=1e-9):
+    """Ascending eigenvalues of a symmetric float matrix by ``eigh``.
 
-    Computed in floating point; each eigenpair residual is required to
-    satisfy |M v - lam v| <= tol * |M| (max-abs norm).
+    Each eigenpair residual must satisfy |F v - lam v| <= tol * max(1, |F|)
+    (max-abs norm), else VerificationFailed.
     """
-    if not is_symmetric(m):
-        raise NotSymmetric("matrix is not exactly symmetric")
-    f = to_float(m)
     w, v = np.linalg.eigh(f)
     scale = max(1.0, np.abs(f).max())
     resid = np.abs(f @ v - v * w).max()
     if resid > tol * scale:
-        raise ArithmeticError(f"eigen residual {resid} exceeds {tol * scale}")
+        raise VerificationFailed(f"eigen residual {resid} exceeds {tol * scale}")
     return [float(x) for x in w]
+
+
+def sym_eigenvalues(m, tol=1e-9):
+    """Eigenvalues of an exactly-symmetric rational matrix, ascending,
+    computed in floating point by ``checked_eigenvalues``."""
+    if not is_symmetric(m):
+        raise NotSymmetric("matrix is not exactly symmetric")
+    return checked_eigenvalues(to_float(m), tol)

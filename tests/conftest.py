@@ -4,8 +4,12 @@ Construction is the expensive part (each family re-verifies itself), so
 everything here is session-scoped and shared across test modules.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
+import orthoplan
 from orthoplan import (
     construct_asym,
     construct_potb2,
@@ -73,3 +77,11 @@ def asym3():
 @pytest.fixture(scope="session")
 def asym7():
     return construct_asym(7)
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a child interpreter that imports this orthoplan."""
+    src = str(Path(orthoplan.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}

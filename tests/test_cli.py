@@ -1,10 +1,14 @@
 """Command-line interface: verbs, exit codes, determinism, file outputs."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from orthoplan import cli
 from orthoplan.cli import main
+from orthoplan.errors import VerificationFailed
 from orthoplan.plan import plan_dumps
 from orthoplan import Factor, Plan, seed_plans
 
@@ -214,6 +218,36 @@ def test_catalog(capsys, tmp_path):
         "potb_2_7", "ico_2_6", "potb_3_3",
         "potb_2_14", "potb_3_15", "asym_3", "asym_7",
     }
+
+
+def test_catalog_contrast_scalar_claim_checks_the_value(capsys, tmp_path, monkeypatch):
+    """A C-matrix that is a scalar identity with the wrong scalar fails
+    the catalog's contrast-scalar claim."""
+    real_is_potb = cli.is_potb
+
+    def wrong_scalar(plan):
+        rep = real_is_potb(plan)
+        if plan.name != "potb_2_14":
+            return rep
+        return replace(rep, c_matrix=rep.c_matrix.scaled(Fraction(9, 8)))
+
+    monkeypatch.setattr(cli, "is_potb", wrong_scalar)
+    out_file = tmp_path / "catalog.json"
+    code, _, _ = run(capsys, "catalog", "--out", str(out_file))
+    doc = json.loads(out_file.read_text())
+    failed = [c["label"] for c in doc["claims"] if c["pass"] != c["expect"]]
+    assert failed == ["potb_2_14-contrast-scalar"]
+    assert code == 1 and doc["pass"] is False
+
+
+def test_failed_self_check_exits_one(capsys, tmp_path, monkeypatch):
+    def broken(plan):
+        raise VerificationFailed("M Z = d RHS does not hold")
+
+    monkeypatch.setattr(cli, "is_potb", broken)
+    path = write_plan(tmp_path, seed_plans()["potb_2_7"])
+    code, _, err = run(capsys, "verify", "--check", "potb", "--plan", path)
+    assert code == 1 and err == "claim failed: M Z = d RHS does not hold\n"
 
 
 def test_unknown_verb(capsys):

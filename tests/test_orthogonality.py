@@ -23,7 +23,6 @@ from orthoplan.errors import NoBlocks, OverlappingSets, UnknownFactor
 from orthoplan.orthogonality import (
     adjusted_information,
     connected_factors,
-    cross_incidence,
     gram,
 )
 from orthoplan.plan import design_matrix, incidence
@@ -40,10 +39,12 @@ def full_factorial_22():
 def test_gram_and_cross_incidence(potb27):
     g = gram(potb27, (BLOCK,))
     assert g.tolist() == [[5, 0], [0, 5]]
-    n_at = cross_incidence(potb27, "A1", (BLOCK, GENERAL))
+    n_at = gram(potb27, ("A1", BLOCK, GENERAL))[:2, 2:]
     xa = design_matrix(potb27, "A1")
     xt = np.hstack([design_matrix(potb27, BLOCK), design_matrix(potb27, GENERAL)])
     assert (n_at == xa.T @ xt).all()
+    twice = np.hstack([xa, xa])
+    assert (gram(potb27, ("A1", "A1")) == twice.T @ twice).all()
 
 
 @pytest.mark.parametrize("pair", [("A1", "A2"), ("A3", "A7"), ("A2", "A5")])
@@ -53,8 +54,9 @@ def test_adjusted_information_matches_g_inverse_formula(potb27, pair):
     a, b = pair
     through = (BLOCK,)
     n_ab = ratmat.rational(incidence(potb27, a, b))
-    n_at = ratmat.rational(cross_incidence(potb27, a, through))
-    n_bt = ratmat.rational(cross_incidence(potb27, b, through))
+    x_t = np.hstack([design_matrix(potb27, u) for u in through])
+    n_at = ratmat.rational(design_matrix(potb27, a).T @ x_t)
+    n_bt = ratmat.rational(design_matrix(potb27, b).T @ x_t)
     g = ratmat.g_inverse(gram(potb27, through))
     want = n_ab - n_at @ g @ n_bt.T
     assert (adjusted_information(potb27, a, b, through) == want).all()

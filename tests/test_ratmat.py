@@ -1,6 +1,8 @@
 """Exact rational linear algebra: ranks, (generalized) inverses,
 projectors, consistent solves, and the eigenvalue bridge to floats."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -174,3 +176,48 @@ def test_sym_eigenvalues():
 def test_sym_eigenvalues_requires_symmetry():
     with pytest.raises(NotSymmetric):
         ratmat.sym_eigenvalues(ratmat.rational([[0, 1], [0, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# self-checks that python -O keeps
+
+OPTIMIZED_SCRIPT = """
+import numpy as np
+from orthoplan import ratmat, seed_plans
+from orthoplan.errors import VerificationFailed
+from orthoplan.orthogonality import contrast_c_matrix
+
+assert False, "asserts are live"     # -O strips this line
+
+real_back_substitute = ratmat._back_substitute
+
+def off_by_one(*args):
+    z = real_back_substitute(*args)
+    z[0][0] += 1
+    return z
+
+ratmat._back_substitute = off_by_one
+m = ratmat.rational([[2, 1], [1, 1]])
+try:
+    ratmat.solve_consistent(m, m)
+except VerificationFailed as exc:
+    print("solve:", exc)
+ratmat._back_substitute = real_back_substitute
+
+cm = contrast_c_matrix(seed_plans()["potb_2_7"])
+real_eigh = np.linalg.eigh
+np.linalg.eigh = lambda f: (real_eigh(f)[0] + 1.0, real_eigh(f)[1])
+try:
+    cm.eigenvalues()
+except VerificationFailed as exc:
+    print("eigen:", str(exc).split()[0])
+"""
+
+
+def test_self_checks_survive_python_O(src_env):
+    """A wrong kernel solution and a wrong eigenpair are caught even when
+    the interpreter strips asserts."""
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "solve: M Z = d RHS does not hold\neigen: eigen\n"
