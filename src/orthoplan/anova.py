@@ -22,8 +22,8 @@ import numpy as np
 
 from . import ratmat
 from .errors import LengthMismatch, NoBlocks, OverlappingSets
-from .orthogonality import adjusted_information, gram
-from .plan import BLOCK, GENERAL, design_matrix
+from .orthogonality import adjusted_information
+from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram
 
 __all__ = [
     "ModelSpec",
@@ -79,8 +79,8 @@ def simulate(model):
         for u in range(plan.n):
             mean[u] += Fraction(vec[col[u]])
     if model.block_effects is not None:
-        for u in range(plan.n):
-            mean[u] += Fraction(model.block_effects[plan.block_of(u)])
+        for u, j in enumerate(plan.block_labels()):
+            mean[u] += Fraction(model.block_effects[j])
     if model.sigma == 0:
         return np.array(mean, dtype=object)
     rng = np.random.default_rng(model.seed)
@@ -106,14 +106,6 @@ class SSResult:
             "value": str(self.value),
             "value_float": float(self.value),
         }
-
-
-def _as_tuple(t):
-    if t is None:
-        return ()
-    if isinstance(t, str):
-        return (t,)
-    return tuple(t)
 
 
 def _stack_design(plan, idents):
@@ -162,13 +154,6 @@ def ss_adjusted(plan, y, target, adjust_for=()):
     assert ss_proj == ss_g == ss_g2, "the two SS routes disagree"
     assert ss_proj >= 0
     return SSResult(target=target, adjust_for=adjust, value=Fraction(ss_proj))
-
-
-def _full_adjusting_set(plan, a):
-    rest = [f for f in plan.factor_names if f != a] + [GENERAL]
-    if plan.blocked:
-        rest.append(BLOCK)
-    return tuple(rest)
 
 
 @dataclass(frozen=True)
@@ -241,7 +226,7 @@ def estssq_equivalence(plan, a, adjust_for, trials=20, seed=0):
         others.append(BLOCK)
     condition = ratmat.is_zero(adjusted_information(plan, a, others, adjust))
 
-    full = _full_adjusting_set(plan, a)
+    full = adjust + tuple(others)
     equal = 0
     witness = None
     first = None

@@ -7,7 +7,6 @@ as an m x N integer grid whose columns are the runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,7 +97,6 @@ def _paley(q):
     return h
 
 
-@lru_cache(maxsize=None)
 def _build_hadamard(order):
     """Recursive builder; returns an un-normalized matrix or None."""
     if order == 1:

@@ -31,7 +31,6 @@ from .gf import field_new
 from .optimality import universal_ledger
 from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
 from .plan import (
-    BLOCK,
     GENERAL,
     plan_dumps,
     plan_loads,
@@ -201,13 +200,8 @@ def _cmd_construct(args):
 
 
 def _split_idents(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append({"block": BLOCK, "G": GENERAL}.get(tok, tok))
-    return out
+    """Comma-separated identifiers; 'block' and 'G' are the pseudo-factors."""
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _cmd_verify(args):

@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from . import ratmat
 from .errors import NoBlocks, ShapeMismatch
-from .orthogonality import adjusted_information, c_matrix_factor, contrast_c_matrix
-from .plan import BLOCK, block_incidence
+from .orthogonality import (_columns, _contrast, _factor_information, _fully_adjusted,
+                            contrast_c_matrix)
+from .plan import block_incidence
 
 __all__ = [
     "FactorConditions",
@@ -112,6 +113,30 @@ class OptimalityLedger:
         }
 
 
+def _blocked_information(plan):
+    """X'(I - P_block)X over all factors, the one matrix a ledger reads."""
+    if not plan.blocked:
+        raise NoBlocks("the per-factor conditions are about blocked plans")
+    return _factor_information(plan)
+
+
+def _factor_conditions(plan, a, info):
+    """The three per-factor conditions, the last two read off ``info``."""
+    s = plan.factor(a).levels
+    l_a = block_incidence(plan, a)
+    floors = tuple(int(k) // s for k in plan.block_sizes)
+    counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
+    count_pass = all(
+        c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
+    own = _columns(plan, plan.factor_names)[a]
+    orth_pass = ratmat.is_zero(info[own, :own.start]) and ratmat.is_zero(info[own, own.stop:])
+    scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(_fully_adjusted(plan, info, a))
+    return FactorConditions(factor=a, count_pass=count_pass,
+                            block_counts=counts, t_floor=floors,
+                            orth_pass=orth_pass, scalar_pass=scalar_pass,
+                            a=fit_a, b=fit_b)
+
+
 def check_universal_factor(plan, a):
     """Evaluate the three per-factor conditions on a blocked plan.
 
@@ -119,21 +144,7 @@ def check_universal_factor(plan, a):
     of plans with the same block profile (consistency check against the
     construction claims; no class-wide search is performed).
     """
-    if not plan.blocked:
-        raise NoBlocks("the per-factor conditions are about blocked plans")
-    s = plan.factor(a).levels
-    l_a = block_incidence(plan, a)
-    floors = tuple(int(k) // s for k in plan.block_sizes)
-    counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
-    count_pass = all(
-        c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
-    others = [f for f in plan.factor_names if f != a]
-    orth_pass = ratmat.is_zero(adjusted_information(plan, a, others, (BLOCK,)))
-    scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(c_matrix_factor(plan, a))
-    return FactorConditions(factor=a, count_pass=count_pass,
-                            block_counts=counts, t_floor=floors,
-                            orth_pass=orth_pass, scalar_pass=scalar_pass,
-                            a=fit_a, b=fit_b)
+    return _factor_conditions(plan, a, _blocked_information(plan))
 
 
 def check_universal_global(plan):
@@ -146,9 +157,11 @@ def check_universal_global(plan):
 
 def universal_ledger(plan):
     """Assemble the full ledger: per-factor conditions, the global scalar
-    identity, and the contrast spectrum."""
-    factors = tuple(check_universal_factor(plan, f) for f in plan.factor_names)
-    c_con = contrast_c_matrix(plan)
+    identity, and the contrast spectrum, all read off one matrix
+    X'(I - P_block)X."""
+    info = _blocked_information(plan)
+    factors = tuple(_factor_conditions(plan, f, info) for f in plan.factor_names)
+    c_con = _contrast(plan, info)
     global_pass, global_a = c_con.scalar_identity()
     spectrum = tuple(c_con.eigenvalues())
     return OptimalityLedger(plan_name=plan.name, factors=factors,

@@ -17,7 +17,8 @@ of its stacked result; the classical special cases are such slices:
 * T = {G}: the proportional frequency condition n N_AB = r_A r_B';
 * T = {block}: the defining condition of a plan orthogonal through the
   block factor, N_AB = L_A D_k^{-1} L_B', whose stacked matrix over all
-  factors also gives the contrast C-matrix.
+  factors also gives the contrast C-matrix and, as Schur complements,
+  every factor's fully adjusted information C_A.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from . import ratmat
 from .contrasts import ContrastMatrix, helmert_norms, helmert_raw
 from .errors import NoBlocks, OverlappingSets
-from .plan import BLOCK, GENERAL, incidence, levels_of
+from .plan import BLOCK, GENERAL, _as_tuple, gram, levels_of
 
 __all__ = [
     "PairCheck",
@@ -50,32 +51,10 @@ __all__ = [
 ]
 
 
-def _as_tuple(t):
-    if t is None:
-        return ()
-    if isinstance(t, str):
-        return (t,)
-    return tuple(t)
-
-
 def _columns(plan, idents):
     """Slice of each identifier's columns in the stacked design matrix."""
-    out = {}
-    pos = 0
-    for u in idents:
-        s = levels_of(plan, u)
-        out[u] = slice(pos, pos + s)
-        pos += s
-    return out
-
-
-def gram(plan, idents):
-    """X_T' X_T for the stacked design matrices of ``idents``, assembled
-    from pairwise incidence counts (exact Python ints, small)."""
-    idents = _as_tuple(idents)
-    if not idents:
-        return np.empty((0, 0), dtype=object)
-    return np.block([[incidence(plan, u, v) for v in idents] for u in idents])
+    *starts, _ = accumulate((levels_of(plan, u) for u in idents), initial=0)
+    return {u: slice(o, o + levels_of(plan, u)) for u, o in zip(idents, starts)}
 
 
 def adjusted_information(plan, a, b, through, reverse=False):
@@ -208,7 +187,7 @@ def is_potp(plan, through):
     orthogonality through that pair (or any factor set)."""
     through = _as_tuple(through)
     for t in through:
-        plan.factor(t)
+        levels_of(plan, t)
     rest = [f for f in plan.factor_names if f not in through]
     checks, _ = pair_checks(plan, rest, through)
     return OrthReport(plan_name=plan.name, check="potp", pairs=checks,
@@ -241,6 +220,24 @@ def contrast_c_matrix(plan):
     return _contrast(plan, adjusted_information(plan, names, names, through))
 
 
+def _factor_information(plan):
+    """X'(I - P_T)X over all factors, T = {block} for a blocked plan and
+    {G} otherwise: the matrix every factor's C_A is read from."""
+    names = plan.factor_names
+    return adjusted_information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
+
+
+def _fully_adjusted(plan, info, a):
+    """C_A from ``info`` = ``_factor_information(plan)``: the Schur
+    complement M_AA - M_AR M_RR^- M_RA over the other factors R, since
+    P_{T+R} = P_T + P_{(I - P_T) X_R}."""
+    cols = _columns(plan, plan.factor_names)
+    own = cols.pop(a)
+    rest = np.array([i for c in cols.values() for i in range(c.start, c.stop)], dtype=np.intp)
+    return ratmat.schur_complement(info[own, own], info[own, rest],
+                                   info[np.ix_(rest, rest)], info[rest, own])
+
+
 def c_matrix_factor(plan, a, adjust_for=None):
     """C_{AA;T} = X_A' (I - P_T) X_A, exact.
 
@@ -249,9 +246,8 @@ def c_matrix_factor(plan, a, adjust_for=None):
     giving the factor's fully adjusted information matrix C_A.
     """
     if adjust_for is None:
-        adjust_for = [f for f in plan.factor_names if f != a] + [GENERAL]
-        if plan.blocked:
-            adjust_for.append(BLOCK)
+        plan.factor(a)
+        return _fully_adjusted(plan, _factor_information(plan), a)
     adjust_for = _as_tuple(adjust_for)
     if a in adjust_for:
         raise OverlappingSets(f"{a!r} cannot be adjusted for itself")
@@ -261,10 +257,10 @@ def c_matrix_factor(plan, a, adjust_for=None):
 def connected_factors(plan):
     """Per-factor connectedness: rank(C_A) == s_A - 1.  Emits a warning
     for each disconnected factor."""
+    info = _factor_information(plan)
     out = {}
     for f in plan.factor_names:
-        c = c_matrix_factor(plan, f)
-        ok = ratmat.rank(c) == plan.factor(f).levels - 1
+        ok = ratmat.rank(_fully_adjusted(plan, info, f)) == plan.factor(f).levels - 1
         if not ok:
             warnings.warn(f"factor {f} is not connected in plan {plan.name!r}")
         out[f] = ok

@@ -1,11 +1,16 @@
 """Plan data model: factors, runs, optional blocking, derived matrices,
 and JSON / CSV serialization.
 
-A plan is n runs on m factors.  Factor A with s_A levels produces the
-n x s_A design matrix X_A (0/1, one unit entry per row).  Two
+A plan is n runs on m >= 1 factors.  Factor A with s_A levels produces
+the n x s_A design matrix X_A (0/1, one unit entry per row).  Two
 pseudo-factors are addressable wherever a factor identifier is accepted:
 ``GENERAL`` ("G", the all-ones column) and ``BLOCK`` (the n x b block
 indicator, only for blocked plans).
+
+Every identifier reads as one symbol per run, so the gram matrix X'X of
+any stack of identifiers is counted in one pass over the runs, and
+incidence matrices are its slices.  Nothing is cached: each call builds
+a fresh exact integer matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,6 +63,8 @@ class Plan:
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise ValueError("factor names must be unique")
+        if not self.factors:
+            raise ValueError("plan needs at least one factor, factors is empty")
         if not self.runs:
             raise ValueError("plan needs at least one run")
         m = len(self.factors)
@@ -107,48 +114,22 @@ class Plan:
         return tuple(run[j] for run in self.runs)
 
     def block_of(self, run_index):
-        if not self.blocked:
-            raise NoBlocks(f"plan {self.name!r} has no blocks")
-        upto = 0
-        for j, k in enumerate(self.block_sizes):
-            upto += k
-            if run_index < upto:
-                return j
-        raise IndexError(run_index)
+        return self.block_labels()[run_index]
 
     def block_labels(self):
         """Block index of every run (requires blocking)."""
         if not self.blocked:
             raise NoBlocks(f"plan {self.name!r} has no blocks")
-        out = []
-        for j, k in enumerate(self.block_sizes):
-            out.extend([j] * k)
-        return tuple(out)
+        return tuple(j for j, k in enumerate(self.block_sizes) for _ in range(k))
 
 
-def _int_matrix(rows):
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j] = int(x)
-    return out
-
-
-@lru_cache(maxsize=None)
-def design_matrix(plan, name):
-    """n x s indicator matrix of a factor, or of GENERAL / BLOCK.
-
-    Plans are immutable, so results are cached; treat the returned array
-    as read-only.
-    """
-    if name == GENERAL:
-        return _int_matrix([[1]] * plan.n)
-    if name == BLOCK:
-        labels = plan.block_labels()
-        return _int_matrix([[int(lbl == j) for j in range(plan.b)] for lbl in labels])
-    f = plan.factor(name)
-    col = plan.column(name)
-    return _int_matrix([[int(x == lvl) for lvl in range(f.levels)] for x in col])
+def _as_tuple(t):
+    """Identifier set as a tuple: None is empty, a string is one identifier."""
+    if t is None:
+        return ()
+    if isinstance(t, str):
+        return (t,)
+    return tuple(t)
 
 
 def levels_of(plan, name):
@@ -162,13 +143,44 @@ def levels_of(plan, name):
     return plan.factor(name).levels
 
 
-@lru_cache(maxsize=None)
+def _symbols(plan, name):
+    """Symbol of a factor identifier in every run, in run order: the
+    factor's column, the block labels, or all zeros for GENERAL."""
+    if name == GENERAL:
+        return (0,) * plan.n
+    if name == BLOCK:
+        return plan.block_labels()
+    return plan.column(name)
+
+
+def design_matrix(plan, name):
+    """n x s indicator matrix of a factor, or of GENERAL / BLOCK."""
+    s = levels_of(plan, name)
+    return np.array([[int(x == lvl) for lvl in range(s)] for x in _symbols(plan, name)],
+                    dtype=object)
+
+
+def gram(plan, idents):
+    """X' X for the stacked design matrices X = [X_u1 X_u2 ...] of
+    ``idents``, counted in one pass over the runs: each run adds 1 at
+    every pair of its column indices.  Exact Python ints; a repeated
+    identifier gives repeated blocks."""
+    idents = _as_tuple(idents)
+    *offsets, size = accumulate((levels_of(plan, u) for u in idents), initial=0)
+    counts = [[0] * size for _ in range(size)]
+    for symbols in zip(*(_symbols(plan, u) for u in idents)):
+        hit = [o + x for o, x in zip(offsets, symbols)]
+        for i in hit:
+            row = counts[i]
+            for j in hit:
+                row[j] += 1
+    return np.array(counts, dtype=object).reshape(size, size)
+
+
 def incidence(plan, a, b):
-    """s_A x s_B count matrix N_AB = X_A' X_B (exact integers, cached;
-    treat as read-only)."""
-    xa = design_matrix(plan, a)
-    xb = design_matrix(plan, b)
-    return xa.T @ xb
+    """s_A x s_B count matrix N_AB = X_A' X_B (exact integers)."""
+    s = levels_of(plan, a)
+    return gram(plan, (a, b))[:s, s:]
 
 
 def replication(plan, a):
@@ -185,11 +197,8 @@ def block_diagonal(plan):
     """D_k = diag(block sizes) as an exact matrix."""
     if not plan.blocked:
         raise NoBlocks(f"plan {plan.name!r} has no blocks")
-    b = plan.b
-    out = _int_matrix([[0] * b for _ in range(b)])
-    for j, k in enumerate(plan.block_sizes):
-        out[j, j] = int(k)
-    return out
+    return np.array([[k if i == j else 0 for j in range(plan.b)]
+                     for i, k in enumerate(plan.block_sizes)], dtype=object)
 
 
 # ---------------------------------------------------------------------------

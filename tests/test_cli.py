@@ -152,6 +152,19 @@ def test_verify_potp(capsys, tmp_path):
     assert code == 2 and "--through is required" in err
 
 
+def test_verify_potp_through_block(capsys, tmp_path):
+    path = write_plan(tmp_path, seed_plans()["ico_2_6"])
+    code, out, err = run(capsys, "verify", "--check", "potp", "--through", "block",
+                         "--plan", path)
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert not next(p for p in doc["pairs"] if (p["a"], p["b"]) == ("A1", "B1"))["pass"]
+    code, _, err = run(capsys, "verify", "--check", "potp", "--through", "block",
+                       "--plan", write_plan(tmp_path, seed_plans()["potp_3_4"], "u.json"))
+    assert code == 2 and "has no blocks" in err
+
+
 def test_verify_pfc(capsys, tmp_path):
     ff = Plan("ff22", (Factor("A", 2), Factor("B", 2)),
               ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -168,6 +181,15 @@ def test_verify_rejects_bad_json(capsys, tmp_path):
     path.write_text("{nope")
     code, _, err = run(capsys, "verify", "--check", "potb", "--plan", str(path))
     assert code == 2 and "$: not valid JSON" in err
+
+
+@pytest.mark.parametrize("verb", [["verify", "--check", "potb"], ["optimality"]])
+def test_plan_without_factors_is_rejected(capsys, tmp_path, verb):
+    path = tmp_path / "empty.json"
+    path.write_text('{"name": "empty", "factors": [], "runs": [[]], "block_sizes": [1]}')
+    code, out, err = run(capsys, *verb, "--plan", str(path))
+    assert code == 2 and out == ""
+    assert "plan needs at least one factor, factors is empty" in err
 
 
 # ---------------------------------------------------------------------------

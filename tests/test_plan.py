@@ -1,5 +1,8 @@
 """Plan data model, derived matrices, and serialization."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from orthoplan import (
     plan_to_csv,
     plan_to_json,
     replication,
+    universal_ledger,
 )
 from orthoplan.errors import (
     BlockSizeMismatch,
@@ -108,9 +112,20 @@ def test_design_matrix_block():
     assert levels_of(p, BLOCK) == 2 and levels_of(p, GENERAL) == 1
 
 
-def test_design_matrix_cached():
-    p = tiny()
-    assert design_matrix(p, "A") is design_matrix(p, "A")
+def test_derived_matrices_are_fresh_and_plans_are_not_retained():
+    p = tiny(blocked=True)
+    x = design_matrix(p, "A")
+    x[0, 0] = 7
+    assert design_matrix(p, "A")[0, 0] == 1
+    n = incidence(p, "A", "B")
+    n[0, 0] = 7
+    assert incidence(p, "A", "B")[0, 0] == 1
+
+    universal_ledger(p)
+    ref = weakref.ref(p)
+    del p, x, n
+    gc.collect()
+    assert ref() is None
 
 
 def test_incidence_matches_definition():

@@ -1,5 +1,7 @@
 """Property tests on random small plans: the stacked adjusted information
-against the dense projector oracle, and against the single-pair check."""
+against the dense projector oracle and the single-pair check, the counted
+gram against the dense X'X, and the Schur-complement C_A and the ledger
+against their one-stage definitions."""
 
 from itertools import combinations
 
@@ -7,9 +9,9 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from orthoplan import BLOCK, GENERAL, Factor, Plan, orth_through, ratmat
-from orthoplan.orthogonality import adjusted_information
-from orthoplan.plan import design_matrix, levels_of
+from orthoplan import BLOCK, GENERAL, Factor, Plan, orth_through, ratmat, universal_ledger
+from orthoplan.orthogonality import adjusted_information, c_matrix_factor
+from orthoplan.plan import design_matrix, gram, levels_of
 
 
 @st.composite
@@ -58,3 +60,19 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
             continue
         residual = orth_through(plan, a, b, through).residual
         assert (got[span[a], span[b]] == residual).all()
+
+    pseudo = (GENERAL, BLOCK) if plan.blocked else (GENERAL,)
+    idents = names + pseudo + names[:1]
+    x = np.hstack([design_matrix(plan, u) for u in idents])
+    assert (gram(plan, idents) == x.T @ x).all()
+
+    for a in names:
+        others = tuple(f for f in names if f != a)
+        assert (c_matrix_factor(plan, a)
+                == adjusted_information(plan, a, a, others + pseudo)).all()
+
+    if plan.blocked:
+        for entry in universal_ledger(plan).factors:
+            verdicts = [orth_through(plan, entry.factor, b, (BLOCK,)).passed
+                        for b in names if b != entry.factor]
+            assert entry.orth_pass == all(verdicts)
