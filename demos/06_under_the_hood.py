@@ -2,16 +2,17 @@
 
 Everything upstream of a verification verdict is integer or rational:
 finite-field tables, Hadamard matrices, orthogonal arrays, and a small
-fraction-free linear algebra kit (rank, g-inverse, projectors, and a
+fraction-free linear algebra kit (rank, g-inverse, and a
 consistent-system solver whose answer-products do not depend on the
 pivoting order).
 """
 
 import numpy as np
 
-from orthoplan import ratmat
+from orthoplan import seed_plans
 from orthoplan.arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
 from orthoplan.gf import field_new, square_classes, supported_orders
+from orthoplan.orthogonality import adjusted_information
 
 # Finite fields up to order 128, prime and prime-power alike.
 print("supported field orders:", supported_orders()[:10], "...",
@@ -35,13 +36,15 @@ print("from H(8):       %d rows x %d columns" % (oa.rows, oa.columns))
 print("Rao-Hamming GF3: %d rows x %d columns" % (rao.rows, rao.columns))
 print("with zero row:   %d rows" % q_extend(rao).rows)
 
-# The rational kit: a projector is the same matrix whichever pivoting
-# order the g-inverse used -- that invariance is what makes 'adjusted
-# for' well defined.
-m = ratmat.rational([[2, 1], [0, 1], [2, 0], [4, 2]])
-p_fwd = ratmat.projector(m)
-p_rev = ratmat.projector(m, reverse=True)
-assert (p_fwd == p_rev).all()
-print("\nprojector entries (exact):")
-for row in p_fwd:
+# The rational kit: information adjusted for the general effect and a
+# second factor is the same matrix whichever pivoting order the
+# elimination used, although X_T'X_T is singular (the A2 columns sum to
+# the general one) and the two orders pick different g-inverses -- that
+# invariance is what makes 'adjusted for' well defined.
+plan = seed_plans()["potb_3_3"]
+fwd = adjusted_information(plan, "A1", "A1", ("G", "A2"))
+rev = adjusted_information(plan, "A1", "A1", ("G", "A2"), reverse=True)
+assert (fwd == rev).all()
+print("\nA1 adjusted for G and A2 (exact, either pivoting order):")
+for row in fwd:
     print("  ", [str(x) for x in row])

@@ -21,8 +21,6 @@ from .plan import (
 from .ratmat import (
     g_inverse,
     inverse,
-    projector,
-    projector_decompose,
     rank,
     rational,
     sym_eigenvalues,

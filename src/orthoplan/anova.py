@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
-from .errors import LengthMismatch, NoBlocks, OverlappingSets
-from .orthogonality import adjusted_information
+from .errors import LengthMismatch, NoBlocks, OverlappingSets, require
+from .orthogonality import _information
 from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram
 
 __all__ = [
@@ -118,7 +118,7 @@ def ss_adjusted(plan, y, target, adjust_for=()):
     """SS of the factor set ``target`` adjusted for the set ``adjust_for``
     (identifiers may include the general effect and the block factor).
 
-    Both evaluation routes run on every call and are asserted equal; the
+    Both evaluation routes run on every call and are required equal; the
     g-inverse route is additionally evaluated under a second pivoting
     order, making invariance to the g-inverse choice part of the result.
     """
@@ -151,8 +151,7 @@ def ss_adjusted(plan, y, target, adjust_for=()):
     # g-inverse route, under both pivoting orders
     ss_g = (q_vec.T @ ratmat.g_inverse(c_mat) @ q_vec)[0, 0]
     ss_g2 = (q_vec.T @ ratmat.g_inverse(c_mat, reverse=True) @ q_vec)[0, 0]
-    assert ss_proj == ss_g == ss_g2, "the two SS routes disagree"
-    assert ss_proj >= 0
+    require(ss_proj == ss_g == ss_g2 >= 0, f"SS of {target} adjusted for {adjust}: routes agree")
     return SSResult(target=target, adjust_for=adjust, value=Fraction(ss_proj))
 
 
@@ -213,8 +212,10 @@ def estssq_equivalence(plan, a, adjust_for, trials=20, seed=0):
     the general effect, the block factor when present).  Each trial
     draws a small-integer response so both sums of squares are exact;
     when the condition fails the differing response is recorded as a
-    witness.
+    witness.  Raises ValueError unless ``trials`` is at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     adjust = _as_tuple(adjust_for)
     if a in adjust:
         raise OverlappingSets(f"{a!r} cannot be adjusted for itself")
@@ -224,7 +225,7 @@ def estssq_equivalence(plan, a, adjust_for, trials=20, seed=0):
         others.append(GENERAL)
     if plan.blocked and BLOCK not in adjust:
         others.append(BLOCK)
-    condition = ratmat.is_zero(adjusted_information(plan, a, others, adjust))
+    condition = ratmat.is_zero(_information(plan, a, others, adjust)[0])
 
     full = adjust + tuple(others)
     equal = 0

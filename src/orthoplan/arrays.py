@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderTooSmall, UnsupportedOrder
+from .errors import OrderTooSmall, UnsupportedOrder, require
 from .gf import field_new, prime_power, square_classes
 
 __all__ = [
@@ -137,7 +137,8 @@ def hadamard(order):
         raise UnsupportedOrder(f"order {order} not reachable by the built-in constructions")
     h = h * h[0]  # flip columns so the first row is all +1
     gram = h @ h.T
-    assert (gram == order * np.eye(order, dtype=np.int64)).all()
+    require((gram == order * np.eye(order, dtype=np.int64)).all(),
+            f"hadamard({order}): H H' = {order} I")
     return h
 
 

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
-from . import ratmat
 from .arrays import OrthogonalArray, hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
 from .errors import (
     BadCongruence,
     DimensionMismatch,
     SymbolMismatch,
     UnsupportedOrder,
+    require,
 )
 from .gf import field_new, square_classes
 from .optimality import bibd_check
@@ -248,18 +247,20 @@ def construct_potp(h, s):
                 runs=tuple(zip(*expanded.tolist())))
     plan = orbit(base, field, name=f"potp_{s}_{m}")
 
-    c = Fraction(2 * h, 4)
-    eye = ratmat.eye(s)
-    jay = ratmat.ones(s, s)
+    c = h // 2                        # c = 2h / 4, an integer as 4 divides h
+    eye = np.eye(s, dtype=object)
+    jay = np.ones((s, s), dtype=object)
     lead = 2 * c * (jay - eye)
     other = c * ((s - 2) * eye + jay)
     names = plan.factor_names
+    what = f"potp h={h} s={s}"
     for i in range(m):
         for j in range(i + 1, m):
-            n_ij = ratmat.rational(incidence(plan, names[i], names[j]))
             want = lead if (i, j) == (0, 1) else other
-            assert (n_ij == want).all(), f"incidence pattern broken at {names[i]},{names[j]}"
-    assert is_potp(plan, (names[0], names[1])).passed
+            require((incidence(plan, names[i], names[j]) == want).all(),
+                    f"{what}: incidence pattern at {names[i]},{names[j]}")
+    require(is_potp(plan, (names[0], names[1])).passed,
+            f"{what}: pairs orthogonal through {names[0]},{names[1]}")
     return plan
 
 
@@ -324,11 +325,7 @@ def construct_potb2(h):
     """
     q = _q_array_two_level(h)
     plan = diamond(q, seed_potb_27(), field_new(2), name=f"potb_2_{7 * h}")
-    assert plan.m == 7 * h and plan.block_sizes == (5,) * (2 * h)
-    report = is_potb(plan)
-    assert report.passed
-    ok, value = report.c_matrix.scalar_identity()
-    assert ok and value == 4 * h
+    _verify_potb(plan, f"potb2 h={h}", 7 * h, (5,) * (2 * h), 4 * h)
     return plan
 
 
@@ -343,12 +340,19 @@ def construct_potb3(n_translates=9):
         raise UnsupportedOrder("only the nine-translate three-level family is built in")
     q = q_extend(oa_rao_hamming(field_new(3)))
     plan = diamond(q, seed_potb_33(), field_new(3), name="potb_3_15")
-    assert plan.m == 15 and plan.block_sizes == (4, 4, 2) * 9
-    report = is_potb(plan)
-    assert report.passed
-    ok, value = report.c_matrix.scalar_identity()
-    assert ok and value == 3 * n_translates
+    _verify_potb(plan, f"potb3 translates={n_translates}", 15, (4, 4, 2) * 9, 3 * n_translates)
     return plan
+
+
+def _verify_potb(plan, what, m, block_sizes, scalar):
+    """The self-check of a family orthogonal through the block factor: its
+    shape, every pair's orthogonality and the contrast C-matrix scalar * I."""
+    require(plan.m == m and plan.block_sizes == block_sizes,
+            f"{what}: {m} factors in {len(block_sizes)} blocks")
+    report = is_potb(plan)
+    require(report.passed, f"{what}: pairs orthogonal through block")
+    require(report.c_matrix.scalar_identity() == (True, scalar),
+            f"{what}: contrast C-matrix = {scalar} I")
 
 
 # ---------------------------------------------------------------------------
@@ -411,35 +415,37 @@ def asym_report(plan):
 def _verify_asym(plan, field, sq, t):
     s = field.order
     c0 = list(sq.c0)
-    eye = ratmat.eye(s)
-    jay = ratmat.ones(s, s)
+    eye = np.eye(s, dtype=object)
+    jay = np.ones((s, s), dtype=object)
     names = [f"x{c}" for c in c0]
+    what = f"asym s={s}"
 
     # within the s-level factors: incidence I + J, blocked identity holds
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            n_ab = ratmat.rational(incidence(plan, a, b))
-            assert (n_ab == eye + jay).all()
-            la = ratmat.rational(block_incidence(plan, a))
-            lb = ratmat.rational(block_incidence(plan, b))
-            assert (la @ lb.T == (t + 1) * n_ab).all()
+            n_ab = incidence(plan, a, b)
+            require((n_ab == eye + jay).all(), f"{what}: N({a},{b}) = I + J")
+            la = block_incidence(plan, a)
+            lb = block_incidence(plan, b)
+            require((la @ lb.T == (t + 1) * n_ab).all(),
+                    f"{what}: L({a}) L({b})' = {t + 1} N({a},{b})")
 
     # against the extended factor: flat incidence
     for a in names:
-        n_ax = ratmat.rational(incidence(plan, a, "inf"))
-        assert (n_ax == ratmat.ones(s, s + 1)).all()
+        require((incidence(plan, a, "inf") == 1).all(), f"{what}: N({a},inf) = J")
 
     # level-by-block structure: each s-level factor sees, per translate u,
     # the set (C0 + u) u {u} in the even blocks and (C1 + u) u {u} in the
     # odd ones; with m(p, q) = [q - p in C0] the two halves are M' + I and
     # J - M'
-    m_mat = ratmat.rational([[int(field.sub(q, p) in sq.c0) for q in range(s)]
-                             for p in range(s)])
-    half0 = m_mat.T + ratmat.eye(s)
-    half1 = ratmat.ones(s, s) - m_mat.T
+    m_mat = np.array([[int(field.sub(q, p) in sq.c0) for q in range(s)]
+                      for p in range(s)], dtype=object)
+    half0 = m_mat.T + eye
+    half1 = jay - m_mat.T
     for a in names:
-        la = ratmat.rational(block_incidence(plan, a))
-        assert (la[:, 0::2] == half0).all() and (la[:, 1::2] == half1).all()
-        assert bibd_check(la, v=s, b=2 * s, r=s + 1, k=t + 1, lam=t + 1)
-    lx = ratmat.rational(block_incidence(plan, "inf"))
-    assert bibd_check(lx, v=s + 1, b=2 * s, r=s, k=t + 1, lam=t)
+        la = block_incidence(plan, a)
+        require((la[:, 0::2] == half0).all() and (la[:, 1::2] == half1).all(),
+                f"{what}: L({a}) = M' + I on even blocks, J - M' on odd ones")
+    for a, v, r, lam in [(a, s, s + 1, t + 1) for a in names] + [("inf", s + 1, s, t)]:
+        require(bibd_check(block_incidence(plan, a), v=v, b=2 * s, r=r, k=t + 1, lam=lam),
+                f"{what}: L({a}) is a BIBD(v={v}, b={2 * s}, r={r}, k={t + 1}, lambda={lam})")

@@ -32,13 +32,14 @@ __all__ = ["helmert_raw", "helmert_norms", "orthonormal_contrasts", "ContrastMat
 
 
 def helmert_raw(s):
-    """Integer Helmert rows, (s-1) x s, pairwise orthogonal, zero row sums."""
+    """Integer Helmert rows, (s-1) x s, pairwise orthogonal, zero row
+    sums, as an object array of Python ints."""
     if s < 2:
         raise ValueError("need at least two levels")
     rows = []
     for j in range(1, s):
         rows.append([1] * j + [-j] + [0] * (s - 1 - j))
-    return ratmat.rational(rows)
+    return np.array(rows, dtype=object)
 
 
 def helmert_norms(s):

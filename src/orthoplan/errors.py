@@ -75,3 +75,10 @@ class ShapeMismatch(ValueError):
 
 class VerificationFailed(ArithmeticError):
     """An exact self-check on a computed result did not hold."""
+
+
+def require(ok, what):
+    """Raise VerificationFailed naming the check ``what`` unless ``ok``.
+    Every self-check goes through here, so ``python -O`` keeps them."""
+    if not ok:
+        raise VerificationFailed(f"{what} does not hold")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenCharacteristic, NotAPrimePower, UnsupportedOrder, ZeroInverse
+from .errors import EvenCharacteristic, NotAPrimePower, UnsupportedOrder, ZeroInverse, require
 
 MAX_ORDER = 128
 
@@ -176,7 +176,8 @@ def field_new(order):
     inv[0] = 0
     # One structural self-check: every unit must actually have an inverse
     # (fails iff a modulus polynomial were reducible).
-    assert (mul[np.arange(1, order), inv[1:]] == 1).all()
+    require((mul[np.arange(1, order), inv[1:]] == 1).all(),
+            f"GF({order}): every unit has an inverse")
 
     return GaloisField(
         order=order,
@@ -218,7 +219,8 @@ def square_classes(field):
     sq = {field.mul(a, a) for a in field.units}
     c0 = tuple(sorted(sq))
     c1 = tuple(a for a in field.units if a not in sq)
-    assert len(c0) == len(c1) == (field.order - 1) // 2
+    require(len(c0) == len(c1) == (field.order - 1) // 2,
+            f"GF({field.order}): squares and non-squares each fill half the units")
     return SquareClasses(order=field.order, c0=c0, c1=c1)
 
 

@@ -114,14 +114,16 @@ class OptimalityLedger:
 
 
 def _blocked_information(plan):
-    """X'(I - P_block)X over all factors, the one matrix a ledger reads."""
+    """X'(I - P_block)X over all factors as (num, d), the one matrix a
+    ledger reads."""
     if not plan.blocked:
         raise NoBlocks("the per-factor conditions are about blocked plans")
     return _factor_information(plan)
 
 
 def _factor_conditions(plan, a, info):
-    """The three per-factor conditions, the last two read off ``info``."""
+    """The three per-factor conditions, the last two read off ``info`` =
+    (num, d)."""
     s = plan.factor(a).levels
     l_a = block_incidence(plan, a)
     floors = tuple(int(k) // s for k in plan.block_sizes)
@@ -129,7 +131,8 @@ def _factor_conditions(plan, a, info):
     count_pass = all(
         c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
     own = _columns(plan, plan.factor_names)[a]
-    orth_pass = ratmat.is_zero(info[own, :own.start]) and ratmat.is_zero(info[own, own.stop:])
+    num, _ = info
+    orth_pass = ratmat.is_zero(num[own, :own.start]) and ratmat.is_zero(num[own, own.stop:])
     scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(_fully_adjusted(plan, info, a))
     return FactorConditions(factor=a, count_pass=count_pass,
                             block_counts=counts, t_floor=floors,

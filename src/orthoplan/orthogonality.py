@@ -5,14 +5,16 @@ Factors A and B are orthogonal through a set T of other factors when
     X_A' (I - P_T) X_B = 0,
 
 with P_T the orthogonal projector on the span of the design matrices of
-the members of T.  One function, ``adjusted_information``, evaluates it,
+the members of T.  One private function, ``_information``, evaluates it,
 for sets of factors A and B at once, in exact arithmetic via the
 small-matrix identity
 
     X_A' (I - P_T) X_B = N_AB - N_AT (X_T' X_T)^- N_TB,
 
-which never materializes an n x n projector.  Every report reads slices
-of its stacked result; the classical special cases are such slices:
+which never materializes an n x n projector.  Its result is one integer
+matrix over one denominator, (num, d); every report reads slices of num,
+and makes Fractions only of what it hands out.  The classical special
+cases are such slices:
 
 * T = {G}: the proportional frequency condition n N_AB = r_A r_B';
 * T = {block}: the defining condition of a plan orthogonal through the
@@ -57,9 +59,8 @@ def _columns(plan, idents):
     return {u: slice(o, o + levels_of(plan, u)) for u, o in zip(idents, starts)}
 
 
-def adjusted_information(plan, a, b, through, reverse=False):
-    """X_A' (I - P_T) X_B, exact, for a factor identifier or a tuple of
-    them on each side (the result then stacks one block per identifier).
+def _information(plan, a, b, through, reverse=False):
+    """X_A' (I - P_T) X_B = num / d as the pair (num, d) of ``ratmat.schur_complement``.
 
     Computed as N_AB - N_AT Z from one gram matrix over T, A and B and one
     fraction-free solve of X_T'X_T Z = N_TB with every B column at once;
@@ -78,6 +79,12 @@ def adjusted_information(plan, a, b, through, reverse=False):
     ta, ia, ib = pick(through), pick(a), pick(b)
     return ratmat.schur_complement(g[np.ix_(ia, ib)], g[np.ix_(ia, ta)],
                                    g[np.ix_(ta, ta)], g[np.ix_(ta, ib)], reverse=reverse)
+
+
+def adjusted_information(plan, a, b, through, reverse=False):
+    """X_A' (I - P_T) X_B as Fractions, for a factor identifier or a tuple
+    of them on each side (the result then stacks one block per identifier)."""
+    return ratmat._over(*_information(plan, a, b, through, reverse))
 
 
 @dataclass(frozen=True)
@@ -150,23 +157,23 @@ def orth_through(plan, a, b, through):
 
 def pair_checks(plan, names, through):
     """A PairCheck for every unordered pair of ``names`` (in combinations
-    order), each read off one stacked ``adjusted_information`` call, which
-    is returned alongside: (checks, stacked matrix)."""
+    order), each read off one stacked information matrix, which is
+    returned alongside as its pair (num, d): (checks, (num, d))."""
     through = _as_tuple(through)
-    info = adjusted_information(plan, names, names, through)
+    num, d = info = _information(plan, names, names, through)
     cols = _columns(plan, names)
     checks = []
     for a, b in combinations(names, 2):
-        residual = info[cols[a], cols[b]]
-        checks.append(PairCheck(a=a, b=b, through=through,
-                                passed=ratmat.is_zero(residual), residual=residual))
+        block = num[cols[a], cols[b]]
+        checks.append(PairCheck(a=a, b=b, through=through, passed=ratmat.is_zero(block),
+                                residual=ratmat._over(block, d)))
     return tuple(checks), info
 
 
 def proportional_frequencies(plan, a, b):
     """The proportional frequency condition n N_AB = r_A r_B' (equivalent
     to orthogonality through the general effect alone)."""
-    return ratmat.is_zero(adjusted_information(plan, a, b, (GENERAL,)))
+    return ratmat.is_zero(_information(plan, a, b, (GENERAL,))[0])
 
 
 def is_potb(plan):
@@ -195,9 +202,10 @@ def is_potp(plan, through):
 
 
 def _contrast(plan, info):
-    """The contrast C-matrix H info H' of the stacked information ``info``
-    over all factors, H the block-diagonal integer Helmert rows."""
+    """The contrast C-matrix H M H' of the stacked information M = num / d,
+    ``info`` = (num, d), over all factors, H the block-diagonal Helmert rows."""
     names = plan.factor_names
+    num, d = info
     raws = {f: helmert_raw(plan.factor(f).levels) for f in names}
     norms = []
     labels = []
@@ -206,9 +214,9 @@ def _contrast(plan, info):
         norms.extend(helmert_norms(s))
         labels.extend([f"{f}[{j}]" for j in range(1, s)])
     cols = _columns(plan, names)
-    rows = np.vstack([raws[f] @ info[cols[f], :] for f in names])
+    rows = np.vstack([raws[f] @ num[cols[f], :] for f in names])
     raw = np.hstack([rows[:, cols[f]] @ raws[f].T for f in names])
-    return ContrastMatrix(raw=raw, norms=tuple(norms), labels=tuple(labels))
+    return ContrastMatrix(raw=ratmat._over(raw, d), norms=tuple(norms), labels=tuple(labels))
 
 
 def contrast_c_matrix(plan):
@@ -217,25 +225,27 @@ def contrast_c_matrix(plan):
     X'(I - P_block)X for blocked plans, of X'X otherwise."""
     names = plan.factor_names
     through = (BLOCK,) if plan.blocked else ()
-    return _contrast(plan, adjusted_information(plan, names, names, through))
+    return _contrast(plan, _information(plan, names, names, through))
 
 
 def _factor_information(plan):
-    """X'(I - P_T)X over all factors, T = {block} for a blocked plan and
-    {G} otherwise: the matrix every factor's C_A is read from."""
+    """X'(I - P_T)X over all factors as (num, d), T = {block} for a blocked
+    plan and {G} otherwise: the matrix every factor's C_A is read from."""
     names = plan.factor_names
-    return adjusted_information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
+    return _information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
 
 
 def _fully_adjusted(plan, info, a):
-    """C_A from ``info`` = ``_factor_information(plan)``: the Schur
-    complement M_AA - M_AR M_RR^- M_RA over the other factors R, since
-    P_{T+R} = P_T + P_{(I - P_T) X_R}."""
+    """C_A from ``info`` = ``_factor_information(plan)`` = (num, d): the
+    Schur complement M_AA - M_AR M_RR^- M_RA over the other factors R, since
+    P_{T+R} = P_T + P_{(I - P_T) X_R}; for M = num / d, that of num over d."""
+    num, d = info
     cols = _columns(plan, plan.factor_names)
     own = cols.pop(a)
     rest = np.array([i for c in cols.values() for i in range(c.start, c.stop)], dtype=np.intp)
-    return ratmat.schur_complement(info[own, own], info[own, rest],
-                                   info[np.ix_(rest, rest)], info[rest, own])
+    c_num, c_d = ratmat.schur_complement(num[own, own], num[own, rest],
+                                         num[np.ix_(rest, rest)], num[rest, own])
+    return ratmat._over(c_num, d * c_d)
 
 
 def c_matrix_factor(plan, a, adjust_for=None):

@@ -1,22 +1,25 @@
-"""Exact rational linear algebra on numpy object arrays of Fractions.
+"""Exact linear algebra over Python ints with a common denominator.
 
-Matrices are plain ``np.ndarray`` with ``dtype=object`` holding Python
-``Fraction`` (or ``int``) entries, so ``A @ B``, ``A.T`` and elementwise
-comparison stay exact.  Rank, inverse, g-inverse and the consistent
-solve all run on one fraction-free (Bareiss) elimination over Python ints,
-and verify their results over ints with checks that ``python -O`` keeps.
-Floating point enters only in ``checked_eigenvalues``.
+Inside the package an exact matrix is an integer numpy object array
+``num`` together with one positive int ``d``, standing for num / d.  Rank,
+inverse, g-inverse, the consistent solve and the Schur complement all run
+on one fraction-free (Bareiss) elimination over Python ints and verify
+their results over ints with checks that ``python -O`` keeps.  ``Fraction``
+entries are made once, by ``_over``, where a matrix leaves through the
+public API; rank, inverse, g-inverse and the solve also accept Fraction
+matrices, scaling them to ints first.  Floating point enters only in
+``checked_eigenvalues``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from .errors import NotSymmetric, VerificationFailed
+from .errors import NotSymmetric, VerificationFailed, require
 
 __all__ = [
     "rational",
@@ -27,14 +30,11 @@ __all__ = [
     "to_float",
     "is_zero",
     "is_symmetric",
-    "is_idempotent",
     "rank",
     "inverse",
     "g_inverse",
     "solve_consistent",
     "schur_complement",
-    "projector",
-    "projector_decompose",
     "checked_eigenvalues",
     "sym_eigenvalues",
 ]
@@ -85,10 +85,6 @@ def is_zero(m):
 
 def is_symmetric(m):
     return bool(m.shape[0] == m.shape[1] and (m == m.T).all())
-
-
-def is_idempotent(m):
-    return bool((m @ m == m).all())
 
 
 def _scaled_ints(*mats):
@@ -175,13 +171,6 @@ def _over(num, d):
     return out
 
 
-def _require_equal(got, want, what):
-    """Raise VerificationFailed unless two exact matrices are equal.  The
-    kernel's self-checks go through here, so ``python -O`` keeps them."""
-    if not (got == want).all():
-        raise VerificationFailed(f"{what} does not hold")
-
-
 def rank(m):
     return len(_eliminate(_scaled_ints(m)[0], m.shape[1])[1])
 
@@ -200,13 +189,12 @@ def _solve_scaled(m, rhs, reverse=False):
     for r, row in enumerate(rows):
         if r in used:
             continue
-        if any(row[:ncol]):
-            raise VerificationFailed("elimination left a free row with a nonzero coefficient")
+        require(not any(row[:ncol]), "free rows of the elimination are zero")
         if any(row[ncol:]):
             raise ArithmeticError("system is inconsistent")
     z = _object(_back_substitute(rows, pivots, d, ncol, t), t)
     system = _object(system, ncol + t)
-    _require_equal(system[:, :ncol] @ z, d * system[:, ncol:], "M Z = d RHS")
+    require((system[:, :ncol] @ z == d * system[:, ncol:]).all(), "M Z = d RHS")
     return z, d
 
 
@@ -225,15 +213,22 @@ def solve_consistent(m, rhs, reverse=False):
 
 
 def schur_complement(corner, left, m, right, reverse=False):
-    """corner - left M^- right, exact, as Fractions.
+    """corner - left M^- right = num / d, exact, for integer ``corner`` and
+    ``left``, as the canonical pair of an integer object matrix num and an
+    int d > 0 with gcd(d, *num) = 1; both elimination orders give the same
+    pair.
 
     M^- right is the solution Z of M Z = right from ``_solve_scaled``; the
     product left Z is the same for every solution when the rows of
-    ``left`` lie in the row space of M.  It is formed over ints as
-    (d corner - left Z_int) / d, dividing only at the end.
+    ``left`` lie in the row space of M.  num is d corner - left Z_int over
+    Python ints, divided by the common gcd: unreduced, d is the
+    determinant of a pivot block of M, far larger than the true
+    denominator.
     """
     z, d = _solve_scaled(m, right, reverse=reverse)
-    return _over(d * corner - left @ z, d)
+    num = d * corner - left @ z
+    g = gcd(d, *num.flat) * (1 if d > 0 else -1)
+    return num // g, d // g
 
 
 def inverse(m):
@@ -268,35 +263,8 @@ def g_inverse(m, reverse=False):
     # M = M_int / scale and G = G_int / d, so M G M = M reads
     # M_int G_int M_int = d scale M_int
     m_int = _object(system, ncol)
-    _require_equal(m_int @ g_int @ m_int, d * scale * m_int, "M G M = M")
+    require((m_int @ g_int @ m_int == d * scale * m_int).all(), "M G M = M")
     return _over(g_int, d)
-
-
-def projector(m, reverse=False):
-    """Orthogonal projector onto the column space, P = M (M'M)^- M'.
-
-    Exact, and invariant to the g-inverse route (checked by tests).  A
-    matrix with no columns projects onto {0}.
-    """
-    n = m.shape[0]
-    if m.shape[1] == 0:
-        return zeros(n, n)
-    g = g_inverse(m.T @ m, reverse=reverse)
-    p = m @ g @ m.T
-    assert is_symmetric(p) and is_idempotent(p)
-    return p
-
-
-def projector_decompose(u, v):
-    """Residual projector P_Z with Z = (I - P_V) U, satisfying
-    P_[U V] = P_V + P_Z.  The identity is asserted exactly."""
-    n = u.shape[0]
-    pv = projector(v)
-    z = u - pv @ u
-    pz = projector(z)
-    whole = projector(np.hstack([u, v]))
-    assert (whole == pv + pz).all()
-    return pz
 
 
 def checked_eigenvalues(f, tol=1e-9):

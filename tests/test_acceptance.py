@@ -14,6 +14,7 @@ the pair-coefficient discrepancy.
 from fractions import Fraction
 
 import numpy as np
+from oracles import is_idempotent, projector
 
 from orthoplan import (
     BLOCK,
@@ -275,9 +276,9 @@ def test_c11_infrastructure_identities():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         m = ratmat.rational(rng.integers(-3, 4, size=(6, 3)))
-        p = ratmat.projector(m)
-        assert ratmat.is_symmetric(p) and ratmat.is_idempotent(p)
-        assert (p == ratmat.projector(m, reverse=True)).all()
+        p = projector(m)
+        assert ratmat.is_symmetric(p) and is_idempotent(p)
+        assert (p == projector(m, reverse=True)).all()
 
     potb33 = seed_plans()["potb_3_3"]
     for seed in range(50):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import projector
 
 from orthoplan import (
     BLOCK,
@@ -119,9 +120,9 @@ def test_ss_multi_factor_target(potp34):
     got = ss_adjusted(potp34, y, ("A1", "A2"), (GENERAL,))
     x_u = np.hstack([design_matrix(potp34, "A1"), design_matrix(potp34, "A2")])
     x_t = design_matrix(potp34, GENERAL)
-    v = x_u - ratmat.projector(ratmat.rational(x_t)) @ x_u
+    v = x_u - projector(ratmat.rational(x_t)) @ x_u
     y_col = ratmat.vector(y)
-    want = (y_col.T @ ratmat.projector(v) @ y_col)[0, 0]
+    want = (y_col.T @ projector(v) @ y_col)[0, 0]
     assert got.value == want
 
 
@@ -136,9 +137,9 @@ def test_ss_invariant_across_runs(potb33, seed):
     x_u = design_matrix(potb33, "A1")
     x_t = np.hstack([design_matrix(potb33, BLOCK), design_matrix(potb33, GENERAL),
                      design_matrix(potb33, "A2")])
-    v = x_u - ratmat.projector(ratmat.rational(x_t)) @ x_u
+    v = x_u - projector(ratmat.rational(x_t)) @ x_u
     y_col = ratmat.vector(y)
-    assert got.value == (y_col.T @ ratmat.projector(v) @ y_col)[0, 0]
+    assert got.value == (y_col.T @ projector(v) @ y_col)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +180,9 @@ def test_equivalence_json(potp34):
 def test_equivalence_overlap(potp34):
     with pytest.raises(OverlappingSets):
         estssq_equivalence(potp34, "A1", ("A1",))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_equivalence_needs_a_trial(potp34, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        estssq_equivalence(potp34, "A3", ("A1", "A2"), trials=trials)

@@ -1,6 +1,8 @@
 """Command-line interface: verbs, exit codes, determinism, file outputs."""
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -221,6 +223,15 @@ def test_anova_unknown_target(capsys, tmp_path):
     assert code == 2 and "no factor named 'Z9'" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_anova_needs_a_trial(capsys, tmp_path, trials):
+    path = write_plan(tmp_path, seed_plans()["potb_2_7"])
+    code, out, err = run(capsys, "anova", "--plan", path, "--target", "A1",
+                         "--adjust", "block", "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
 # ---------------------------------------------------------------------------
 # catalog and argument handling
 
@@ -270,6 +281,19 @@ def test_failed_self_check_exits_one(capsys, tmp_path, monkeypatch):
     path = write_plan(tmp_path, seed_plans()["potb_2_7"])
     code, _, err = run(capsys, "verify", "--check", "potb", "--plan", path)
     assert code == 1 and err == "claim failed: M Z = d RHS does not hold\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_construction_check_exits_one_under_any_flags(src_env, flags):
+    """The asym family's claims fail for s = 1 (mod 4); the construction's
+    self-check says which one, and ``python -O`` does not switch it off."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-W", "ignore", "-m", "orthoplan.cli",
+         "construct", "--family", "asym", "--s", "5"],
+        capture_output=True, text=True, env=src_env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("claim failed: asym s=5: L(inf) is a BIBD(v=6, b=10, r=5, k=3, "
+                           "lambda=2) does not hold\n")
 
 
 def test_unknown_verb(capsys):

@@ -35,6 +35,7 @@ from orthoplan.errors import (
     EvenCharacteristic,
     SymbolMismatch,
     UnsupportedOrder,
+    VerificationFailed,
 )
 from orthoplan.plan import block_incidence, incidence
 
@@ -306,5 +307,5 @@ def test_asym_warns_then_fails_off_congruence():
     """For s = 1 (mod 4) the family's claims genuinely do not hold: the
     constructor warns and its self-verification fails."""
     with pytest.warns(UserWarning, match="only established"):
-        with pytest.raises(AssertionError):
+        with pytest.raises(VerificationFailed):
             construct_asym(5)

@@ -1,15 +1,19 @@
 """Property tests on random small plans: the stacked adjusted information
-against the dense projector oracle and the single-pair check, the counted
-gram against the dense X'X, and the Schur-complement C_A and the ledger
-against their one-stage definitions."""
+and its canonical integer pair (num, d) against the dense projector oracle
+and the single-pair check, the counted gram against the dense X'X, the
+Schur-complement C_A and the ledger against their one-stage definitions,
+and the contrast C-matrix against its Fraction congruence."""
 
 from itertools import combinations
+from math import gcd, lcm
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from oracles import projector
 
-from orthoplan import BLOCK, GENERAL, Factor, Plan, orth_through, ratmat, universal_ledger
+from orthoplan import (BLOCK, GENERAL, Factor, Plan, contrast_c_matrix, helmert_raw,
+                       orth_through, ratmat, universal_ledger)
 from orthoplan.orthogonality import adjusted_information, c_matrix_factor
 from orthoplan.plan import design_matrix, gram, levels_of
 
@@ -35,10 +39,21 @@ def dense_oracle(plan, names, through):
     x_u = ratmat.rational(np.hstack([design_matrix(plan, u) for u in names]))
     if through:
         x_t = ratmat.rational(np.hstack([design_matrix(plan, u) for u in through]))
-        residual = ratmat.eye(plan.n) - ratmat.projector(x_t)
+        residual = ratmat.eye(plan.n) - projector(x_t)
     else:
         residual = ratmat.eye(plan.n)
     return x_u.T @ residual @ x_u
+
+
+def helmert_rows(plan, names):
+    """The block-diagonal integer Helmert rows H over ``names``."""
+    sizes = [levels_of(plan, u) for u in names]
+    h = np.zeros((sum(sizes) - len(sizes), sum(sizes)), dtype=object)
+    r = c = 0
+    for s in sizes:
+        h[r:r + s - 1, c:c + s] = helmert_raw(s)
+        r, c = r + s - 1, c + s
+    return h
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True,
@@ -50,8 +65,22 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
     through = {"none": (), "general": (GENERAL,), "block": (BLOCK,),
                "first": names[:1]}[which]
 
+    oracle = dense_oracle(plan, names, through)
     got = adjusted_information(plan, names, names, through, reverse=reverse)
-    assert (got == dense_oracle(plan, names, through)).all()
+    assert (got == oracle).all()
+
+    g = gram(plan, through + names)
+    t = sum(levels_of(plan, u) for u in through)
+    pairs = [ratmat.schur_complement(g[t:, t:], g[t:, :t], g[:t, :t], g[:t, t:], reverse=r)
+             for r in (False, True)]
+    (num, d), (num_rev, d_rev) = pairs
+    assert d == d_rev and (num == num_rev).all()
+    assert d > 0 and gcd(d, *num.flat) == 1
+    assert (num == d * oracle).all()
+    if which == "block":
+        assert lcm(*plan.block_sizes) % d == 0
+    if which == "general":
+        assert plan.n % d == 0
 
     offsets = np.cumsum([0] + [levels_of(plan, u) for u in names])
     span = {u: slice(offsets[i], offsets[i + 1]) for i, u in enumerate(names)}
@@ -76,3 +105,8 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
             verdicts = [orth_through(plan, entry.factor, b, (BLOCK,)).passed
                         for b in names if b != entry.factor]
             assert entry.orth_pass == all(verdicts)
+
+    contrast_through = (BLOCK,) if plan.blocked else ()
+    h = helmert_rows(plan, names)
+    info = adjusted_information(plan, names, names, contrast_through)
+    assert (contrast_c_matrix(plan).raw == h @ info @ h.T).all()
