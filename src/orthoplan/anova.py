@@ -7,10 +7,10 @@ routes are evaluated on every call and must agree exactly:
 * the projection form  Y' V (V'V)^- V' Y  with  V = (I - P_T) X_U,
 * the g-inverse form   Q' (C_UU;T)^- Q    with  Q = X_U'Y - N_UT G_T X_T'Y.
 
-Responses are coerced to exact rationals (binary floats are rationals),
-so both quadratic forms are computed without rounding and the
-equivalence "SS fully adjusted = SS adjusted for T" becomes a decidable
-identity instead of an almost-sure event.
+A response is scaled once to integers over one denominator (binary floats
+are rationals), and each quadratic form x' M^- x is the negated 1 x 1 Schur
+complement of an integer M, so "SS fully adjusted = SS adjusted for T" is a
+decidable identity instead of an almost-sure event.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import ratmat
 from .errors import LengthMismatch, NoBlocks, OverlappingSets, require
 from .orthogonality import _information
-from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram
+from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram, levels_of
 
 __all__ = [
     "ModelSpec",
@@ -108,10 +108,11 @@ class SSResult:
         }
 
 
-def _stack_design(plan, idents):
-    """[X_u1 X_u2 ...], n x 0 for an empty set."""
-    return np.hstack([np.empty((plan.n, 0), dtype=object),
-                      *(design_matrix(plan, u) for u in idents)])
+def _form(x, m, scale, reverse=False):
+    """x' M^- x / scale for x in the column space of M, both integer: minus
+    the 1 x 1 Schur complement of M in [[0, x'], [x, M]], over ``scale``."""
+    num, den = ratmat.schur_complement(np.zeros((1, 1), dtype=object), x.T, m, x, reverse)
+    return Fraction(-num[0, 0], den * scale)
 
 
 def ss_adjusted(plan, y, target, adjust_for=()):
@@ -128,31 +129,28 @@ def ss_adjusted(plan, y, target, adjust_for=()):
         raise ValueError("empty target set")
     if set(target) & set(adjust):
         raise OverlappingSets(f"target {target} meets adjusting set {adjust}")
-    y_col = ratmat.vector([Fraction(v) for v in y])
-    if y_col.shape[0] != plan.n:
-        raise LengthMismatch(f"response length {y_col.shape[0]} != {plan.n} runs")
-
-    x_u = _stack_design(plan, target)
-    xu_y = x_u.T @ y_col
-    g = gram(plan, adjust + target)
-    t = g.shape[0] - x_u.shape[1]
+    rows, s = ratmat._scaled_ints([[v] for v in y])
+    if len(rows) != plan.n:
+        raise LengthMismatch(f"response length {len(rows)} != {plan.n} runs")
+    y_col = ratmat._object(rows, 1)    # Y = y_col / s
+    x = np.hstack([design_matrix(plan, u) for u in adjust + target])
+    g, xy = gram(plan, adjust + target), x.T @ y_col
+    t = sum(levels_of(plan, u) for u in adjust)
     g_tt, n_ut, g_uu = g[:t, :t], g[t:, :t], g[t:, t:]
-    x_t = _stack_design(plan, adjust)
-    sol = ratmat.solve_consistent(g_tt, np.hstack([n_ut.T, x_t.T @ y_col]))
-    z_n, z_y = sol[:, :-1], sol[:, -1:]
-    q_vec = xu_y - n_ut @ z_y
-    c_mat = g_uu - n_ut @ z_n
-    v_mat = x_u - x_t @ z_n
+    z, d = ratmat._solve_scaled(g_tt, np.hstack([n_ut.T, xy[:t]]))
+    z_n, z_y = z[:, :-1], z[:, -1:]
+    q = d * xy[t:] - n_ut @ z_y              # Q = q / (d s)
+    c = d * g_uu - n_ut @ z_n                # C = c / d
+    v = d * x[:, t:] - x[:, :t] @ z_n        # V = v / d
+    w = v.T @ y_col                          # V'Y = w / (d s)
 
-    # projection route
-    w = v_mat.T @ y_col
-    vv = v_mat.T @ v_mat
-    ss_proj = (w.T @ ratmat.g_inverse(vv) @ w)[0, 0]
-    # g-inverse route, under both pivoting orders
-    ss_g = (q_vec.T @ ratmat.g_inverse(c_mat) @ q_vec)[0, 0]
-    ss_g2 = (q_vec.T @ ratmat.g_inverse(c_mat, reverse=True) @ q_vec)[0, 0]
+    # projection route: Y'V (V'V)^- V'Y = w' (v'v)^- w / s^2
+    ss_proj = _form(w, v.T @ v, s * s)
+    # g-inverse route, under both pivoting orders: Q' C^- Q = q' c^- q / (d s^2)
+    ss_g = _form(q, c, d * s * s)
+    ss_g2 = _form(q, c, d * s * s, reverse=True)
     require(ss_proj == ss_g == ss_g2 >= 0, f"SS of {target} adjusted for {adjust}: routes agree")
-    return SSResult(target=target, adjust_for=adjust, value=Fraction(ss_proj))
+    return SSResult(target=target, adjust_for=adjust, value=ss_proj)
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,13 @@ def estssq_equivalence(plan, a, adjust_for, trials=20, seed=0):
     the general effect, the block factor when present).  Each trial
     draws a small-integer response so both sums of squares are exact;
     when the condition fails the differing response is recorded as a
-    witness.  Raises ValueError unless ``trials`` is at least 1.
+    witness.  Raises ValueError unless ``trials`` is at least 1 and
+    ``seed`` is non-negative.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     adjust = _as_tuple(adjust_for)
     if a in adjust:
         raise OverlappingSets(f"{a!r} cannot be adjusted for itself")
@@ -233,7 +234,7 @@ def estssq_equivalence(plan, a, adjust_for, trials=20, seed=0):
     first = None
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        y = [Fraction(int(v)) for v in rng.integers(-9, 10, size=plan.n)]
+        y = [int(v) for v in rng.integers(-9, 10, size=plan.n)]
         ss_full = ss_adjusted(plan, y, a, full)
         ss_t = ss_adjusted(plan, y, a, adjust)
         if t == 0:

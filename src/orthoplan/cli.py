@@ -209,9 +209,10 @@ def _cmd_verify(args):
     if args.check == "potb":
         rep = is_potb(plan)
     elif args.check == "potp":
-        if not args.through:
+        through = _split_idents(args.through or "")
+        if not through:
             raise ValueError("--through is required for --check potp")
-        rep = is_potp(plan, _split_idents(args.through))
+        rep = is_potp(plan, through)
     elif args.check == "pfc":
         pairs, _ = pair_checks(plan, plan.factor_names, (GENERAL,))
         rep = OrthReport(plan_name=plan.name, check="pfc", pairs=pairs)

@@ -5,10 +5,10 @@ Inside the package an exact matrix is an integer numpy object array
 inverse, g-inverse, the consistent solve and the Schur complement all run
 on one fraction-free (Bareiss) elimination over Python ints and verify
 their results over ints with checks that ``python -O`` keeps.  ``Fraction``
-entries are made once, by ``_over``, where a matrix leaves through the
-public API; rank, inverse, g-inverse and the solve also accept Fraction
-matrices, scaling them to ints first.  Floating point enters only in
-``checked_eigenvalues``.
+input is accepted only at the public edge, where rank, inverse, g-inverse
+and the solve scale it to ints once; ``Fraction`` entries are made once, by
+``_over``, where a matrix leaves through the public API.  Floating point
+enters only in ``checked_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from numbers import Integral
 
 import numpy as np
 
@@ -89,10 +90,10 @@ def is_symmetric(m):
 
 def _scaled_ints(*mats):
     """The rows of the side-by-side matrices ``mats`` as lists of Python
-    ints, every entry multiplied by the least common denominator s of all
-    of them; returns (rows, s)."""
-    rows = [[x if type(x) is int else Fraction(x) for x in chain.from_iterable(parts)]
-            for parts in zip(*mats)]
+    ints (numpy integers too), every entry multiplied by the least common
+    denominator s of all of them; returns (rows, s)."""
+    rows = [[int(x) if isinstance(x, Integral) else Fraction(x)
+             for x in chain.from_iterable(parts)] for parts in zip(*mats)]
     scale = lcm(1, *(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
@@ -176,15 +177,12 @@ def rank(m):
 
 
 def _solve_scaled(m, rhs, reverse=False):
-    """The solution of ``solve_consistent`` as (Z_int, d) with Z = Z_int / d:
-    Z_int an object matrix of Python ints, d a nonzero int, and
-    M Z_int = d RHS verified over ints."""
-    nrow, ncol = m.shape
-    t = rhs.shape[1]
-    if rhs.shape[0] != nrow:
-        raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix has {nrow}")
-    system, _ = _scaled_ints(m, rhs)
-    rows, pivots, d = _eliminate(system, ncol, reverse=reverse)
+    """Z = Z_int / d with M Z = RHS, for integer object matrices M and RHS,
+    as (Z_int, d): Z_int an object matrix of Python ints, d a nonzero int,
+    and M Z_int = d RHS verified over ints.  Mismatched row counts raise
+    ValueError (from ``np.hstack``)."""
+    ncol, t = m.shape[1], rhs.shape[1]
+    rows, pivots, d = _eliminate(np.hstack([m, rhs]).tolist(), ncol, reverse=reverse)
     used = {pr for pr, _ in pivots}
     for r, row in enumerate(rows):
         if r in used:
@@ -193,8 +191,7 @@ def _solve_scaled(m, rhs, reverse=False):
         if any(row[ncol:]):
             raise ArithmeticError("system is inconsistent")
     z = _object(_back_substitute(rows, pivots, d, ncol, t), t)
-    system = _object(system, ncol + t)
-    require((system[:, :ncol] @ z == d * system[:, ncol:]).all(), "M Z = d RHS")
+    require((m @ z == d * rhs).all(), "M Z = d RHS")
     return z, d
 
 
@@ -208,13 +205,14 @@ def solve_consistent(m, rhs, reverse=False):
     row space of M do not depend on the choice, and ``reverse`` flips the
     elimination order to let tests confirm exactly that.
     """
-    z, d = _solve_scaled(m, rhs, reverse=reverse)
-    return _over(z, d)
+    (m_int, s_m), (rhs_int, s_rhs) = _scaled_ints(m), _scaled_ints(rhs)
+    z, d = _solve_scaled(_object(m_int, m.shape[1]), _object(rhs_int, rhs.shape[1]), reverse)
+    return _over(s_m * z, d * s_rhs)
 
 
 def schur_complement(corner, left, m, right, reverse=False):
-    """corner - left M^- right = num / d, exact, for integer ``corner`` and
-    ``left``, as the canonical pair of an integer object matrix num and an
+    """corner - left M^- right = num / d, exact, for integer object matrices,
+    as the canonical pair of an integer object matrix num and an
     int d > 0 with gcd(d, *num) = 1; both elimination orders give the same
     pair.
 
@@ -225,6 +223,8 @@ def schur_complement(corner, left, m, right, reverse=False):
     determinant of a pivot block of M, far larger than the true
     denominator.
     """
+    if not set(map(type, chain(corner.flat, left.flat, m.flat, right.flat))) <= {int}:
+        raise TypeError("schur_complement takes integer matrices; scale Fractions first")
     z, d = _solve_scaled(m, right, reverse=reverse)
     num = d * corner - left @ z
     g = gcd(d, *num.flat) * (1 if d > 0 else -1)
@@ -253,18 +253,18 @@ def g_inverse(m, reverse=False):
     nrow, ncol = m.shape
     system, scale = _scaled_ints(m)
     _, piv, _ = _eliminate(system, ncol, reverse=reverse)
+    m_int = _object(system, ncol)
     g_int = _object([[0] * nrow for _ in range(ncol)], nrow)
     d = 1
     if piv:
         rows = [p[0] for p in piv]
         cols = [p[1] for p in piv]
-        inv, d = _solve_scaled(m[np.ix_(rows, cols)], eye(len(piv)))
+        inv, d = _solve_scaled(m_int[np.ix_(rows, cols)], np.eye(len(piv), dtype=object))
         g_int[np.ix_(cols, rows)] = inv
-    # M = M_int / scale and G = G_int / d, so M G M = M reads
-    # M_int G_int M_int = d scale M_int
-    m_int = _object(system, ncol)
-    require((m_int @ g_int @ m_int == d * scale * m_int).all(), "M G M = M")
-    return _over(g_int, d)
+    # M = M_int / scale and G = scale G_int / d, so M G M = M reads
+    # M_int G_int M_int = d M_int
+    require((m_int @ g_int @ m_int == d * m_int).all(), "M G M = M")
+    return _over(scale * g_int, d)
 
 
 def checked_eigenvalues(f, tol=1e-9):

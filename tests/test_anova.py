@@ -17,7 +17,7 @@ from orthoplan import (
     simulate,
     ss_adjusted,
 )
-from orthoplan.errors import LengthMismatch, NoBlocks, OverlappingSets
+from orthoplan.errors import LengthMismatch, NoBlocks, OverlappingSets, VerificationFailed
 from orthoplan.plan import design_matrix
 
 
@@ -142,6 +142,27 @@ def test_ss_invariant_across_runs(potb33, seed):
     assert got.value == (y_col.T @ projector(v) @ y_col)[0, 0]
 
 
+def test_ss_numpy_integer_response_is_exact(potb27):
+    """int64 entries become Python ints, so no product wraps around."""
+    small = ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,)).value
+    y = np.arange(1, 11, dtype=np.int64) * 2**40
+    assert ss_adjusted(potb27, y, "A1", (BLOCK,)).value == 2**80 * small != 0
+
+
+def test_routes_agree_check_fires(potb27, monkeypatch):
+    """An off-by-one Schur complement under the second pivot order makes
+    the g-inverse routes disagree, and the call must refuse to answer."""
+    real = ratmat.schur_complement
+
+    def off_by_one(corner, left, m, right, reverse=False):
+        num, d = real(corner, left, m, right, reverse)
+        return (num + 1 if reverse else num), d
+
+    monkeypatch.setattr(ratmat, "schur_complement", off_by_one)
+    with pytest.raises(VerificationFailed, match="routes agree"):
+        ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,))
+
+
 # ---------------------------------------------------------------------------
 # the SS-equivalence experiment
 
@@ -186,3 +207,8 @@ def test_equivalence_overlap(potp34):
 def test_equivalence_needs_a_trial(potp34, trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         estssq_equivalence(potp34, "A3", ("A1", "A2"), trials=trials)
+
+
+def test_equivalence_needs_a_non_negative_seed(potp34):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        estssq_equivalence(potp34, "A3", ("A1", "A2"), seed=-1)

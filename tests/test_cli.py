@@ -167,6 +167,15 @@ def test_verify_potp_through_block(capsys, tmp_path):
     assert code == 2 and "has no blocks" in err
 
 
+@pytest.mark.parametrize("through", [",", " ", " , "])
+def test_verify_potp_through_that_names_nothing(capsys, tmp_path, through):
+    path = write_plan(tmp_path, seed_plans()["potb_2_7"])
+    code, out, err = run(capsys, "verify", "--check", "potp", "--through", through,
+                         "--plan", path)
+    assert code == 2 and out == ""
+    assert err == "error: --through is required for --check potp\n"
+
+
 def test_verify_pfc(capsys, tmp_path):
     ff = Plan("ff22", (Factor("A", 2), Factor("B", 2)),
               ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -230,6 +239,14 @@ def test_anova_needs_a_trial(capsys, tmp_path, trials):
                          "--adjust", "block", "--trials", trials)
     assert code == 2 and out == ""
     assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
+def test_anova_seed_must_be_non_negative(capsys, tmp_path):
+    path = write_plan(tmp_path, seed_plans()["potb_2_7"])
+    code, out, err = run(capsys, "anova", "--plan", path, "--target", "A1",
+                         "--adjust", "block", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 and its canonical integer pair (num, d) against the dense projector oracle
 and the single-pair check, the counted gram against the dense X'X, the
 Schur-complement C_A and the ledger against their one-stage definitions,
-and the contrast C-matrix against its Fraction congruence."""
+the contrast C-matrix against its Fraction congruence, and the adjusted
+sum of squares against the dense projection Y' P_V Y."""
 
 from itertools import combinations
 from math import gcd, lcm
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import projector
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, contrast_c_matrix, helmert_raw,
-                       orth_through, ratmat, universal_ledger)
+                       orth_through, ratmat, ss_adjusted, universal_ledger)
 from orthoplan.orthogonality import adjusted_information, c_matrix_factor
 from orthoplan.plan import design_matrix, gram, levels_of
 
@@ -34,15 +35,21 @@ def plans(draw):
     return Plan("random", factors, tuple(runs), block_sizes)
 
 
+def stacked_design(plan, names):
+    return ratmat.rational(np.hstack([design_matrix(plan, u) for u in names]))
+
+
+def residual_projector(plan, through):
+    """I - P_T with the n x n projector built explicitly."""
+    if not through:
+        return ratmat.eye(plan.n)
+    return ratmat.eye(plan.n) - projector(stacked_design(plan, through))
+
+
 def dense_oracle(plan, names, through):
     """X_U' (I - P_T) X_U with the n x n projector built explicitly."""
-    x_u = ratmat.rational(np.hstack([design_matrix(plan, u) for u in names]))
-    if through:
-        x_t = ratmat.rational(np.hstack([design_matrix(plan, u) for u in through]))
-        residual = ratmat.eye(plan.n) - projector(x_t)
-    else:
-        residual = ratmat.eye(plan.n)
-    return x_u.T @ residual @ x_u
+    x_u = stacked_design(plan, names)
+    return x_u.T @ residual_projector(plan, through) @ x_u
 
 
 def helmert_rows(plan, names):
@@ -110,3 +117,25 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
     h = helmert_rows(plan, names)
     info = adjusted_information(plan, names, names, contrast_through)
     assert (contrast_c_matrix(plan).raw == h @ info @ h.T).all()
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plans(), st.integers(1, 2), st.data())
+def test_ss_adjusted_matches_dense_projection(plan, width, data):
+    names = plan.factor_names
+    target = names[:width]
+    conditioning = [(), (GENERAL,), names[width:width + 1]]
+    if plan.blocked:
+        conditioning.append((BLOCK,))
+    responses = [
+        data.draw(st.lists(st.integers(-9, 9), min_size=plan.n, max_size=plan.n)),
+        data.draw(st.lists(st.fractions(-9, 9, max_denominator=12),
+                           min_size=plan.n, max_size=plan.n)),
+    ]
+    for through in conditioning:
+        p_v = projector(residual_projector(plan, through) @ stacked_design(plan, target))
+        for y in responses:
+            y_col = ratmat.rational([[x] for x in y])
+            oracle = (y_col.T @ p_v @ y_col)[0, 0]
+            assert ss_adjusted(plan, y, target, through).value == oracle

@@ -127,6 +127,19 @@ def test_solve_consistent_shape_error():
         ratmat.solve_consistent(ratmat.eye(2), ratmat.rational([[1], [2], [3]]))
 
 
+def test_schur_complement_takes_integer_matrices():
+    """The kernel does not rescale: a Fraction matrix is refused up front
+    instead of failing inside the integer elimination."""
+    m = ratmat.rational([[Fraction(1, 2), 0], [0, 3]])
+    corner = np.array([[5]], dtype=object)
+    left = np.array([[1, 1]], dtype=object)
+    with pytest.raises(TypeError, match="integer matrices"):
+        ratmat.schur_complement(corner, left, m, left.T)
+    num, d = ratmat.schur_complement(corner, left, np.array([[1, 0], [0, 6]], dtype=object),
+                                     left.T)
+    assert d == 6 and num.tolist() == [[23]]  # 5 - (1 + 1/6)
+
+
 def test_solve_consistent_fractional_entries():
     m = ratmat.rational([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 9)]])
     w = ratmat.rational([[Fraction(5, 7)], [Fraction(-2, 3)]])
