@@ -28,7 +28,7 @@ from .constructions import (
 )
 from .errors import NoBlocks, UnknownFactor, VerificationFailed
 from .gf import field_new
-from .optimality import universal_ledger
+from .optimality import _ledger, universal_ledger
 from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
 from .plan import (
     GENERAL,
@@ -187,7 +187,7 @@ def _cmd_construct(args):
     rep, claims = verification
     doc = {"plan": plan_to_json(plan), "report": rep.to_json(), "claims": claims}
     if plan.blocked:
-        doc["optimality"] = universal_ledger(plan).to_json()
+        doc["optimality"] = _ledger(plan, rep._block_information).to_json()
     if args.csv:
         _emit(plan_to_csv(plan), args.csv)
     if args.out:
@@ -205,6 +205,8 @@ def _split_idents(text):
 
 
 def _cmd_verify(args):
+    if args.through is not None and args.check != "potp":
+        raise ValueError("--through applies only to --check potp")
     plan = _load_plan(args.plan)
     if args.check == "potb":
         rep = is_potb(plan)
@@ -252,7 +254,7 @@ def _cmd_catalog(args):
         reports[name] = rep.to_json()
         claims.extend(cl)
         if plan.blocked:
-            ledgers[name] = universal_ledger(plan).to_json()
+            ledgers[name] = _ledger(plan, rep._block_information).to_json()
 
     built = [   # name, builder, the contrast scalar a potb plan must reach
         ("potp_3_8", lambda: construct_potp(4, 3), None),
@@ -280,7 +282,7 @@ def _cmd_catalog(args):
             claims.append(_claim(f"{name}-contrast-scalar", ok and val == scalar))
         reports[name] = rep.to_json()
         if plan.blocked:
-            ledgers[name] = universal_ledger(plan).to_json()
+            ledgers[name] = _ledger(plan, rep._block_information).to_json()
 
     overall = all(c["pass"] == c["expect"] for c in claims)
     doc = {"plans": plans, "reports": reports, "optimality": ledgers,

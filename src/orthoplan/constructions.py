@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gf import field_new, square_classes
 from .optimality import bibd_check
-from .orthogonality import OrthReport, is_potb, is_potp
+from .orthogonality import is_potb, is_potp
 from .plan import Factor, Plan, block_incidence, incidence
 
 __all__ = [
@@ -408,8 +408,7 @@ def asym_report(plan):
     actually holds for them)."""
     rep = is_potb(plan)
     pairs = tuple(replace(p, informational="inf" in (p.a, p.b)) for p in rep.pairs)
-    return OrthReport(plan_name=plan.name, check="asym-dual", pairs=pairs,
-                      c_matrix=rep.c_matrix)
+    return replace(rep, check="asym-dual", pairs=pairs)
 
 
 def _verify_asym(plan, field, sq, t):

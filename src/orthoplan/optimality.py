@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import ratmat
 from .errors import NoBlocks, ShapeMismatch
 from .orthogonality import (_columns, _contrast, _factor_information, _fully_adjusted,
@@ -113,17 +115,9 @@ class OptimalityLedger:
         }
 
 
-def _blocked_information(plan):
-    """X'(I - P_block)X over all factors as (num, d), the one matrix a
-    ledger reads."""
-    if not plan.blocked:
-        raise NoBlocks("the per-factor conditions are about blocked plans")
-    return _factor_information(plan)
-
-
-def _factor_conditions(plan, a, info):
+def _factor_conditions(plan, a, info, c_a):
     """The three per-factor conditions, the last two read off ``info`` =
-    (num, d)."""
+    (num, d) and the factor's fully adjusted information ``c_a`` = (num, d)."""
     s = plan.factor(a).levels
     l_a = block_incidence(plan, a)
     floors = tuple(int(k) // s for k in plan.block_sizes)
@@ -133,7 +127,7 @@ def _factor_conditions(plan, a, info):
     own = _columns(plan, plan.factor_names)[a]
     num, _ = info
     orth_pass = ratmat.is_zero(num[own, :own.start]) and ratmat.is_zero(num[own, own.stop:])
-    scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(_fully_adjusted(plan, info, a))
+    scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(ratmat._over(*c_a))
     return FactorConditions(factor=a, count_pass=count_pass,
                             block_counts=counts, t_floor=floors,
                             orth_pass=orth_pass, scalar_pass=scalar_pass,
@@ -147,7 +141,8 @@ def check_universal_factor(plan, a):
     of plans with the same block profile (consistency check against the
     construction claims; no class-wide search is performed).
     """
-    return _factor_conditions(plan, a, _blocked_information(plan))
+    factors = universal_ledger(plan).factors
+    return factors[plan.factor_names.index(plan.factor(a).name)]
 
 
 def check_universal_global(plan):
@@ -162,8 +157,15 @@ def universal_ledger(plan):
     """Assemble the full ledger: per-factor conditions, the global scalar
     identity, and the contrast spectrum, all read off one matrix
     X'(I - P_block)X."""
-    info = _blocked_information(plan)
-    factors = tuple(_factor_conditions(plan, f, info) for f in plan.factor_names)
+    if not plan.blocked:
+        raise NoBlocks("the per-factor conditions are about blocked plans")
+    return _ledger(plan, _factor_information(plan))
+
+
+def _ledger(plan, info):
+    """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d)."""
+    adjusted = _fully_adjusted(plan, info)
+    factors = tuple(_factor_conditions(plan, f, info, adjusted[f]) for f in plan.factor_names)
     c_con = _contrast(plan, info)
     global_pass, global_a = c_con.scalar_identity()
     spectrum = tuple(c_con.eigenvalues())
@@ -194,18 +196,17 @@ def a_value(plan, tol=1e-9):
 
 
 def bibd_check(l_mat, v, b, r, k, lam):
-    """True when the v x b incidence matrix satisfies all the balanced
-    incomplete block design identities for (v, b, r, k, lambda):
+    """True when the v x b incidence matrix has integer entries and all the
+    balanced incomplete block design identities for (v, b, r, k, lambda):
     row sums r, column sums k, L L' = (r - lambda) I + lambda J, and the
     counting identities v r = b k and lambda (v - 1) = r (k - 1)."""
-    l_mat = ratmat.rational(l_mat)
+    l_mat = np.atleast_2d(np.asarray(l_mat, dtype=object))
     if l_mat.shape != (v, b):
         raise ShapeMismatch(f"incidence is {l_mat.shape}, expected {(v, b)}")
     if v * r != b * k or lam * (v - 1) != r * (k - 1):
         return False
-    if any(sum(row) != r for row in l_mat):
-        return False
-    if any(sum(col) != k for col in l_mat.T):
-        return False
-    want = (r - lam) * ratmat.eye(v) + lam * ratmat.ones(v, v)
-    return bool((l_mat @ l_mat.T == want).all())
+    rows, scale = ratmat._scaled_ints(l_mat)
+    ints = ratmat._object(rows, b)
+    want = (r - lam) * np.eye(v, dtype=object) + lam
+    return bool(scale == 1 and (ints.sum(axis=1) == r).all() and (ints.sum(axis=0) == k).all()
+                and (ints @ ints.T == want).all())

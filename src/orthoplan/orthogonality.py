@@ -19,16 +19,17 @@ cases are such slices:
 * T = {G}: the proportional frequency condition n N_AB = r_A r_B';
 * T = {block}: the defining condition of a plan orthogonal through the
   block factor, N_AB = L_A D_k^{-1} L_B', whose stacked matrix over all
-  factors also gives the contrast C-matrix and, as Schur complements,
-  every factor's fully adjusted information C_A.
+  factors also gives the contrast C-matrix and, as Schur complements
+  read by one recursive split, every factor's fully adjusted information.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, combinations
+from math import gcd
 
 import numpy as np
 
@@ -119,6 +120,8 @@ class OrthReport:
     check: str
     pairs: tuple
     c_matrix: ContrastMatrix | None = None
+    # X'(I - P_block)X as (num, d), set by ``is_potb`` for the ledger
+    _block_information: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -186,7 +189,7 @@ def is_potb(plan):
     pfc, _ = pair_checks(plan, names, (GENERAL,))
     pairs = tuple(replace(c, pfc=p.passed) for c, p in zip(checks, pfc))
     return OrthReport(plan_name=plan.name, check="potb", pairs=pairs,
-                      c_matrix=_contrast(plan, info))
+                      c_matrix=_contrast(plan, info), _block_information=info)
 
 
 def is_potp(plan, through):
@@ -235,17 +238,31 @@ def _factor_information(plan):
     return _information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
 
 
-def _fully_adjusted(plan, info, a):
-    """C_A from ``info`` = ``_factor_information(plan)`` = (num, d): the
-    Schur complement M_AA - M_AR M_RR^- M_RA over the other factors R, since
-    P_{T+R} = P_T + P_{(I - P_T) X_R}; for M = num / d, that of num over d."""
+def _fully_adjusted(plan, info, names=None):
+    """{A: C_A} over ``names`` (all factors by default), each fully adjusted
+    information C_A a reduced pair (num, d), from ``info`` = M over ``names``
+    as (num, d), ``_factor_information(plan)`` for all factors.  C_A is the
+    Schur complement of M over the other factors, and Schur complements
+    compose (Crabtree & Haynsworth 1969; for positive semidefinite M,
+    Carlson, Haynsworth & Markham 1974): eliminate one half of the factors
+    and recurse into the other; halves that M does not couple need no solve."""
+    names = plan.factor_names if names is None else names
+    if len(names) < 2:
+        return dict.fromkeys(names, info)
     num, d = info
-    cols = _columns(plan, plan.factor_names)
-    own = cols.pop(a)
-    rest = np.array([i for c in cols.values() for i in range(c.start, c.stop)], dtype=np.intp)
-    c_num, c_d = ratmat.schur_complement(num[own, own], num[own, rest],
-                                         num[np.ix_(rest, rest)], num[rest, own])
-    return ratmat._over(c_num, d * c_d)
+    half = len(names) // 2
+    cut = sum(levels_of(plan, u) for u in names[:half])
+    lo, hi = slice(None, cut), slice(cut, None)
+    coupled = not ratmat.is_zero(num[lo, hi])   # M is symmetric
+    out = {}
+    for part, keep, drop in ((names[:half], lo, hi), (names[half:], hi, lo)):
+        c_num, c_d = num[keep, keep], 1
+        if coupled:
+            c_num, c_d = ratmat.schur_complement(c_num, num[keep, drop], num[drop, drop],
+                                                 num[drop, keep])
+        g = gcd(c_d * d, *c_num.flat)
+        out.update(_fully_adjusted(plan, (c_num // g, c_d * d // g), part))
+    return out
 
 
 def c_matrix_factor(plan, a, adjust_for=None):
@@ -257,7 +274,7 @@ def c_matrix_factor(plan, a, adjust_for=None):
     """
     if adjust_for is None:
         plan.factor(a)
-        return _fully_adjusted(plan, _factor_information(plan), a)
+        return ratmat._over(*_fully_adjusted(plan, _factor_information(plan))[a])
     adjust_for = _as_tuple(adjust_for)
     if a in adjust_for:
         raise OverlappingSets(f"{a!r} cannot be adjusted for itself")
@@ -267,10 +284,10 @@ def c_matrix_factor(plan, a, adjust_for=None):
 def connected_factors(plan):
     """Per-factor connectedness: rank(C_A) == s_A - 1.  Emits a warning
     for each disconnected factor."""
-    info = _factor_information(plan)
+    adjusted = _fully_adjusted(plan, _factor_information(plan))
     out = {}
     for f in plan.factor_names:
-        ok = ratmat.rank(_fully_adjusted(plan, info, f)) == plan.factor(f).levels - 1
+        ok = ratmat.rank(adjusted[f][0]) == plan.factor(f).levels - 1
         if not ok:
             warnings.warn(f"factor {f} is not connected in plan {plan.name!r}")
         out[f] = ok

@@ -176,6 +176,15 @@ def test_verify_potp_through_that_names_nothing(capsys, tmp_path, through):
     assert err == "error: --through is required for --check potp\n"
 
 
+@pytest.mark.parametrize("check", ["potb", "pfc"])
+def test_verify_through_only_for_potp(capsys, tmp_path, check):
+    path = write_plan(tmp_path, seed_plans()["potb_2_7"])
+    code, out, err = run(capsys, "verify", "--check", check, "--through", "A1",
+                         "--plan", path)
+    assert code == 2 and out == ""
+    assert err == "error: --through applies only to --check potp\n"
+
+
 def test_verify_pfc(capsys, tmp_path):
     ff = Plan("ff22", (Factor("A", 2), Factor("B", 2)),
               ((0, 0), (0, 1), (1, 0), (1, 1)))

@@ -3,6 +3,7 @@ incomplete block design identities."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orthoplan import (
@@ -12,6 +13,7 @@ from orthoplan import (
     bibd_check,
     check_universal_factor,
     check_universal_global,
+    construct_potb2,
     contrast_spectrum,
     e_value,
     ratmat,
@@ -86,6 +88,26 @@ def test_ledger_asym(asym7):
         assert f.scalar_pass and f.a == Fraction(315, 46) and f.b == Fraction(-45, 46)
 
 
+def test_ledger_of_uncoupled_factors_needs_no_solve(monkeypatch, ico26):
+    # every factor pair of a potb2 plan is orthogonal through the block, so
+    # each C_A is a diagonal slice of X'(I - P_block)X, and forming that
+    # matrix is the ledger's one Schur complement; ico_2_6 has coupled pairs
+    calls = []
+    schur_complement = ratmat.schur_complement
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return schur_complement(*args, **kwargs)
+
+    potb = construct_potb2(4)
+    monkeypatch.setattr(ratmat, "schur_complement", counted)
+    universal_ledger(potb)
+    assert len(calls) == 1
+    calls.clear()
+    universal_ledger(ico26)
+    assert len(calls) > 1
+
+
 # ---------------------------------------------------------------------------
 # spectrum summaries
 
@@ -155,3 +177,15 @@ def test_bibd_rejections():
     assert not bibd_check(broken, v=3, b=3, r=2, k=2, lam=1)
     # row and column sums fine, but concurrences unbalanced
     assert not bibd_check(circulant({0, 1, 2}), v=7, b=7, r=3, k=3, lam=1)
+
+
+def test_bibd_needs_integer_entries():
+    # the cyclic (3, 3, 2, 2, 1) incidence times a rational rotation about
+    # the all-ones vector: every sum and L L' = I + J still hold
+    third = Fraction(1, 3)
+    l_mat = ratmat.rational([[4 * third, third, third],
+                             [third, third, 4 * third],
+                             [third, 4 * third, third]])
+    assert not bibd_check(l_mat, v=3, b=3, r=2, k=2, lam=1)
+    assert bibd_check(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=np.int64),
+                      v=3, b=3, r=2, k=2, lam=1)

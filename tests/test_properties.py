@@ -1,10 +1,12 @@
 """Property tests on random small plans: the stacked adjusted information
 and its canonical integer pair (num, d) against the dense projector oracle
 and the single-pair check, the counted gram against the dense X'X, the
-Schur-complement C_A and the ledger against their one-stage definitions,
-the contrast C-matrix against its Fraction congruence, and the adjusted
-sum of squares against the dense projection Y' P_V Y."""
+recursively split C_A, the ledger and the connectedness verdicts against
+their one-stage definitions, the contrast C-matrix against its Fraction
+congruence, and the adjusted sum of squares against the dense projection
+Y' P_V Y."""
 
+import warnings
 from itertools import combinations
 from math import gcd, lcm
 
@@ -15,14 +17,16 @@ from oracles import projector
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, contrast_c_matrix, helmert_raw,
                        orth_through, ratmat, ss_adjusted, universal_ledger)
-from orthoplan.orthogonality import adjusted_information, c_matrix_factor
+from orthoplan.optimality import _fit_scalar_plus_j
+from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
+                                     adjusted_information, c_matrix_factor, connected_factors)
 from orthoplan.plan import design_matrix, gram, levels_of
 
 
 @st.composite
 def plans(draw):
-    """2-4 factors at 2-4 levels, n <= 12 runs, blocked or not."""
-    levels = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    """2-6 factors at 2-4 levels, n <= 12 runs, blocked or not."""
+    levels = draw(st.lists(st.integers(2, 4), min_size=2, max_size=6))
     n = draw(st.integers(2, 12))
     runs = draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in levels]),
                          min_size=n, max_size=n))
@@ -102,16 +106,27 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
     x = np.hstack([design_matrix(plan, u) for u in idents])
     assert (gram(plan, idents) == x.T @ x).all()
 
-    for a in names:
-        others = tuple(f for f in names if f != a)
-        assert (c_matrix_factor(plan, a)
-                == adjusted_information(plan, a, a, others + pseudo)).all()
+    # every C_A from the recursive split against the one-stage oracle
+    adjusted = _fully_adjusted(plan, _factor_information(plan))
+    oracles = {a: adjusted_information(plan, a, a, tuple(f for f in names if f != a) + pseudo)
+               for a in names}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        connected = connected_factors(plan)
+    assert list(adjusted) == list(names)
+    for a, (c_num, c_d) in adjusted.items():
+        assert c_d > 0 and gcd(c_d, *c_num.flat) == 1
+        assert (c_num == c_d * oracles[a]).all()
+        assert (c_matrix_factor(plan, a) == oracles[a]).all()
+        assert connected[a] == (ratmat.rank(oracles[a]) == levels_of(plan, a) - 1)
 
     if plan.blocked:
         for entry in universal_ledger(plan).factors:
             verdicts = [orth_through(plan, entry.factor, b, (BLOCK,)).passed
                         for b in names if b != entry.factor]
             assert entry.orth_pass == all(verdicts)
+            fit = _fit_scalar_plus_j(oracles[entry.factor])
+            assert (entry.scalar_pass, entry.a, entry.b) == fit
 
     contrast_through = (BLOCK,) if plan.blocked else ()
     h = helmert_rows(plan, names)
