@@ -7,10 +7,13 @@ routes are evaluated on every call and must agree exactly:
 * the projection form  Y' V (V'V)^- V' Y  with  V = (I - P_T) X_U,
 * the g-inverse form   Q' (C_UU;T)^- Q    with  Q = X_U'Y - N_UT G_T X_T'Y.
 
-A response is scaled once to integers over one denominator (binary floats
-are rationals), and each quadratic form x' M^- x is the negated 1 x 1 Schur
-complement of an integer M, so "SS fully adjusted = SS adjusted for T" is a
-decidable identity instead of an almost-sure event.
+Everything that does not depend on Y (L = X_U' - N_UT G_T X_T', V', C and
+the g-inverses of V'V and C) is built once per (U, T) as integer matrices
+over one denominator, each g-inverse checked over ints.  A response is
+scaled once to integers over one denominator (binary floats are
+rationals); a sum of squares is then two integer matrix-vector products
+and three integer quadratic forms, so "SS fully adjusted = SS adjusted for
+T" is a decidable identity instead of an almost-sure event.
 """
 
 from __future__ import annotations
@@ -108,11 +111,81 @@ class SSResult:
         }
 
 
-def _form(x, m, scale, reverse=False):
-    """x' M^- x / scale for x in the column space of M, both integer: minus
-    the 1 x 1 Schur complement of M in [[0, x'], [x, M]], over ``scale``."""
-    num, den = ratmat.schur_complement(np.zeros((1, 1), dtype=object), x.T, m, x, reverse)
-    return Fraction(-num[0, 0], den * scale)
+def _response(plan, y):
+    """The response Y as (y, s): an integer column y with Y = y / s, one
+    denominator s for every entry (binary floats are rationals)."""
+    rows, s = ratmat._scaled_ints([[v] for v in y])
+    if len(rows) != plan.n:
+        raise LengthMismatch(f"response length {len(rows)} != {plan.n} runs")
+    return ratmat._object(rows, 1), s
+
+
+def _quad(x, g, scale):
+    """x' G x / scale for G = num / den given as the pair g = (num, den)."""
+    num, den = g
+    return Fraction((x.T @ num @ x)[0, 0], den * scale)
+
+
+@dataclass(frozen=True)
+class _SSForm:
+    """Everything in SS_{U;T} that does not depend on the response, as
+    integer matrices over the one denominator d of the X_T'X_T solve:
+    L = X_U' - N_UT G_T X_T' = l / d, C = C_UU;T = c / d and
+    V' = ((I - P_T) X_U)' = vt / d, with the g-inverse h of vt vt' = d^2 V'V
+    and g, g2 of c under the two pivot orders as pairs (num, den), each
+    checked over ints when it was built."""
+
+    target: tuple
+    adjust: tuple
+    d: int
+    l: np.ndarray
+    c: np.ndarray
+    vt: np.ndarray
+    h: tuple
+    g: tuple
+    g2: tuple
+
+    def ss(self, y, s):
+        """SS_{U;T} of the response Y = y / s, ``y`` an integer column, by
+        both routes and both pivot orders, required equal."""
+        q, w = self.l @ y, self.vt @ y       # Q = q / (d s), V'Y = w / (d s)
+        num, den = self.g
+        require((self.c @ (num @ q) == den * q).all(),
+                f"Q of {self.target} adjusted for {self.adjust} in the column space of C")
+        # projection route: Y'V (V'V)^- V'Y = w' (v'v)^- w / s^2
+        ss_proj = _quad(w, self.h, s * s)
+        # g-inverse route, under both pivoting orders: Q' C^- Q = q' c^- q / (d s^2)
+        ss_g = _quad(q, self.g, self.d * s * s)
+        ss_g2 = _quad(q, self.g2, self.d * s * s)
+        require(ss_proj == ss_g == ss_g2 >= 0,
+                f"SS of {self.target} adjusted for {self.adjust}: routes agree")
+        return ss_proj
+
+
+def _ss_form(plan, target, adjust_for=()):
+    """The ``_SSForm`` of the factor set ``target`` adjusted for the set
+    ``adjust_for``, from one gram matrix and one integer solve of
+    X_T'X_T Z = [N_TU | X_T']."""
+    target = _as_tuple(target)
+    adjust = _as_tuple(adjust_for)
+    if not target:
+        raise ValueError("empty target set")
+    if set(target) & set(adjust):
+        raise OverlappingSets(f"target {target} meets adjusting set {adjust}")
+    x = np.hstack([design_matrix(plan, u) for u in adjust + target])
+    g = gram(plan, adjust + target)
+    t = sum(levels_of(plan, u) for u in adjust)
+    g_tt, n_ut, g_uu = g[:t, :t], g[t:, :t], g[t:, t:]
+    x_t, x_u = x[:, :t], x[:, t:]
+    u = g_uu.shape[0]
+    z, d = ratmat._solve_scaled(g_tt, np.hstack([n_ut.T, x_t.T]))
+    z_n, z_x = z[:, :u], z[:, u:]
+    l = d * x_u.T - n_ut @ z_x
+    c = d * g_uu - n_ut @ z_n
+    vt = (d * x_u - x_t @ z_n).T
+    return _SSForm(target=target, adjust=adjust, d=d, l=l, c=c, vt=vt,
+                   h=ratmat._g_inverse(vt @ vt.T), g=ratmat._g_inverse(c),
+                   g2=ratmat._g_inverse(c, reverse=True))
 
 
 def ss_adjusted(plan, y, target, adjust_for=()):
@@ -123,34 +196,8 @@ def ss_adjusted(plan, y, target, adjust_for=()):
     g-inverse route is additionally evaluated under a second pivoting
     order, making invariance to the g-inverse choice part of the result.
     """
-    target = _as_tuple(target)
-    adjust = _as_tuple(adjust_for)
-    if not target:
-        raise ValueError("empty target set")
-    if set(target) & set(adjust):
-        raise OverlappingSets(f"target {target} meets adjusting set {adjust}")
-    rows, s = ratmat._scaled_ints([[v] for v in y])
-    if len(rows) != plan.n:
-        raise LengthMismatch(f"response length {len(rows)} != {plan.n} runs")
-    y_col = ratmat._object(rows, 1)    # Y = y_col / s
-    x = np.hstack([design_matrix(plan, u) for u in adjust + target])
-    g, xy = gram(plan, adjust + target), x.T @ y_col
-    t = sum(levels_of(plan, u) for u in adjust)
-    g_tt, n_ut, g_uu = g[:t, :t], g[t:, :t], g[t:, t:]
-    z, d = ratmat._solve_scaled(g_tt, np.hstack([n_ut.T, xy[:t]]))
-    z_n, z_y = z[:, :-1], z[:, -1:]
-    q = d * xy[t:] - n_ut @ z_y              # Q = q / (d s)
-    c = d * g_uu - n_ut @ z_n                # C = c / d
-    v = d * x[:, t:] - x[:, :t] @ z_n        # V = v / d
-    w = v.T @ y_col                          # V'Y = w / (d s)
-
-    # projection route: Y'V (V'V)^- V'Y = w' (v'v)^- w / s^2
-    ss_proj = _form(w, v.T @ v, s * s)
-    # g-inverse route, under both pivoting orders: Q' C^- Q = q' c^- q / (d s^2)
-    ss_g = _form(q, c, d * s * s)
-    ss_g2 = _form(q, c, d * s * s, reverse=True)
-    require(ss_proj == ss_g == ss_g2 >= 0, f"SS of {target} adjusted for {adjust}: routes agree")
-    return SSResult(target=target, adjust_for=adjust, value=ss_proj)
+    form = _ss_form(plan, target, adjust_for)
+    return SSResult(target=form.target, adjust_for=form.adjust, value=form.ss(*_response(plan, y)))
 
 
 @dataclass(frozen=True)
@@ -228,24 +275,23 @@ def estssq_equivalence(plan, a, adjust_for, trials=20, seed=0):
         others.append(BLOCK)
     condition = ratmat.is_zero(_information(plan, a, others, adjust)[0])
 
-    full = adjust + tuple(others)
+    full = _ss_form(plan, a, adjust + tuple(others))
+    part = _ss_form(plan, a, adjust)
     equal = 0
     witness = None
     first = None
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         y = [int(v) for v in rng.integers(-9, 10, size=plan.n)]
-        ss_full = ss_adjusted(plan, y, a, full)
-        ss_t = ss_adjusted(plan, y, a, adjust)
+        response = _response(plan, y)
+        ss_full, ss_t = full.ss(*response), part.ss(*response)
         if t == 0:
-            first = {"ss_fully_adjusted": str(ss_full.value),
-                     "ss_adjusted": str(ss_t.value)}
-        if ss_full.value == ss_t.value:
+            first = {"ss_fully_adjusted": str(ss_full), "ss_adjusted": str(ss_t)}
+        if ss_full == ss_t:
             equal += 1
         elif witness is None:
             witness = {"trial": t, "y": [str(v) for v in y],
-                       "ss_fully_adjusted": str(ss_full.value),
-                       "ss_adjusted": str(ss_t.value)}
+                       "ss_fully_adjusted": str(ss_full), "ss_adjusted": str(ss_t)}
     return EquivalenceReport(plan_name=plan.name, factor=a, adjust_for=adjust,
                              condition_holds=condition,
                              checked_against=tuple(others), trials=trials,

@@ -8,7 +8,9 @@ prints one JSON document (or writes it with --out) and exits with
     2  usage or input error (diagnostic on stderr).
 
 Reports are deterministic: keys sorted, two-space indent, no timestamps,
-so identical invocations are byte-identical.
+so identical invocations are byte-identical.  Each verb imports the
+modules it runs inside its own function, so that no invocation pays to
+load the layers it does not use.
 """
 
 from __future__ import annotations
@@ -17,18 +19,7 @@ import argparse
 import json
 import sys
 
-from .arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
-from .constructions import (
-    asym_report,
-    construct_asym,
-    construct_potb2,
-    construct_potb3,
-    construct_potp,
-    seed_plans,
-)
-from .errors import NoBlocks, UnknownFactor, VerificationFailed
-from .gf import field_new
-from .optimality import _ledger, universal_ledger
+from .errors import UnknownFactor, VerificationFailed
 from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
 from .plan import (
     GENERAL,
@@ -102,6 +93,11 @@ def _pair_claims(name, plan):
 
 def _construct_family(args):
     """Build the requested plan (or matrix) and its claims."""
+    from .arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
+    from .constructions import (asym_report, construct_asym, construct_potb2,
+                                construct_potb3, construct_potp, seed_plans)
+    from .gf import field_new
+
     fam = args.family
     if fam == "hadamard":
         h = hadamard(_require(args, "order"))
@@ -184,10 +180,12 @@ def _cmd_construct(args):
             _emit(_matrix_csv(grid), args.csv)
         _emit(_dump(doc), args.out)
         return 0
+    from .optimality import _ledger
+
     rep, claims = verification
     doc = {"plan": plan_to_json(plan), "report": rep.to_json(), "claims": claims}
     if plan.blocked:
-        doc["optimality"] = _ledger(plan, rep._block_information).to_json()
+        doc["optimality"] = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
     if args.csv:
         _emit(plan_to_csv(plan), args.csv)
     if args.out:
@@ -225,6 +223,8 @@ def _cmd_verify(args):
 
 
 def _cmd_optimality(args):
+    from .optimality import universal_ledger
+
     plan = _load_plan(args.plan)
     ledger = universal_ledger(plan)
     _emit(_dump(ledger.to_json()), args.out)
@@ -243,6 +243,10 @@ def _cmd_anova(args):
 
 
 def _cmd_catalog(args):
+    from .constructions import (asym_report, construct_asym, construct_potb2,
+                                construct_potb3, construct_potp, seed_plans)
+    from .optimality import _ledger
+
     plans = {}
     reports = {}
     ledgers = {}
@@ -254,7 +258,7 @@ def _cmd_catalog(args):
         reports[name] = rep.to_json()
         claims.extend(cl)
         if plan.blocked:
-            ledgers[name] = _ledger(plan, rep._block_information).to_json()
+            ledgers[name] = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
 
     built = [   # name, builder, the contrast scalar a potb plan must reach
         ("potp_3_8", lambda: construct_potp(4, 3), None),
@@ -282,7 +286,7 @@ def _cmd_catalog(args):
             claims.append(_claim(f"{name}-contrast-scalar", ok and val == scalar))
         reports[name] = rep.to_json()
         if plan.blocked:
-            ledgers[name] = _ledger(plan, rep._block_information).to_json()
+            ledgers[name] = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
 
     overall = all(c["pass"] == c["expect"] for c in claims)
     doc = {"plans": plans, "reports": reports, "optimality": ledgers,

@@ -159,14 +159,15 @@ def universal_ledger(plan):
     X'(I - P_block)X."""
     if not plan.blocked:
         raise NoBlocks("the per-factor conditions are about blocked plans")
-    return _ledger(plan, _factor_information(plan))
+    info = _factor_information(plan)
+    return _ledger(plan, info, _contrast(plan, info))
 
 
-def _ledger(plan, info):
-    """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d)."""
+def _ledger(plan, info, c_con):
+    """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d)
+    and its contrast C-matrix ``c_con``."""
     adjusted = _fully_adjusted(plan, info)
     factors = tuple(_factor_conditions(plan, f, info, adjusted[f]) for f in plan.factor_names)
-    c_con = _contrast(plan, info)
     global_pass, global_a = c_con.scalar_identity()
     spectrum = tuple(c_con.eigenvalues())
     return OptimalityLedger(plan_name=plan.name, factors=factors,

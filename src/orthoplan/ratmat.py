@@ -241,30 +241,35 @@ def inverse(m):
     return solve_consistent(m, eye(n))
 
 
-def g_inverse(m, reverse=False):
-    """A generalized inverse G with M G M = M, exact.
+def _g_inverse(m, reverse=False):
+    """A generalized inverse of the integer object matrix M as (G_int, d),
+    G = G_int / d, with M G_int M = d M verified over ints.
 
     Found from a full-rank submatrix: elimination picks r independent rows
     I and columns J, and G carries (M[I,J])^-1 on the (J, I) positions,
     zero elsewhere.  ``reverse`` flips the pivot scan order, giving a
-    second, generally different, g-inverse.  M G M = M is verified over
-    ints.
+    second, generally different, g-inverse.
     """
     nrow, ncol = m.shape
-    system, scale = _scaled_ints(m)
-    _, piv, _ = _eliminate(system, ncol, reverse=reverse)
-    m_int = _object(system, ncol)
-    g_int = _object([[0] * nrow for _ in range(ncol)], nrow)
+    _, piv, _ = _eliminate(m.tolist(), ncol, reverse=reverse)
+    g = _object([[0] * nrow for _ in range(ncol)], nrow)
     d = 1
     if piv:
         rows = [p[0] for p in piv]
         cols = [p[1] for p in piv]
-        inv, d = _solve_scaled(m_int[np.ix_(rows, cols)], np.eye(len(piv), dtype=object))
-        g_int[np.ix_(cols, rows)] = inv
-    # M = M_int / scale and G = scale G_int / d, so M G M = M reads
-    # M_int G_int M_int = d M_int
-    require((m_int @ g_int @ m_int == d * m_int).all(), "M G M = M")
-    return _over(scale * g_int, d)
+        inv, d = _solve_scaled(m[np.ix_(rows, cols)], np.eye(len(piv), dtype=object))
+        g[np.ix_(cols, rows)] = inv
+    require((m @ g @ m == d * m).all(), "M G M = M")
+    return g, d
+
+
+def g_inverse(m, reverse=False):
+    """A generalized inverse G with M G M = M, exact: ``_g_inverse`` of M
+    scaled to ints (see there for the choice of G and ``reverse``)."""
+    system, scale = _scaled_ints(m)
+    g, d = _g_inverse(_object(system, m.shape[1]), reverse)
+    # M = M_int / scale and G_int checks against M_int, so G = scale G_int / d
+    return _over(scale * g, d)
 
 
 def checked_eigenvalues(f, tol=1e-9):

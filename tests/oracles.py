@@ -1,12 +1,20 @@
-"""Dense projector oracles for the exact linear algebra.
+"""Oracles for the exact linear algebra.
 
-They build n x n projectors explicitly, which the package never does, and
-serve only as independent references for its small-matrix identities.
+The dense projectors build n x n matrices explicitly, which the package
+never does, and serve only as independent references for its small-matrix
+identities.  The per-call adjusted sum of squares redoes all of its
+response-free algebra for every response, as the package did before it
+built that algebra once per (target, adjusting set).
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from orthoplan import ratmat
+from orthoplan.anova import SSResult
+from orthoplan.errors import LengthMismatch, OverlappingSets, require
+from orthoplan.plan import _as_tuple, design_matrix, gram, levels_of
 
 
 def is_idempotent(m):
@@ -37,3 +45,56 @@ def projector_decompose(u, v):
     whole = projector(np.hstack([u, v]))
     assert (whole == pv + pz).all()
     return pz
+
+
+def _form(x, m, scale, reverse=False):
+    """x' M^- x / scale for x in the column space of M, both integer: minus
+    the 1 x 1 Schur complement of M in [[0, x'], [x, M]], over ``scale``."""
+    num, den = ratmat.schur_complement(np.zeros((1, 1), dtype=object), x.T, m, x, reverse)
+    return Fraction(-num[0, 0], den * scale)
+
+
+def ss_adjusted_per_call(plan, y, target, adjust_for=()):
+    """``orthoplan.ss_adjusted`` with one integer solve over X_T'X_T and three
+    1 x 1 Schur complements for this response alone; both routes and both
+    pivot orders are required equal."""
+    target = _as_tuple(target)
+    adjust = _as_tuple(adjust_for)
+    if not target:
+        raise ValueError("empty target set")
+    if set(target) & set(adjust):
+        raise OverlappingSets(f"target {target} meets adjusting set {adjust}")
+    rows, s = ratmat._scaled_ints([[v] for v in y])
+    if len(rows) != plan.n:
+        raise LengthMismatch(f"response length {len(rows)} != {plan.n} runs")
+    y_col = ratmat._object(rows, 1)    # Y = y_col / s
+    x = np.hstack([design_matrix(plan, u) for u in adjust + target])
+    g, xy = gram(plan, adjust + target), x.T @ y_col
+    t = sum(levels_of(plan, u) for u in adjust)
+    g_tt, n_ut, g_uu = g[:t, :t], g[t:, :t], g[t:, t:]
+    z, d = ratmat._solve_scaled(g_tt, np.hstack([n_ut.T, xy[:t]]))
+    z_n, z_y = z[:, :-1], z[:, -1:]
+    q = d * xy[t:] - n_ut @ z_y              # Q = q / (d s)
+    c = d * g_uu - n_ut @ z_n                # C = c / d
+    v = d * x[:, t:] - x[:, :t] @ z_n        # V = v / d
+    w = v.T @ y_col                          # V'Y = w / (d s)
+
+    # projection route: Y'V (V'V)^- V'Y = w' (v'v)^- w / s^2
+    ss_proj = _form(w, v.T @ v, s * s)
+    # g-inverse route, under both pivoting orders: Q' C^- Q = q' c^- q / (d s^2)
+    ss_g = _form(q, c, d * s * s)
+    ss_g2 = _form(q, c, d * s * s, reverse=True)
+    require(ss_proj == ss_g == ss_g2 >= 0, f"SS of {target} adjusted for {adjust}: routes agree")
+    return SSResult(target=target, adjust_for=adjust, value=ss_proj)
+
+
+class PerCallForm:
+    """Stand-in for ``orthoplan.anova._ss_form`` that hands every response of
+    an experiment to ``ss_adjusted_per_call``."""
+
+    def __init__(self, plan, target, adjust_for=()):
+        self.plan, self.target, self.adjust_for = plan, target, adjust_for
+
+    def ss(self, y, s):
+        ys = [Fraction(v, s) for v in y.flat]
+        return ss_adjusted_per_call(self.plan, ys, self.target, self.adjust_for).value

@@ -1,10 +1,11 @@
 """Simulation and exact adjusted sums of squares."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import projector
+from oracles import PerCallForm, projector, ss_adjusted_per_call
 
 from orthoplan import (
     BLOCK,
@@ -12,6 +13,7 @@ from orthoplan import (
     Factor,
     ModelSpec,
     Plan,
+    anova,
     estssq_equivalence,
     ratmat,
     simulate,
@@ -126,6 +128,22 @@ def test_ss_multi_factor_target(potp34):
     assert got.value == want
 
 
+@pytest.mark.parametrize("fixture", ["potp34", "potp43"])
+def test_ss_through_a_pair_matches_the_per_call_oracle(request, fixture):
+    """On plans orthogonal through the pair (A1, A2), for integer, float and
+    Fraction responses, adjusted for the pair and for the pair and G."""
+    plan = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(3)
+    ints = [int(v) for v in rng.integers(-9, 10, size=plan.n)]
+    responses = [ints, [float(v) for v in rng.standard_normal(plan.n)],
+                 [Fraction(v, 7) for v in ints]]
+    for target in plan.factor_names[2:]:
+        for through in (("A1", "A2"), ("A1", "A2", GENERAL)):
+            for y in responses:
+                want = ss_adjusted_per_call(plan, y, target, through).value
+                assert ss_adjusted(plan, y, target, through).value == want
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_ss_invariant_across_runs(potb33, seed):
     """The value is pinned: both internal routes and an independent
@@ -150,17 +168,32 @@ def test_ss_numpy_integer_response_is_exact(potb27):
 
 
 def test_routes_agree_check_fires(potb27, monkeypatch):
-    """An off-by-one Schur complement under the second pivot order makes
-    the g-inverse routes disagree, and the call must refuse to answer."""
-    real = ratmat.schur_complement
+    """A g-inverse of C under the second pivot order that is off by one in
+    one entry (so no g-inverse, past its own check) makes the g-inverse
+    routes disagree, and the call must refuse to answer."""
+    real = ratmat._g_inverse
 
-    def off_by_one(corner, left, m, right, reverse=False):
-        num, d = real(corner, left, m, right, reverse)
-        return (num + 1 if reverse else num), d
+    def off_by_one(m, reverse=False):
+        g, d = real(m, reverse)
+        if reverse:
+            g = g.copy()
+            g[0, 0] += 1
+        return g, d
 
-    monkeypatch.setattr(ratmat, "schur_complement", off_by_one)
+    monkeypatch.setattr(ratmat, "_g_inverse", off_by_one)
     with pytest.raises(VerificationFailed, match="routes agree"):
         ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,))
+
+
+def test_q_outside_the_column_space_of_c_is_refused(potb27):
+    """Q = L Y must lie in the column space of C; an L that misses the
+    adjustment for the blocks puts it outside, and the trial refuses."""
+    form = anova._ss_form(potb27, "A1", (BLOCK,))
+    unadjusted = replace(form, l=form.d * design_matrix(potb27, "A1").T)
+    y, s = anova._response(potb27, range(1, 11))
+    assert form.ss(y, s) == ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,)).value
+    with pytest.raises(VerificationFailed, match="column space of C"):
+        unadjusted.ss(y, s)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +222,39 @@ def test_equivalence_fails_with_witness():
     assert rep.witness is not None and rep.witness["trial"] == 0
     assert rep.witness["ss_fully_adjusted"] == "0"
     assert rep.biconditional_observed   # inequality is what the condition predicts
+
+
+SEED_EXPERIMENTS = [("potb_2_7", "A1", (BLOCK,)), ("ico_2_6", "A1", (BLOCK,)),
+                    ("potp_3_4", "A3", ("A1", "A2"))]
+
+
+@pytest.mark.parametrize("name, target, adjust", SEED_EXPERIMENTS)
+def test_equivalence_matches_the_per_call_oracle(seeds, monkeypatch, name, target, adjust):
+    """The experiment on forms built once gives the report, byte for byte,
+    that redoing all the response-free algebra for every trial gives."""
+    plan = seeds[name]
+    got = estssq_equivalence(plan, target, adjust, trials=50, seed=42).to_json()
+    monkeypatch.setattr(anova, "_ss_form", PerCallForm)
+    assert estssq_equivalence(plan, target, adjust, trials=50, seed=42).to_json() == got
+
+
+@pytest.mark.parametrize("name, target, adjust", SEED_EXPERIMENTS)
+def test_trials_share_the_response_free_algebra(seeds, monkeypatch, name, target, adjust):
+    """A trial runs no exact elimination: 50 trials eliminate as often as one."""
+    real = ratmat._eliminate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ratmat, "_eliminate", counted)
+    counts = []
+    for trials in (1, 50):
+        calls.clear()
+        estssq_equivalence(seeds[name], target, adjust, trials=trials, seed=42)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_equivalence_json(potp34):

@@ -13,7 +13,7 @@ from math import gcd, lcm
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import projector
+from oracles import projector, ss_adjusted_per_call
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, contrast_c_matrix, helmert_raw,
                        orth_through, ratmat, ss_adjusted, universal_ledger)
@@ -138,19 +138,25 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
           suppress_health_check=[HealthCheck.too_slow])
 @given(plans(), st.integers(1, 2), st.data())
 def test_ss_adjusted_matches_dense_projection(plan, width, data):
+    """Against Y' P_V Y and against the per-call evaluation, for integer,
+    Fraction and float responses, adjusted for nothing, G, one factor, a
+    factor pair and the blocks."""
     names = plan.factor_names
     target = names[:width]
-    conditioning = [(), (GENERAL,), names[width:width + 1]]
+    conditioning = [(), (GENERAL,), names[width:width + 1], names[width:width + 2]]
     if plan.blocked:
         conditioning.append((BLOCK,))
     responses = [
         data.draw(st.lists(st.integers(-9, 9), min_size=plan.n, max_size=plan.n)),
         data.draw(st.lists(st.fractions(-9, 9, max_denominator=12),
                            min_size=plan.n, max_size=plan.n)),
+        data.draw(st.lists(st.floats(-9, 9, allow_nan=False, allow_infinity=False),
+                           min_size=plan.n, max_size=plan.n)),
     ]
-    for through in conditioning:
+    for through in dict.fromkeys(conditioning):
         p_v = projector(residual_projector(plan, through) @ stacked_design(plan, target))
         for y in responses:
             y_col = ratmat.rational([[x] for x in y])
             oracle = (y_col.T @ p_v @ y_col)[0, 0]
-            assert ss_adjusted(plan, y, target, through).value == oracle
+            got = ss_adjusted(plan, y, target, through).value
+            assert got == oracle == ss_adjusted_per_call(plan, y, target, through).value

@@ -7,16 +7,27 @@
   ``vector`` outside ``ratmat`` itself: they take and give ``Fraction``
   matrices at the public edge, while the package computes on integer
   matrices over one denominator.
+* Start-up: ``__init__`` imports no submodule (its exports resolve on first
+  use), and ``cli`` imports at module level only the standard library and
+  the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
+  a verb loads only the modules it runs.
 """
 
 import ast
+import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import orthoplan
+from orthoplan import seed_plans
+from orthoplan.plan import plan_dumps
 
-SOURCES = sorted(Path(orthoplan.__file__).parent.glob("*.py"))
+PACKAGE = Path(orthoplan.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 CACHES = {"cache", "lru_cache"}
 EDGE = {"solve_consistent", "g_inverse", "inverse", "vector"}
 
@@ -81,3 +92,69 @@ def test_the_checker_sees_each_kind(tmp_path):
     assert sorted(what for _, what in violations(path)) == [
         "@cache decorator", "@lru_cache decorator", "assert statement", "gi call",
         "ratmat.inverse call", "ratmat.solve_consistent call", "ratmat.vector call"]
+
+
+CLI_LAYERS = {".errors", ".orthogonality", ".plan"}
+VERB_LAYERS = ("constructions", "gf", "arrays", "optimality", "anova")
+
+
+def module_level_imports(path):
+    """(line, module) for every import that runs when the module is
+    imported, relative modules written with their leading dots."""
+    todo = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, "." * node.level + (node.module or "")
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_init_imports_no_submodule():
+    found = [(line, m) for line, m in module_level_imports(PACKAGE / "__init__.py")
+             if m.startswith(".") or m.split(".")[0] == "orthoplan"]
+    assert found == []
+
+
+def test_cli_imports_only_the_stdlib_and_the_shared_layers():
+    found = [(line, m) for line, m in module_level_imports(PACKAGE / "cli.py")
+             if m not in CLI_LAYERS and m.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_the_import_checks_see_nested_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import json\nif True:\n    from . import gf\n"
+                    "def f():\n    from .anova import ss_adjusted\n")
+    assert sorted(module_level_imports(path)) == [(1, "json"), (3, ".")]
+
+
+def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
+    plan = tmp_path / "potp_3_4.json"
+    plan.write_text(plan_dumps(seed_plans()["potp_3_4"]))
+    argv = ["verify", "--check", "pfc", "--plan", str(plan), "--out", str(tmp_path / "out.json")]
+    code = ("import json, sys\nfrom orthoplan.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('orthoplan'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env, timeout=120)
+    rc, loaded = json.loads(proc.stdout)
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert rc == 1 and report["check"] == "pfc" and report["pass"] is False
+    assert "orthoplan.orthogonality" in loaded
+    assert [m for m in loaded if m.split(".")[-1] in VERB_LAYERS] == []
+
+
+def test_every_export_resolves_to_its_module_object():
+    names = {}
+    exec("from orthoplan import *", names)
+    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 66
+    for name in orthoplan.__all__:
+        module = importlib.import_module(f"orthoplan.{orthoplan._MODULE_OF[name]}")
+        assert getattr(orthoplan, name) is getattr(module, name) is names[name]
+    assert set(dir(orthoplan)) >= set(orthoplan.__all__) | {"__version__"}
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        orthoplan.no_such_name
