@@ -10,7 +10,9 @@ prints one JSON document (or writes it with --out) and exits with
 Reports are deterministic: keys sorted, two-space indent, no timestamps,
 so identical invocations are byte-identical.  Each verb imports the
 modules it runs inside its own function, so that no invocation pays to
-load the layers it does not use.
+load the layers it does not use.  ``construct`` and ``catalog`` print the
+report with which each POTB/POTP builder verified its plan, rather than
+checking the plan a second time.
 """
 
 from __future__ import annotations
@@ -91,14 +93,37 @@ def _pair_claims(name, plan):
     return rep, claims
 
 
+# The options each construct family reads; a matrix family writes no report.
+_FAMILY_OPTIONS = {
+    "hadamard": {"order"},
+    "oa": {"order", "s"},
+    "qarray": {"order", "s"},
+    "seed": {"name", "report"},
+    "potp": {"h", "s", "report"},
+    "potb2": {"h", "report"},
+    "potb3": {"report"},
+    "asym": {"s", "report"},
+}
+
+
+def _refuse_unread_options(args):
+    """A usage error for the first option given that the family would ignore."""
+    fam, reads, which = args.family, _FAMILY_OPTIONS[args.family], ""
+    if fam in ("oa", "qarray") and args.order is not None:
+        reads, which = {"order"}, " with --order"    # the array comes from the order alone
+    for opt in ("h", "s", "order", "name", "report"):
+        if getattr(args, opt) is not None and opt not in reads:
+            raise ValueError(f"--{opt} does not apply to --family {fam}{which}")
+
+
 def _construct_family(args):
     """Build the requested plan (or matrix) and its claims."""
     from .arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
-    from .constructions import (asym_report, construct_asym, construct_potb2,
-                                construct_potb3, construct_potp, seed_plans)
+    from .constructions import _potb2, _potb3, _potp, asym_report, construct_asym, seed_plans
     from .gf import field_new
 
     fam = args.family
+    _refuse_unread_options(args)
     if fam == "hadamard":
         h = hadamard(_require(args, "order"))
         return None, h.tolist(), {"kind": "hadamard", "order": int(h.shape[0])}, []
@@ -122,22 +147,19 @@ def _construct_family(args):
         plan = plans[name]
         rep, claims = _pair_claims(name, plan)
     elif fam == "potp":
-        plan = construct_potp(_require(args, "h"), _require(args, "s"))
-        rep = is_potp(plan, ("A1", "A2"))
+        plan, rep = _potp(_require(args, "h"), _require(args, "s"))
         claims = [_claim(f"potp-{args.s}-{2 * args.h}-orthogonal-through-leading-pair",
                          rep.passed)]
     elif fam == "potb2":
         h = _require(args, "h")
-        plan = construct_potb2(h)
-        rep = is_potb(plan)
+        plan, rep = _potb2(h)
         ok, val = rep.c_matrix.scalar_identity()
         claims = [
             _claim(f"potb-2-{7 * h}-all-pairs-through-block", rep.passed),
             _claim(f"potb-2-{7 * h}-contrast-scalar-{4 * h}", ok and val == 4 * h),
         ]
     elif fam == "potb3":
-        plan = construct_potb3()
-        rep = is_potb(plan)
+        plan, rep = _potb3()
         ok, val = rep.c_matrix.scalar_identity()
         claims = [
             _claim("potb-3-15-all-pairs-through-block", rep.passed),
@@ -243,9 +265,12 @@ def _cmd_anova(args):
 
 
 def _cmd_catalog(args):
-    from .constructions import (asym_report, construct_asym, construct_potb2,
-                                construct_potb3, construct_potp, seed_plans)
+    from .constructions import _potb2, _potb3, _potp, asym_report, construct_asym, seed_plans
     from .optimality import _ledger
+
+    def asym(s):
+        plan = construct_asym(s)
+        return plan, asym_report(plan)
 
     plans = {}
     reports = {}
@@ -260,27 +285,24 @@ def _cmd_catalog(args):
         if plan.blocked:
             ledgers[name] = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
 
-    built = [   # name, builder, the contrast scalar a potb plan must reach
-        ("potp_3_8", lambda: construct_potp(4, 3), None),
-        ("potb_2_14", lambda: construct_potb2(2), 8),
-        ("potb_3_15", construct_potb3, 27),
-        ("asym_3", lambda: construct_asym(3), None),
-        ("asym_7", lambda: construct_asym(7), None),
+    built = [   # name, builder of (plan, report), the contrast scalar a potb plan must reach
+        ("potp_3_8", lambda: _potp(4, 3), None),
+        ("potb_2_14", lambda: _potb2(2), 8),
+        ("potb_3_15", _potb3, 27),
+        ("asym_3", lambda: asym(3), None),
+        ("asym_7", lambda: asym(7), None),
     ]
     for name, build, scalar in built:
-        plan = build()
+        plan, rep = build()
         plans[name] = plan_to_json(plan)
         if name.startswith("potp"):
-            rep = is_potp(plan, ("A1", "A2"))
             claims.append(_claim(f"{name}-orthogonal-through-leading-pair", rep.passed))
         elif name.startswith("asym"):
-            rep = asym_report(plan)
             ext = [p for p in rep.pairs if p.informational]
             claims.append(_claim(f"{name}-level-pairs-through-block", rep.passed))
             claims.append(_claim(f"{name}-extended-pairs-proportional",
                                  all(p.pfc for p in ext)))
         else:
-            rep = is_potb(plan)
             ok, val = rep.c_matrix.scalar_identity()
             claims.append(_claim(f"{name}-all-pairs-through-block", rep.passed))
             claims.append(_claim(f"{name}-contrast-scalar", ok and val == scalar))

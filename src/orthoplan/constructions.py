@@ -24,8 +24,8 @@ from .errors import (
 )
 from .gf import field_new, square_classes
 from .optimality import bibd_check
-from .orthogonality import is_potb, is_potp
-from .plan import Factor, Plan, block_incidence, incidence
+from .orthogonality import _incidences, is_potb, is_potp
+from .plan import BLOCK, Factor, Plan
 
 __all__ = [
     "seed_plans",
@@ -232,6 +232,12 @@ def construct_potp(h, s):
     (a multiple of J - I for the leading pair, of (s-2) I + J otherwise)
     and the orthogonality claim are re-verified exactly on the output.
     """
+    return _potp(h, s)[0]
+
+
+def _potp(h, s):
+    """``construct_potp(h, s)`` and its verified ``is_potp`` report through
+    the first two factors, as (plan, report)."""
     field = field_new(s)
     if s % 4 != 3:
         raise BadCongruence(f"s = {s} fails s = 3 (mod 4)")
@@ -254,14 +260,15 @@ def construct_potp(h, s):
     other = c * ((s - 2) * eye + jay)
     names = plan.factor_names
     what = f"potp h={h} s={s}"
+    n_of = _incidences(plan, names)
     for i in range(m):
         for j in range(i + 1, m):
             want = lead if (i, j) == (0, 1) else other
-            require((incidence(plan, names[i], names[j]) == want).all(),
+            require((n_of(names[i], names[j]) == want).all(),
                     f"{what}: incidence pattern at {names[i]},{names[j]}")
-    require(is_potp(plan, (names[0], names[1])).passed,
-            f"{what}: pairs orthogonal through {names[0]},{names[1]}")
-    return plan
+    report = is_potp(plan, (names[0], names[1]))
+    require(report.passed, f"{what}: pairs orthogonal through {names[0]},{names[1]}")
+    return plan, report
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +330,14 @@ def construct_potb2(h):
     The two-level seed plan is multiplied by the h-row zero-row array
     derived from a Hadamard matrix of order h (h = 2 or a multiple of 4).
     """
+    return _potb2(h)[0]
+
+
+def _potb2(h):
+    """``construct_potb2(h)`` and its verified ``is_potb`` report, as (plan, report)."""
     q = _q_array_two_level(h)
     plan = diamond(q, seed_potb_27(), field_new(2), name=f"potb_2_{7 * h}")
-    _verify_potb(plan, f"potb2 h={h}", 7 * h, (5,) * (2 * h), 4 * h)
-    return plan
+    return plan, _verify_potb(plan, f"potb2 h={h}", 7 * h, (5,) * (2 * h), 4 * h)
 
 
 def construct_potb3(n_translates=9):
@@ -336,23 +347,31 @@ def construct_potb3(n_translates=9):
     Uses the nine-column strength-2 array over GF(3) extended by a zero
     row (five rows total); other translate counts are not built in.
     """
+    return _potb3(n_translates)[0]
+
+
+def _potb3(n_translates=9):
+    """``construct_potb3(n_translates)`` and its verified ``is_potb`` report,
+    as (plan, report)."""
     if n_translates != 9:
         raise UnsupportedOrder("only the nine-translate three-level family is built in")
     q = q_extend(oa_rao_hamming(field_new(3)))
     plan = diamond(q, seed_potb_33(), field_new(3), name="potb_3_15")
-    _verify_potb(plan, f"potb3 translates={n_translates}", 15, (4, 4, 2) * 9, 3 * n_translates)
-    return plan
+    return plan, _verify_potb(plan, f"potb3 translates={n_translates}", 15, (4, 4, 2) * 9,
+                              3 * n_translates)
 
 
 def _verify_potb(plan, what, m, block_sizes, scalar):
     """The self-check of a family orthogonal through the block factor: its
-    shape, every pair's orthogonality and the contrast C-matrix scalar * I."""
+    shape, every pair's orthogonality and the contrast C-matrix scalar * I.
+    Returns the ``is_potb`` report it verified."""
     require(plan.m == m and plan.block_sizes == block_sizes,
             f"{what}: {m} factors in {len(block_sizes)} blocks")
     report = is_potb(plan)
     require(report.passed, f"{what}: pairs orthogonal through block")
     require(report.c_matrix.scalar_identity() == (True, scalar),
             f"{what}: contrast C-matrix = {scalar} I")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -418,20 +437,21 @@ def _verify_asym(plan, field, sq, t):
     jay = np.ones((s, s), dtype=object)
     names = [f"x{c}" for c in c0]
     what = f"asym s={s}"
+    n_of = _incidences(plan, (BLOCK,) + plan.factor_names)
 
     # within the s-level factors: incidence I + J, blocked identity holds
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            n_ab = incidence(plan, a, b)
+            n_ab = n_of(a, b)
             require((n_ab == eye + jay).all(), f"{what}: N({a},{b}) = I + J")
-            la = block_incidence(plan, a)
-            lb = block_incidence(plan, b)
+            la = n_of(a, BLOCK)
+            lb = n_of(b, BLOCK)
             require((la @ lb.T == (t + 1) * n_ab).all(),
                     f"{what}: L({a}) L({b})' = {t + 1} N({a},{b})")
 
     # against the extended factor: flat incidence
     for a in names:
-        require((incidence(plan, a, "inf") == 1).all(), f"{what}: N({a},inf) = J")
+        require((n_of(a, "inf") == 1).all(), f"{what}: N({a},inf) = J")
 
     # level-by-block structure: each s-level factor sees, per translate u,
     # the set (C0 + u) u {u} in the even blocks and (C1 + u) u {u} in the
@@ -442,9 +462,9 @@ def _verify_asym(plan, field, sq, t):
     half0 = m_mat.T + eye
     half1 = jay - m_mat.T
     for a in names:
-        la = block_incidence(plan, a)
+        la = n_of(a, BLOCK)
         require((la[:, 0::2] == half0).all() and (la[:, 1::2] == half1).all(),
                 f"{what}: L({a}) = M' + I on even blocks, J - M' on odd ones")
     for a, v, r, lam in [(a, s, s + 1, t + 1) for a in names] + [("inf", s + 1, s, t)]:
-        require(bibd_check(block_incidence(plan, a), v=v, b=2 * s, r=r, k=t + 1, lam=lam),
+        require(bibd_check(n_of(a, BLOCK), v=v, b=2 * s, r=r, k=t + 1, lam=lam),
                 f"{what}: L({a}) is a BIBD(v={v}, b={2 * s}, r={r}, k={t + 1}, lambda={lam})")

@@ -10,7 +10,8 @@ so every orthonormal entry is an integer divided by sqrt(j(j+1)).  A
 congruence O M O' therefore has entries  raw[i,j] / sqrt(d_i d_j)  with
 raw exactly rational; ``ContrastMatrix`` carries (raw, d) so that
 zero / identity / rational-equality checks stay exact, and converts to
-floating point only for eigenvalues.
+floating point only for eigenvalues and irrational entries.  It forms the
+float matrix and its spectrum once, on first use, and keeps them.
 
 Note on scaling: some authors use contrast rows of squared norm 2 (for
 two levels, the row (1, -1)).  Every C-matrix produced under that
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -29,6 +31,8 @@ from . import ratmat
 from .errors import ShapeMismatch
 
 __all__ = ["helmert_raw", "helmert_norms", "orthonormal_contrasts", "ContrastMatrix"]
+
+_EIGEN_TOL = 1e-9
 
 
 def helmert_raw(s):
@@ -57,7 +61,9 @@ def orthonormal_contrasts(s):
 @dataclass(frozen=True, eq=False)
 class ContrastMatrix:
     """A matrix O M O' over a stacked orthonormal Helmert basis, stored as
-    the exact rational congruence ``raw`` plus squared row norms."""
+    the exact rational congruence ``raw`` plus squared row norms.  An
+    instance is immutable: ``raw`` is not written after construction, so
+    its float form and spectrum, formed on first use, stay valid."""
 
     raw: np.ndarray          # v x v Fractions, raw[i,j] = u_i' M u_j
     norms: tuple             # squared norms d_i of the integer rows
@@ -82,10 +88,20 @@ class ContrastMatrix:
             return None
         return Fraction(self.raw[i, j], r)
 
-    def as_float(self):
+    @cached_property
+    def _float(self):
+        """The symmetrized float matrix, formed once per instance."""
         scale = 1.0 / np.sqrt(np.array(self.norms, dtype=np.float64))
         f = ratmat.to_float(self.raw) * scale[:, None] * scale[None, :]
         return (f + f.T) / 2.0
+
+    @cached_property
+    def _spectrum(self):
+        """The eigenvalues at the default tolerance, decomposed once per instance."""
+        return tuple(ratmat.checked_eigenvalues(self._float, _EIGEN_TOL))
+
+    def as_float(self):
+        return self._float.copy()
 
     def scalar_identity(self):
         """(True, a) when the matrix is exactly a * I, else (False, None)."""
@@ -108,10 +124,12 @@ class ContrastMatrix:
                     return False
         return True
 
-    def eigenvalues(self, tol=1e-9):
+    def eigenvalues(self, tol=_EIGEN_TOL):
         """Ascending eigenvalues (floating point), residual-checked by
         ``ratmat.checked_eigenvalues``."""
-        return ratmat.checked_eigenvalues(self.as_float(), tol)
+        if tol != _EIGEN_TOL:
+            return ratmat.checked_eigenvalues(self._float, tol)
+        return list(self._spectrum)
 
     def scaled(self, factor):
         """The same matrix multiplied by an exact rational factor."""
@@ -122,7 +140,7 @@ class ContrastMatrix:
     def entries_json(self):
         """Entries as strings: exact 'p/q' when rational, decimal otherwise."""
         out = []
-        f = self.as_float()
+        f = self._float
         for i in range(self.dim):
             row = []
             for j in range(self.dim):

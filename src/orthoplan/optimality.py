@@ -21,8 +21,8 @@ import numpy as np
 from . import ratmat
 from .errors import NoBlocks, ShapeMismatch
 from .orthogonality import (_columns, _contrast, _factor_information, _fully_adjusted,
-                            contrast_c_matrix)
-from .plan import block_incidence
+                            _incidences, contrast_c_matrix)
+from .plan import BLOCK
 
 __all__ = [
     "FactorConditions",
@@ -115,11 +115,11 @@ class OptimalityLedger:
         }
 
 
-def _factor_conditions(plan, a, info, c_a):
-    """The three per-factor conditions, the last two read off ``info`` =
-    (num, d) and the factor's fully adjusted information ``c_a`` = (num, d)."""
+def _factor_conditions(plan, a, l_a, info, c_a):
+    """The three per-factor conditions: the count condition read off the
+    level-by-block counts ``l_a``, the other two off ``info`` = (num, d) and
+    the factor's fully adjusted information ``c_a`` = (num, d)."""
     s = plan.factor(a).levels
-    l_a = block_incidence(plan, a)
     floors = tuple(int(k) // s for k in plan.block_sizes)
     counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
     count_pass = all(
@@ -166,8 +166,11 @@ def universal_ledger(plan):
 def _ledger(plan, info, c_con):
     """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d)
     and its contrast C-matrix ``c_con``."""
+    names = plan.factor_names
     adjusted = _fully_adjusted(plan, info)
-    factors = tuple(_factor_conditions(plan, f, info, adjusted[f]) for f in plan.factor_names)
+    n_of = _incidences(plan, (BLOCK,) + names)
+    factors = tuple(_factor_conditions(plan, f, n_of(f, BLOCK), info, adjusted[f])
+                    for f in names)
     global_pass, global_a = c_con.scalar_identity()
     spectrum = tuple(c_con.eigenvalues())
     return OptimalityLedger(plan_name=plan.name, factors=factors,

@@ -12,9 +12,10 @@ small-matrix identity
     X_A' (I - P_T) X_B = N_AB - N_AT (X_T' X_T)^- N_TB,
 
 which never materializes an n x n projector.  Its result is one integer
-matrix over one denominator, (num, d); every report reads slices of num,
-and makes Fractions only of what it hands out.  The classical special
-cases are such slices:
+matrix over one denominator, (num, d); every report reads slices of num.
+A pair check keeps its integer slice and d, and makes Fractions only when
+its residual is read: for a failed pair, when the report is printed.  The
+classical special cases are such slices:
 
 * T = {G}: the proportional frequency condition n N_AB = r_A r_B';
 * T = {block}: the defining condition of a plan orthogonal through the
@@ -60,6 +61,13 @@ def _columns(plan, idents):
     return {u: slice(o, o + levels_of(plan, u)) for u, o in zip(idents, starts)}
 
 
+def _incidences(plan, idents):
+    """N(u, v) = X_u' X_v for any two of ``idents``, as a function of (u, v);
+    every one is a slice of one gram matrix, counted once."""
+    g, cols = gram(plan, idents), _columns(plan, idents)
+    return lambda u, v: g[cols[u], cols[v]]
+
+
 def _information(plan, a, b, through, reverse=False):
     """X_A' (I - P_T) X_B = num / d as the pair (num, d) of ``ratmat.schur_complement``.
 
@@ -94,9 +102,16 @@ class PairCheck:
     b: str
     through: tuple
     passed: bool
-    residual: np.ndarray
+    # X_A'(I - P_T)X_B as (num, d): the pair's integer slice of the stacked
+    # information and its denominator; ``residual`` makes the Fractions
+    _information: tuple = field(repr=False)
     pfc: bool | None = None
     informational: bool = False
+
+    @property
+    def residual(self):
+        """X_A'(I - P_T)X_B, exact, as Fractions."""
+        return ratmat._over(*self._information)
 
     def to_json(self):
         doc = {
@@ -153,9 +168,9 @@ def orth_through(plan, a, b, through):
     through = _as_tuple(through)
     if a == b or a in through or b in through:
         raise OverlappingSets(f"{a!r}, {b!r} must be distinct and outside {through!r}")
-    residual = adjusted_information(plan, a, b, through)
-    return PairCheck(a=a, b=b, through=through, passed=ratmat.is_zero(residual),
-                     residual=residual)
+    num, d = _information(plan, a, b, through)
+    return PairCheck(a=a, b=b, through=through, passed=ratmat.is_zero(num),
+                     _information=(num, d))
 
 
 def pair_checks(plan, names, through):
@@ -167,9 +182,9 @@ def pair_checks(plan, names, through):
     cols = _columns(plan, names)
     checks = []
     for a, b in combinations(names, 2):
-        block = num[cols[a], cols[b]]
+        block = num[cols[a], cols[b]].copy()    # a view would keep all of num alive
         checks.append(PairCheck(a=a, b=b, through=through, passed=ratmat.is_zero(block),
-                                residual=ratmat._over(block, d)))
+                                _information=(block, d)))
     return tuple(checks), info
 
 

@@ -10,7 +10,8 @@ indicator, only for blocked plans).
 Every identifier reads as one symbol per run, so the gram matrix X'X of
 any stack of identifiers is counted in one pass over the runs, and
 incidence matrices are its slices.  Nothing is cached: each call builds
-a fresh exact integer matrix.
+a fresh exact integer matrix.  ``plan_from_json`` refuses a document
+whose gram size exceeds ``MAX_GRAM_SIZE`` before it builds anything.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ from .errors import (
 GENERAL = "G"
 BLOCK = "block"
 RESERVED = (GENERAL, BLOCK)
+
+# The largest gram matrix a plan document may ask for.  Its size, the sum
+# of the factors' levels plus the blocks plus one (for G), bounds every
+# exact system the package forms for the plan, and ``gram`` allocates its
+# square.  8,384 is the size of ``construct_asym(127)``, the asymmetric
+# family over the largest supported field.
+MAX_GRAM_SIZE = 8_384
 
 
 @dataclass(frozen=True)
@@ -245,6 +253,17 @@ def plan_from_json(doc):
             factors.append(Factor(fname, levels))
         except ValueError as exc:
             raise SchemaViolation(f"$.factors[{i}]", str(exc)) from exc
+    block_sizes = None
+    if "block_sizes" in doc:
+        raw_blocks = _expect(doc, "block_sizes", list, "$")
+        for i, k in enumerate(raw_blocks):
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise SchemaViolation(f"$.block_sizes[{i}]", "expected an integer")
+        block_sizes = tuple(raw_blocks)
+    size = sum(f.levels for f in factors) + len(block_sizes or ()) + 1
+    if size > MAX_GRAM_SIZE:
+        raise SchemaViolation("$", f"gram size {size} (levels + blocks + 1) exceeds "
+                                   f"the limit {MAX_GRAM_SIZE}")
     raw_runs = _expect(doc, "runs", list, "$")
     runs = []
     for i, run in enumerate(raw_runs):
@@ -254,13 +273,6 @@ def plan_from_json(doc):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise SchemaViolation(f"$.runs[{i}][{j}]", "expected an integer")
         runs.append(tuple(run))
-    block_sizes = None
-    if "block_sizes" in doc:
-        raw_blocks = _expect(doc, "block_sizes", list, "$")
-        for i, k in enumerate(raw_blocks):
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise SchemaViolation(f"$.block_sizes[{i}]", "expected an integer")
-        block_sizes = tuple(raw_blocks)
     return Plan(name=name, factors=tuple(factors), runs=tuple(runs), block_sizes=block_sizes)
 
 

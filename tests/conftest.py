@@ -79,6 +79,24 @@ def asym7():
     return construct_asym(7)
 
 
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record_calls(module, name, calls=None)`` replaces ``module.name``
+    by a wrapper that appends the positional arguments of each call to
+    ``calls`` (a new list unless given) and returns that list."""
+    def record(module, name, calls=None):
+        calls = [] if calls is None else calls
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+    return record
+
+
 @pytest.fixture(scope="session")
 def src_env():
     """Environment for a child interpreter that imports this orthoplan."""

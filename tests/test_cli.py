@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthoplan import cli
+from orthoplan import cli, constructions, orthogonality, ratmat
 from orthoplan.cli import main
 from orthoplan.errors import VerificationFailed
 from orthoplan.plan import plan_dumps
@@ -84,6 +84,35 @@ def test_construct_potp_with_files(capsys, tmp_path):
 def test_construct_potp_missing_parameter(capsys):
     code, _, err = run(capsys, "construct", "--family", "potp", "--s", "3")
     assert code == 2 and "--h is required" in err
+
+
+IGNORED_OPTIONS = [
+    (["potb3", "--h", "5"], "--h does not apply to --family potb3"),
+    (["potb3", "--s", "3"], "--s does not apply to --family potb3"),
+    (["potb2", "--h", "2", "--s", "3"], "--s does not apply to --family potb2"),
+    (["potb2", "--h", "2", "--name", "potb_2_7"], "--name does not apply to --family potb2"),
+    (["potp", "--h", "4", "--s", "3", "--order", "8"], "--order does not apply to --family potp"),
+    (["asym", "--s", "3", "--h", "4"], "--h does not apply to --family asym"),
+    (["seed", "--name", "potb_2_7", "--s", "3"], "--s does not apply to --family seed"),
+    (["hadamard", "--order", "8", "--h", "4"], "--h does not apply to --family hadamard"),
+    (["hadamard", "--order", "8", "--report", "{tmp}/r.json"],
+     "--report does not apply to --family hadamard"),
+    (["oa", "--order", "8", "--s", "3"], "--s does not apply to --family oa with --order"),
+    (["qarray", "--order", "8", "--s", "3"],
+     "--s does not apply to --family qarray with --order"),
+    (["qarray", "--s", "3", "--name", "x"], "--name does not apply to --family qarray"),
+    (["oa", "--s", "3", "--report", "{tmp}/r.json"], "--report does not apply to --family oa"),
+]
+
+
+@pytest.mark.parametrize("argv,message", IGNORED_OPTIONS,
+                         ids=[f"{argv[0]}{msg.split()[0]}" for argv, msg in IGNORED_OPTIONS])
+def test_construct_refuses_options_its_family_ignores(capsys, tmp_path, argv, message):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run(capsys, "construct", "--family", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_hadamard(capsys, tmp_path):
@@ -281,22 +310,38 @@ def test_catalog(capsys, tmp_path):
 
 def test_catalog_contrast_scalar_claim_checks_the_value(capsys, tmp_path, monkeypatch):
     """A C-matrix that is a scalar identity with the wrong scalar fails
-    the catalog's contrast-scalar claim."""
-    real_is_potb = cli.is_potb
+    the catalog's contrast-scalar claim.  The wrong scalar enters through
+    the report that the potb2 builder hands to the catalog."""
+    real_potb2 = constructions._potb2
 
-    def wrong_scalar(plan):
-        rep = real_is_potb(plan)
-        if plan.name != "potb_2_14":
-            return rep
-        return replace(rep, c_matrix=rep.c_matrix.scaled(Fraction(9, 8)))
+    def wrong_scalar(h):
+        plan, rep = real_potb2(h)
+        return plan, replace(rep, c_matrix=rep.c_matrix.scaled(Fraction(9, 8)))
 
-    monkeypatch.setattr(cli, "is_potb", wrong_scalar)
+    monkeypatch.setattr(constructions, "_potb2", wrong_scalar)
     out_file = tmp_path / "catalog.json"
     code, _, _ = run(capsys, "catalog", "--out", str(out_file))
     doc = json.loads(out_file.read_text())
     failed = [c["label"] for c in doc["claims"] if c["pass"] != c["expect"]]
     assert failed == ["potb_2_14-contrast-scalar"]
     assert code == 1 and doc["pass"] is False
+
+
+@pytest.mark.parametrize("argv,checks,decompositions", [
+    (["catalog"], 16, 9),
+    (["construct", "--family", "potb2", "--h", "4"], 2, 1),
+    (["construct", "--family", "potp", "--h", "4", "--s", "3"], 1, 1),
+], ids=["catalog", "potb2", "potp"])
+def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, decompositions):
+    """``is_potb`` makes two ``pair_checks`` calls and ``is_potp`` one.  A
+    built plan is checked by its builder only, whose report is printed;
+    seeds and the asym family are checked by the verb.  Each contrast
+    C-matrix is decomposed once, for its report and its ledger together."""
+    pairs = record_calls(orthogonality, "pair_checks")
+    eigh = record_calls(ratmat, "checked_eigenvalues")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert (len(pairs), len(eigh)) == (checks, decompositions)
 
 
 def test_failed_self_check_exits_one(capsys, tmp_path, monkeypatch):

@@ -21,7 +21,11 @@ from orthoplan import (
     translate,
     validate_signed_seed,
 )
+from orthoplan import orthogonality, plan as plan_module
 from orthoplan.constructions import (
+    _potb2,
+    _potb3,
+    _potp,
     asym_report,
     construct_asym,
     construct_potb2,
@@ -228,6 +232,32 @@ def test_potb2_families(potb2_14, potb2_28):
     assert (potb2_28.m, potb2_28.b, potb2_28.n) == (28, 8, 40)
     ok, val = is_potb(potb2_28).c_matrix.scalar_identity()
     assert ok and val == 16
+
+
+@pytest.mark.parametrize("build,check", [
+    (lambda: _potb2(2), is_potb),
+    (lambda: _potb2(4), is_potb),
+    (_potb3, is_potb),
+    (lambda: _potp(4, 3), lambda plan: is_potp(plan, ("A1", "A2"))),
+], ids=["potb2-h2", "potb2-h4", "potb3", "potp-4-3"])
+def test_builder_report_is_a_fresh_check(build, check):
+    plan, report = build()
+    assert report.to_json() == check(plan).to_json()
+    assert report.passed
+
+
+@pytest.mark.parametrize("build,grams", [(lambda: construct_asym(7), 1),
+                                         (lambda: construct_potp(4, 3), 3)],
+                         ids=["asym-7", "potp-4-3"])
+def test_incidence_self_checks_count_once(record_calls, build, grams):
+    """Every incidence the asym and potp self-checks compare is a slice of
+    one gram matrix (``incidence`` and ``block_incidence`` count one gram
+    each); the potp self-check's report counts two more, for its pairs and
+    for its contrast C-matrix."""
+    calls = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
+    plan = build()
+    counted = plan.factor_names if plan.name.startswith("potp") else ("block",) + plan.factor_names
+    assert [idents for _, idents in calls] == [counted] * grams
 
 
 def test_potb2_bad_order():

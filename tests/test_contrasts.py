@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orthoplan import ContrastMatrix, helmert_raw, orthonormal_contrasts, rational
+from orthoplan import ContrastMatrix, helmert_raw, orthonormal_contrasts, ratmat, rational
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import ShapeMismatch
 
@@ -75,6 +75,23 @@ def test_as_float_and_eigenvalues():
     f = cm.as_float()
     assert np.abs(f - 3 * np.eye(2)).max() < 1e-12
     assert cm.eigenvalues() == pytest.approx([3.0, 3.0])
+
+
+def test_one_decomposition_per_instance(record_calls):
+    """The float matrix and the default-tolerance spectrum are formed once
+    per instance; a copy of the matrix is handed out, and another
+    tolerance is checked afresh."""
+    calls = record_calls(ratmat, "checked_eigenvalues")
+    cm = ContrastMatrix(raw=rational([[2, 1], [1, 2]]), norms=(2, 2), labels=("a", "b"))
+    cm.as_float()[0, 0] = 99.0
+    first = cm.eigenvalues()
+    first.append(0.0)
+    assert cm.eigenvalues() == pytest.approx([0.5, 1.5])
+    assert [tol for _, tol in calls] == [1e-9]
+    assert cm.entries_json() == [["1", "1/2"], ["1/2", "1"]]
+    assert cm.eigenvalues(tol=1e-6) == pytest.approx([0.5, 1.5])
+    assert [tol for _, tol in calls] == [1e-9, 1e-6]
+    assert cm.scaled(2).eigenvalues() == pytest.approx([1.0, 3.0]) and len(calls) == 3
 
 
 def test_scaled():

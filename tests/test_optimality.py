@@ -19,7 +19,10 @@ from orthoplan import (
     ratmat,
     universal_ledger,
 )
+from orthoplan import optimality, orthogonality, plan as plan_module
+from orthoplan.orthogonality import _contrast, _factor_information
 from orthoplan.errors import NoBlocks, ShapeMismatch
+from orthoplan.plan import block_incidence
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,20 @@ def test_ledger_of_uncoupled_factors_needs_no_solve(monkeypatch, ico26):
     calls.clear()
     universal_ledger(ico26)
     assert len(calls) > 1
+
+
+def test_ledger_counts_the_level_by_block_tables_once(record_calls, potb2_28):
+    # every factor's L_A is a slice of one gram over the block and the
+    # factors (``block_incidence`` would count one gram per factor)
+    info = _factor_information(potb2_28)
+    c_con = _contrast(potb2_28, info)
+    calls = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
+    ledger = optimality._ledger(potb2_28, info, c_con)
+    assert [idents for _, idents in calls] == [("block",) + potb2_28.factor_names]
+    assert ledger == universal_ledger(potb2_28)
+    for f in ledger.factors:
+        l_a = block_incidence(potb2_28, f.factor)
+        assert f.block_counts == tuple(tuple(col) for col in l_a.T.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Plan data model, derived matrices, and serialization."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -28,7 +29,7 @@ from orthoplan.errors import (
     SchemaViolation,
     UnknownFactor,
 )
-from orthoplan.plan import levels_of, plan_dumps, plan_loads
+from orthoplan.plan import MAX_GRAM_SIZE, levels_of, plan_dumps, plan_loads
 
 
 def tiny(blocked=False):
@@ -182,3 +183,47 @@ def test_csv_rendering():
     assert plan_to_csv(tiny()) == "A,B\n0,0\n1,1\n0,2\n1,0\n"
     assert plan_to_csv(tiny(blocked=True)) == (
         "block,A,B\n0,0,0\n0,1,1\n1,0,2\n1,1,0\n")
+
+
+# ---------------------------------------------------------------------------
+# input limit
+
+def sized_doc(levels, blocks=0):
+    """A one-run-per-block plan document whose gram size is
+    sum(levels) + blocks + 1."""
+    doc = {"name": "big", "factors": [{"name": f"A{i}", "levels": s}
+                                      for i, s in enumerate(levels)],
+           "runs": [[0] * len(levels)] * max(blocks, 1)}
+    if blocks:
+        doc["block_sizes"] = [1] * blocks
+    return json.dumps(doc)
+
+
+def test_gram_size_limit_admits_the_largest_asym_plan(asym7):
+    def asym_size(s):
+        return (s - 1) // 2 * s + (s + 1) + 2 * s + 1
+
+    assert sum(f.levels for f in asym7.factors) + asym7.b + 1 == asym_size(7)
+    assert asym_size(127) == MAX_GRAM_SIZE == 8_384
+
+
+@pytest.mark.parametrize("levels,blocks", [
+    ([MAX_GRAM_SIZE - 1], 0),
+    ([MAX_GRAM_SIZE - 3], 2),
+    ([2, 3, MAX_GRAM_SIZE - 8], 2),
+])
+def test_gram_size_limit_at_the_boundary(levels, blocks):
+    plan = plan_loads(sized_doc(levels, blocks))
+    assert sum(f.levels for f in plan.factors) + plan.b + 1 == MAX_GRAM_SIZE
+    over = [*levels[:-1], levels[-1] + 1]
+    with pytest.raises(SchemaViolation, match=f"gram size {MAX_GRAM_SIZE + 1} "
+                                              r"\(levels \+ blocks \+ 1\) exceeds the limit"):
+        plan_loads(sized_doc(over, blocks))
+
+
+def test_gram_size_limit_checks_before_the_runs():
+    doc = json.loads(sized_doc([10 ** 12]))
+    doc["runs"] = "not even a list"
+    with pytest.raises(SchemaViolation) as err:
+        plan_from_json(doc)
+    assert err.value.path == "$" and "exceeds the limit 8384" in str(err.value)

@@ -1,12 +1,14 @@
 """Property tests on random small plans: the stacked adjusted information
 and its canonical integer pair (num, d) against the dense projector oracle
-and the single-pair check, the counted gram against the dense X'X, the
-recursively split C_A, the ledger and the connectedness verdicts against
-their one-stage definitions, the contrast C-matrix against its Fraction
-congruence, and the adjusted sum of squares against the dense projection
-Y' P_V Y."""
+and the single-pair check, every report's pair residuals against the
+blocks of the stacked information, the counted gram against the dense
+X'X, the recursively split C_A, the ledger and the connectedness verdicts
+against their one-stage definitions, the contrast C-matrix against its
+Fraction congruence, and the adjusted sum of squares against the dense
+projection Y' P_V Y."""
 
 import warnings
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
@@ -15,11 +17,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import projector, ss_adjusted_per_call
 
-from orthoplan import (BLOCK, GENERAL, Factor, Plan, contrast_c_matrix, helmert_raw,
-                       orth_through, ratmat, ss_adjusted, universal_ledger)
+from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, contrast_c_matrix,
+                       helmert_raw, is_potb, is_potp, orth_through, ratmat, ss_adjusted,
+                       universal_ledger)
 from orthoplan.optimality import _fit_scalar_plus_j
 from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
-                                     adjusted_information, c_matrix_factor, connected_factors)
+                                     adjusted_information, c_matrix_factor, connected_factors,
+                                     pair_checks)
 from orthoplan.plan import design_matrix, gram, levels_of
 
 
@@ -132,6 +136,52 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
     h = helmert_rows(plan, names)
     info = adjusted_information(plan, names, names, contrast_through)
     assert (contrast_c_matrix(plan).raw == h @ info @ h.T).all()
+
+
+def assert_residuals_are_blocks(plan, pairs, names, through):
+    """Each pair's residual, pass verdict and printed residual against the
+    matching block of the stacked X_U'(I - P_T)X_U over ``names``."""
+    stacked = adjusted_information(plan, names, names, through)
+    offsets = np.cumsum([0] + [levels_of(plan, u) for u in names])
+    span = {u: slice(offsets[i], offsets[i + 1]) for i, u in enumerate(names)}
+    for p in pairs:
+        block = stacked[span[p.a], span[p.b]]
+        assert p.through == through
+        assert p.residual.shape == block.shape and (p.residual == block).all()
+        assert all(type(x) is Fraction for x in p.residual.flat)
+        assert p.passed == ratmat.is_zero(block)
+        doc = p.to_json()
+        assert ("residual" in doc) == (not p.passed)
+        if not p.passed:
+            assert doc["residual"] == [[str(x) for x in row] for row in block]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plans(), st.sampled_from(["none", "general", "block", "first"]))
+def test_pair_residuals_are_blocks_of_the_stacked_information(plan, which):
+    """For passing and failing pairs alike, straight from ``pair_checks``
+    and after ``replace`` in ``is_potb``, ``is_potp`` and ``asym_report``."""
+    assume(which != "block" or plan.blocked)
+    names = plan.factor_names
+    through = {"none": (), "general": (GENERAL,), "block": (BLOCK,),
+               "first": names[:1]}[which]
+    rest = tuple(f for f in names if f not in through)
+    checks, _ = pair_checks(plan, rest, through)
+    assert_residuals_are_blocks(plan, checks, rest, through)
+    if which == "first":
+        assert_residuals_are_blocks(plan, is_potp(plan, through).pairs, rest, through)
+    if which == "block":
+        for rep in (is_potb(plan), asym_report(plan)):
+            assert_residuals_are_blocks(plan, rep.pairs, names, through)
+            pfc = pair_checks(plan, names, (GENERAL,))[0]
+            assert [p.pfc for p in rep.pairs] == [p.passed for p in pfc]
+
+
+def test_informational_residuals_are_blocks_of_the_stacked_information(asym7):
+    rep = asym_report(asym7)
+    assert {p.passed for p in rep.pairs} == {True, False}
+    assert_residuals_are_blocks(asym7, rep.pairs, asym7.factor_names, (BLOCK,))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True,

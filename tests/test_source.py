@@ -2,7 +2,8 @@
 
 * No ``assert`` statement: a check that ``python -O`` strips is no check.
 * No ``functools.cache`` / ``lru_cache``: caches exist only where a
-  measurement justifies them, and none does today.
+  measurement justifies them; the one today is per instance, the float
+  matrix and spectrum of a ``ContrastMatrix``.
 * No call of ``ratmat.solve_consistent``, ``g_inverse``, ``inverse`` or
   ``vector`` outside ``ratmat`` itself: they take and give ``Fraction``
   matrices at the public edge, while the package computes on integer
