@@ -1,19 +1,21 @@
 """Linear-model simulation and adjusted sums of squares.
 
 The SS of a factor set U adjusted for a set T is the squared length of
-the projection of Y onto span((I - P_T) X_U).  Two algebraically equal
-routes are evaluated on every call and must agree exactly:
+the projection of Y onto span(V), V = (I - P_T) X_U.  With
+L = X_U' - N_UT G_T X_T' = V' and C = C_UU;T = V'V it is the g-inverse
+form  Q' C^- Q  with  Q = L Y = X_U'Y - N_UT G_T X_T'Y,  evaluated on
+every call under two pivot orders, which must agree exactly.
 
-* the projection form  Y' V (V'V)^- V' Y  with  V = (I - P_T) X_U,
-* the g-inverse form   Q' (C_UU;T)^- Q    with  Q = X_U'Y - N_UT G_T X_T'Y.
-
-Everything that does not depend on Y (L = X_U' - N_UT G_T X_T', V', C and
-the g-inverses of V'V and C) is built once per (U, T) as integer matrices
-over one denominator, each g-inverse checked over ints.  A response is
-scaled once to integers over one denominator (binary floats are
-rationals); a sum of squares is then two integer matrix-vector products
-and three integer quadratic forms, so "SS fully adjusted = SS adjusted for
-T" is a decidable identity instead of an almost-sure event.
+Everything that does not depend on Y (L, C and the two g-inverses of C)
+is built once per (U, T) as integer matrices over one denominator, with
+V'V = C and each g-inverse checked over ints.  A response is scaled once
+to integers over one denominator (binary floats are rationals); a sum of
+squares is then one integer matrix-vector product and two integer
+quadratic forms, so "SS fully adjusted = SS adjusted for T" is a
+decidable identity instead of an almost-sure event.  The independent
+projection route Y' V (V'V)^- V' Y is kept in the tests: the per-call
+oracle ``tests/oracles.py`` ``ss_adjusted_per_call`` and the dense
+projector of ``test_ss_invariant_across_runs``.
 """
 
 from __future__ import annotations
@@ -130,36 +132,32 @@ def _quad(x, g, scale):
 class _SSForm:
     """Everything in SS_{U;T} that does not depend on the response, as
     integer matrices over the one denominator d of the X_T'X_T solve:
-    L = X_U' - N_UT G_T X_T' = l / d, C = C_UU;T = c / d and
-    V' = ((I - P_T) X_U)' = vt / d, with the g-inverse h of vt vt' = d^2 V'V
-    and g, g2 of c under the two pivot orders as pairs (num, den), each
-    checked over ints when it was built."""
+    L = X_U' - N_UT G_T X_T' = l / d and C = C_UU;T = c / d, with the
+    g-inverses g, g2 of c under the two pivot orders as pairs (num, den),
+    each checked over ints when it was built, as was L L' = C.  L is
+    V' = ((I - P_T) X_U)', so Q' C^- Q is the projection Y' V (V'V)^- V' Y."""
 
     target: tuple
     adjust: tuple
     d: int
     l: np.ndarray
     c: np.ndarray
-    vt: np.ndarray
-    h: tuple
     g: tuple
     g2: tuple
 
     def ss(self, y, s):
-        """SS_{U;T} of the response Y = y / s, ``y`` an integer column, by
-        both routes and both pivot orders, required equal."""
-        q, w = self.l @ y, self.vt @ y       # Q = q / (d s), V'Y = w / (d s)
+        """SS_{U;T} of the response Y = y / s, ``y`` an integer column,
+        under both pivot orders, required equal."""
+        q = self.l @ y                       # Q = q / (d s)
         num, den = self.g
         require((self.c @ (num @ q) == den * q).all(),
                 f"Q of {self.target} adjusted for {self.adjust} in the column space of C")
-        # projection route: Y'V (V'V)^- V'Y = w' (v'v)^- w / s^2
-        ss_proj = _quad(w, self.h, s * s)
-        # g-inverse route, under both pivoting orders: Q' C^- Q = q' c^- q / (d s^2)
+        # Q' C^- Q = q' c^- q / (d s^2), under both pivoting orders
         ss_g = _quad(q, self.g, self.d * s * s)
         ss_g2 = _quad(q, self.g2, self.d * s * s)
-        require(ss_proj == ss_g == ss_g2 >= 0,
+        require(ss_g == ss_g2 >= 0,
                 f"SS of {self.target} adjusted for {self.adjust}: routes agree")
-        return ss_proj
+        return ss_g
 
 
 def _ss_form(plan, target, adjust_for=()):
@@ -176,25 +174,23 @@ def _ss_form(plan, target, adjust_for=()):
     g = gram(plan, adjust + target)
     t = sum(levels_of(plan, u) for u in adjust)
     g_tt, n_ut, g_uu = g[:t, :t], g[t:, :t], g[t:, t:]
-    x_t, x_u = x[:, :t], x[:, t:]
     u = g_uu.shape[0]
-    z, d = ratmat._solve_scaled(g_tt, np.hstack([n_ut.T, x_t.T]))
-    z_n, z_x = z[:, :u], z[:, u:]
-    l = d * x_u.T - n_ut @ z_x
-    c = d * g_uu - n_ut @ z_n
-    vt = (d * x_u - x_t @ z_n).T
-    return _SSForm(target=target, adjust=adjust, d=d, l=l, c=c, vt=vt,
-                   h=ratmat._g_inverse(vt @ vt.T), g=ratmat._g_inverse(c),
-                   g2=ratmat._g_inverse(c, reverse=True))
+    z, d = ratmat._solve_scaled(g_tt, np.hstack([n_ut.T, x[:, :t].T]))
+    l = d * x[:, t:].T - n_ut @ z[:, u:]
+    c = d * g_uu - n_ut @ z[:, :u]
+    # L = V', so the run-level L L' = V'V must be the gram-level C: l l' = d c
+    require((l @ l.T == d * c).all(), f"V'V = C for {target} adjusted for {adjust}")
+    return _SSForm(target=target, adjust=adjust, d=d, l=l, c=c,
+                   g=ratmat._g_inverse(c), g2=ratmat._g_inverse(c, reverse=True))
 
 
 def ss_adjusted(plan, y, target, adjust_for=()):
     """SS of the factor set ``target`` adjusted for the set ``adjust_for``
     (identifiers may include the general effect and the block factor).
 
-    Both evaluation routes run on every call and are required equal; the
-    g-inverse route is additionally evaluated under a second pivoting
-    order, making invariance to the g-inverse choice part of the result.
+    The g-inverse form Q' C^- Q is evaluated under two pivoting orders and
+    required equal, making invariance to the g-inverse choice part of the
+    result; the form's L is checked against C once, when it is built.
     """
     form = _ss_form(plan, target, adjust_for)
     return SSResult(target=form.target, adjust_for=form.adjust, value=form.ss(*_response(plan, y)))

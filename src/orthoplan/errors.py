@@ -41,6 +41,10 @@ class LevelOutOfRange(ValueError):
     """A run uses a symbol outside a factor's level range."""
 
 
+class NotAnInteger(ValueError):
+    """A level count, run symbol or block size is not an integer."""
+
+
 class BlockSizeMismatch(ValueError):
     """Block sizes do not partition the runs."""
 

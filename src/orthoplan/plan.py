@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -28,6 +29,7 @@ from .errors import (
     BlockSizeMismatch,
     LevelOutOfRange,
     NoBlocks,
+    NotAnInteger,
     SchemaViolation,
     UnknownFactor,
 )
@@ -44,6 +46,16 @@ RESERVED = (GENERAL, BLOCK)
 MAX_GRAM_SIZE = 8_384
 
 
+def _ints(values, what):
+    """``values`` as a tuple of Python ints.  Python and numpy integers
+    pass (``operator.index``); a float or anything else is refused rather
+    than truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise NotAnInteger(f"{what}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Factor:
     name: str
@@ -52,6 +64,7 @@ class Factor:
     def __post_init__(self):
         if not self.name or self.name in RESERVED:
             raise ValueError(f"invalid factor name {self.name!r}")
+        object.__setattr__(self, "levels", _ints((self.levels,), f"factor {self.name} levels")[0])
         if self.levels < 2:
             raise ValueError(f"factor {self.name}: needs >= 2 levels")
 
@@ -65,9 +78,10 @@ class Plan:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "runs", tuple(tuple(int(x) for x in r) for r in self.runs))
+        object.__setattr__(self, "runs",
+                           tuple(_ints(r, f"run {i}") for i, r in enumerate(self.runs)))
         if self.block_sizes is not None:
-            object.__setattr__(self, "block_sizes", tuple(int(k) for k in self.block_sizes))
+            object.__setattr__(self, "block_sizes", _ints(self.block_sizes, "block sizes"))
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise ValueError("factor names must be unique")

@@ -284,6 +284,6 @@ def test_c11_infrastructure_identities():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         y = [int(v) for v in rng.integers(-9, 10, size=potb33.n)]
-        # every call runs both evaluation routes and both pivot orders
+        # every call checks L L' = C and evaluates Q' C^- Q under both pivot orders
         res = ss_adjusted(potb33, y, "A1", (BLOCK, "A2"))
         assert res.value >= 0

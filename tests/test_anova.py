@@ -146,8 +146,9 @@ def test_ss_through_a_pair_matches_the_per_call_oracle(request, fixture):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_ss_invariant_across_runs(potb33, seed):
-    """The value is pinned: both internal routes and an independent
-    projector evaluation agree on random rational responses."""
+    """The value is pinned: the g-inverse form under both pivot orders
+    agrees with an independent evaluation through the dense projector
+    onto V = (I - P_T) X_U on random rational responses."""
     rng = np.random.default_rng([7, seed])
     y = [Fraction(int(a), int(b)) for a, b in
          zip(rng.integers(-9, 10, size=potb33.n), rng.integers(1, 4, size=potb33.n))]
@@ -183,6 +184,38 @@ def test_routes_agree_check_fires(potb27, monkeypatch):
     monkeypatch.setattr(ratmat, "_g_inverse", off_by_one)
     with pytest.raises(VerificationFailed, match="routes agree"):
         ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,))
+
+
+def test_a_form_takes_two_g_inverses(potb27, monkeypatch):
+    """One g-inverse of C per pivot order, and none of V'V: the projection
+    Y'V (V'V)^- V'Y is the g-inverse form Q' C^- Q itself."""
+    real = ratmat._g_inverse
+    calls = []
+
+    def counted(m, reverse=False):
+        calls.append(reverse)
+        return real(m, reverse)
+
+    monkeypatch.setattr(ratmat, "_g_inverse", counted)
+    anova._ss_form(potb27, "A1", (BLOCK,))
+    assert calls == [False, True]
+
+
+def test_l_that_is_not_v_transposed_is_refused(potb27, monkeypatch):
+    """An X_T' part of the solve that is off by one in one entry (past the
+    solve's own check) makes L L' differ from C, and the form refuses."""
+    real = ratmat._solve_scaled
+
+    def off_by_one(m, rhs, reverse=False):
+        z, d = real(m, rhs, reverse)
+        if rhs.shape[1] == 2 + potb27.n:    # [N_TU | X_T'] for the two levels of A1
+            z = z.copy()
+            z[0, -1] += 1
+        return z, d
+
+    monkeypatch.setattr(ratmat, "_solve_scaled", off_by_one)
+    with pytest.raises(VerificationFailed, match="V'V = C"):
+        anova._ss_form(potb27, "A1", (BLOCK,))
 
 
 def test_q_outside_the_column_space_of_c_is_refused(potb27):

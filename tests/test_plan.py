@@ -26,6 +26,7 @@ from orthoplan.errors import (
     BlockSizeMismatch,
     LevelOutOfRange,
     NoBlocks,
+    NotAnInteger,
     SchemaViolation,
     UnknownFactor,
 )
@@ -53,6 +54,9 @@ def test_factor_validation():
         Factor("block", 2)  # reserved
     with pytest.raises(ValueError):
         Factor("A", 1)
+    with pytest.raises(NotAnInteger, match="factor A levels"):
+        Factor("A", 2.5)
+    assert type(Factor("A", np.int64(3)).levels) is int
 
 
 def test_plan_validation():
@@ -64,6 +68,17 @@ def test_plan_validation():
         Plan("p", (Factor("A", 2),), ((0, 1),))
     with pytest.raises(LevelOutOfRange, match="run 1, factor A: symbol 2"):
         Plan("p", (Factor("A", 2),), ((0,), (2,)))
+
+
+def test_non_integer_runs_and_block_sizes_are_refused_not_truncated():
+    factors = (Factor("A", 2), Factor("B", 2))
+    with pytest.raises(NotAnInteger, match="run 0"):
+        Plan("p", factors, ((0.9, 1.99), (1, 0)), block_sizes=(1.7, 1))
+    with pytest.raises(NotAnInteger, match="block sizes"):
+        Plan("p", factors, ((0, 1), (1, 0)), block_sizes=(1.7, 1))
+    p = Plan("p", factors, ((np.int64(0), np.int32(1)), (1, 0)), block_sizes=(np.int64(1), 1))
+    assert p.runs == ((0, 1), (1, 0)) and p.block_sizes == (1, 1)
+    assert {type(x) for x in (*p.runs[0], *p.block_sizes)} == {int}
 
 
 def test_block_size_validation():

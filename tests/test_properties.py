@@ -4,12 +4,13 @@ and the single-pair check, every report's pair residuals against the
 blocks of the stacked information, the counted gram against the dense
 X'X, the recursively split C_A, the ledger and the connectedness verdicts
 against their one-stage definitions, the contrast C-matrix against its
-Fraction congruence, and the adjusted sum of squares against the dense
-projection Y' P_V Y."""
+Fraction congruence, the adjusted sum of squares against the dense
+projection Y' P_V Y, the pair verdicts against relabelled plans, and the
+JSON round trip."""
 
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd, lcm
 
 import numpy as np
@@ -24,7 +25,7 @@ from orthoplan.optimality import _fit_scalar_plus_j
 from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
                                      adjusted_information, c_matrix_factor, connected_factors,
                                      pair_checks)
-from orthoplan.plan import design_matrix, gram, levels_of
+from orthoplan.plan import design_matrix, gram, levels_of, plan_dumps, plan_loads
 
 
 @st.composite
@@ -210,3 +211,45 @@ def test_ss_adjusted_matches_dense_projection(plan, width, data):
             oracle = (y_col.T @ p_v @ y_col)[0, 0]
             got = ss_adjusted(plan, y, target, through).value
             assert got == oracle == ss_adjusted_per_call(plan, y, target, through).value
+
+
+def pair_verdicts(plan):
+    """Pass/fail of every pair of the factors outside T, for T empty, {G},
+    the first factor and, on a blocked plan, the blocks."""
+    names = plan.factor_names
+    throughs = [(), (GENERAL,), names[:1]] + ([(BLOCK,)] if plan.blocked else [])
+    return [[p.passed for p in pair_checks(plan, tuple(f for f in names if f not in t), t)[0]]
+            for t in throughs]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plans(), st.data())
+def test_pair_verdicts_are_invariant_under_relabelling(plan, data):
+    """Runs permuted within their blocks, blocks reordered together with
+    their sizes, and one factor's levels relabelled: each leaves every
+    pair's verdict as it was (an unblocked plan is one block)."""
+    sizes = plan.block_sizes or (plan.n,)
+    bounds = list(accumulate(sizes, initial=0))
+    blocks = [plan.runs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    shuffled = [data.draw(st.permutations(runs)) for runs in blocks]
+    order = data.draw(st.permutations(range(len(blocks))))
+    j = data.draw(st.integers(0, plan.m - 1))
+    relabel = data.draw(st.permutations(range(plan.factors[j].levels)))
+
+    def moved(runs, block_sizes=plan.block_sizes):
+        return Plan(plan.name, plan.factors, tuple(runs), block_sizes)
+
+    want = pair_verdicts(plan)
+    assert pair_verdicts(moved(r for runs in shuffled for r in runs)) == want
+    reordered = moved((r for k in order for r in blocks[k]),
+                      tuple(sizes[k] for k in order) if plan.blocked else None)
+    assert pair_verdicts(reordered) == want
+    relabelled = moved(r[:j] + (relabel[r[j]],) + r[j + 1:] for r in plan.runs)
+    assert pair_verdicts(relabelled) == want
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(plans())
+def test_plan_json_round_trip(plan):
+    assert plan_loads(plan_dumps(plan)) == plan
