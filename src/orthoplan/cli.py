@@ -11,8 +11,8 @@ Reports are deterministic: keys sorted, two-space indent, no timestamps,
 so identical invocations are byte-identical.  Each verb imports the
 modules it runs inside its own function, so that no invocation pays to
 load the layers it does not use.  ``construct`` and ``catalog`` print the
-report with which each POTB/POTP builder verified its plan, rather than
-checking the plan a second time.
+report with which the builder of every built family verified its plan,
+rather than checking the plan a second time.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _refuse_unread_options(args):
 def _construct_family(args):
     """Build the requested plan (or matrix) and its claims."""
     from .arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
-    from .constructions import _potb2, _potb3, _potp, asym_report, construct_asym, seed_plans
+    from .constructions import _asym, _potb2, _potb3, _potp, seed_plans
     from .gf import field_new
 
     fam = args.family
@@ -167,8 +167,7 @@ def _construct_family(args):
         ]
     elif fam == "asym":
         s = _require(args, "s")
-        plan = construct_asym(s)
-        rep = asym_report(plan)
+        plan, rep = _asym(s)
         ext = [p for p in rep.pairs if p.informational]
         claims = [
             _claim(f"asym-{s}-level-pairs-through-block", rep.passed),
@@ -265,12 +264,8 @@ def _cmd_anova(args):
 
 
 def _cmd_catalog(args):
-    from .constructions import _potb2, _potb3, _potp, asym_report, construct_asym, seed_plans
+    from .constructions import _asym, _potb2, _potb3, _potp, seed_plans
     from .optimality import _ledger
-
-    def asym(s):
-        plan = construct_asym(s)
-        return plan, asym_report(plan)
 
     plans = {}
     reports = {}
@@ -289,8 +284,8 @@ def _cmd_catalog(args):
         ("potp_3_8", lambda: _potp(4, 3), None),
         ("potb_2_14", lambda: _potb2(2), 8),
         ("potb_3_15", _potb3, 27),
-        ("asym_3", lambda: asym(3), None),
-        ("asym_7", lambda: asym(7), None),
+        ("asym_3", lambda: _asym(3), None),
+        ("asym_7", lambda: _asym(7), None),
     ]
     for name, build, scalar in built:
         plan, rep = build()

@@ -2,9 +2,10 @@
 expansion for plans orthogonal through a factor pair, and the
 block-multiplying product of a plan with a zero-row orthogonal array.
 
-Every constructed family is re-verified by the exact checkers before it
-is returned; nothing below relies on a claimed property that is not
-recomputed on the concrete output.
+Every built family's private ``_family(...)`` re-verifies its output
+with the exact checkers and returns (plan, report); the public
+``construct_family(...)`` is ``_family(...)[0]``.  Nothing below relies on
+a claimed property that is not recomputed on the concrete output.
 """
 
 from __future__ import annotations
@@ -340,25 +341,21 @@ def _potb2(h):
     return plan, _verify_potb(plan, f"potb2 h={h}", 7 * h, (5,) * (2 * h), 4 * h)
 
 
-def construct_potb3(n_translates=9):
+def construct_potb3():
     """Plan for 15 three-level factors in 27 blocks (sizes 4,4,2 repeated),
     orthogonal through the block factor, contrast C-matrix 3 * 9 * I.
 
     Uses the nine-column strength-2 array over GF(3) extended by a zero
-    row (five rows total); other translate counts are not built in.
+    row (five rows total), so the seed is translated nine times.
     """
-    return _potb3(n_translates)[0]
+    return _potb3()[0]
 
 
-def _potb3(n_translates=9):
-    """``construct_potb3(n_translates)`` and its verified ``is_potb`` report,
-    as (plan, report)."""
-    if n_translates != 9:
-        raise UnsupportedOrder("only the nine-translate three-level family is built in")
+def _potb3():
+    """``construct_potb3()`` and its verified ``is_potb`` report, as (plan, report)."""
     q = q_extend(oa_rao_hamming(field_new(3)))
     plan = diamond(q, seed_potb_33(), field_new(3), name="potb_3_15")
-    return plan, _verify_potb(plan, f"potb3 translates={n_translates}", 15, (4, 4, 2) * 9,
-                              3 * n_translates)
+    return plan, _verify_potb(plan, "potb3", 15, (4, 4, 2) * 9, 27)
 
 
 def _verify_potb(plan, what, m, block_sizes, scalar):
@@ -386,8 +383,14 @@ def construct_asym(s):
     block factor; against the extended factor the proportional frequency
     condition holds instead (the strict blocked identity fails, which the
     pair report of the checkers makes visible).  Both level-by-block
-    incidence matrices are balanced incomplete block designs.
+    incidence matrices are balanced incomplete block designs.  Like
+    ``construct_potb2``, it pays for the ``asym_report`` that verifies it.
     """
+    return _asym(s)[0]
+
+
+def _asym(s):
+    """``construct_asym(s)`` and its verified ``asym_report``, as (plan, report)."""
     field = field_new(s)
     sq = square_classes(field)       # raises EvenCharacteristic for 2^k
     if s % 4 == 1:
@@ -416,7 +419,9 @@ def construct_asym(s):
                 runs=tuple(blocks[0] + blocks[1]), block_sizes=(t + 1, t + 1))
     plan = orbit(base, field, name=f"asym_{s}")
     _verify_asym(plan, field, sq, t)
-    return plan
+    report = asym_report(plan)
+    require(report.passed, f"asym s={s}: s-level pairs orthogonal through block")
+    return plan, report
 
 
 def asym_report(plan):
@@ -439,15 +444,10 @@ def _verify_asym(plan, field, sq, t):
     what = f"asym s={s}"
     n_of = _incidences(plan, (BLOCK,) + plan.factor_names)
 
-    # within the s-level factors: incidence I + J, blocked identity holds
+    # within the s-level factors: incidence I + J; L L' = (t+1) N is the report's pass
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            n_ab = n_of(a, b)
-            require((n_ab == eye + jay).all(), f"{what}: N({a},{b}) = I + J")
-            la = n_of(a, BLOCK)
-            lb = n_of(b, BLOCK)
-            require((la @ lb.T == (t + 1) * n_ab).all(),
-                    f"{what}: L({a}) L({b})' = {t + 1} N({a},{b})")
+            require((n_of(a, b) == eye + jay).all(), f"{what}: N({a},{b}) = I + J")
 
     # against the extended factor: flat incidence
     for a in names:
@@ -456,7 +456,7 @@ def _verify_asym(plan, field, sq, t):
     # level-by-block structure: each s-level factor sees, per translate u,
     # the set (C0 + u) u {u} in the even blocks and (C1 + u) u {u} in the
     # odd ones; with m(p, q) = [q - p in C0] the two halves are M' + I and
-    # J - M'
+    # J - M', so every s-level factor has one L and one BIBD check covers all
     m_mat = np.array([[int(field.sub(q, p) in sq.c0) for q in range(s)]
                       for p in range(s)], dtype=object)
     half0 = m_mat.T + eye
@@ -465,6 +465,6 @@ def _verify_asym(plan, field, sq, t):
         la = n_of(a, BLOCK)
         require((la[:, 0::2] == half0).all() and (la[:, 1::2] == half1).all(),
                 f"{what}: L({a}) = M' + I on even blocks, J - M' on odd ones")
-    for a, v, r, lam in [(a, s, s + 1, t + 1) for a in names] + [("inf", s + 1, s, t)]:
+    for a, v, r, lam in [(names[0], s, s + 1, t + 1), ("inf", s + 1, s, t)]:
         require(bibd_check(n_of(a, BLOCK), v=v, b=2 * s, r=r, k=t + 1, lam=lam),
                 f"{what}: L({a}) is a BIBD(v={v}, b={2 * s}, r={r}, k={t + 1}, lambda={lam})")

@@ -48,9 +48,12 @@ MAX_GRAM_SIZE = 8_384
 
 def _ints(values, what):
     """``values`` as a tuple of Python ints.  Python and numpy integers
-    pass (``operator.index``); a float or anything else is refused rather
-    than truncated."""
+    pass (``operator.index``); a bool, a float or anything else is refused
+    rather than truncated."""
+    values = tuple(values)
     try:
+        if bool in map(type, values):
+            raise TypeError("a bool is not an integer")
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise NotAnInteger(f"{what}: {exc}") from exc

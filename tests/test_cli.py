@@ -1,10 +1,12 @@
 """Command-line interface: verbs, exit codes, determinism, file outputs."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +138,20 @@ def test_construct_qarray(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["zero_row"] is True and doc["rows"] == 5 and doc["columns"] == 9
+
+
+@pytest.mark.parametrize("op,argv", [
+    ("catalog", ["catalog"]),
+    ("construct-asym-s11", ["construct", "--family", "asym", "--s", "11"]),
+    ("construct-potb2-h4", ["construct", "--family", "potb2", "--h", "4"]),
+])
+def test_stdout_matches_the_benchmark_reference_digest(capsys, op, argv):
+    """The byte-identity gate of the benchmark, in process: each verb's
+    stdout has the sha256 recorded in ``bench/reference.json``."""
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["digests"][op]
 
 
 def test_construct_asym(capsys):
@@ -331,12 +347,13 @@ def test_catalog_contrast_scalar_claim_checks_the_value(capsys, tmp_path, monkey
     (["catalog"], 16, 9),
     (["construct", "--family", "potb2", "--h", "4"], 2, 1),
     (["construct", "--family", "potp", "--h", "4", "--s", "3"], 1, 1),
-], ids=["catalog", "potb2", "potp"])
+    (["construct", "--family", "asym", "--s", "7"], 2, 1),
+], ids=["catalog", "potb2", "potp", "asym"])
 def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, decompositions):
     """``is_potb`` makes two ``pair_checks`` calls and ``is_potp`` one.  A
     built plan is checked by its builder only, whose report is printed;
-    seeds and the asym family are checked by the verb.  Each contrast
-    C-matrix is decomposed once, for its report and its ledger together."""
+    seeds are checked by the verb.  Each contrast C-matrix is decomposed
+    once, for its report and its ledger together."""
     pairs = record_calls(orthogonality, "pair_checks")
     eigh = record_calls(ratmat, "checked_eigenvalues")
     code, _, _ = run(capsys, *argv)

@@ -1,6 +1,8 @@
 """Seed plans, translation orbits, the signed-seed expansion, the
 block-multiplying product, and the asymmetric family."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,15 +23,15 @@ from orthoplan import (
     translate,
     validate_signed_seed,
 )
-from orthoplan import orthogonality, plan as plan_module
+from orthoplan import constructions, orthogonality, plan as plan_module
 from orthoplan.constructions import (
+    _asym,
     _potb2,
     _potb3,
     _potp,
     asym_report,
     construct_asym,
     construct_potb2,
-    construct_potb3,
     construct_potp,
     _signed_seed,
 )
@@ -239,25 +241,48 @@ def test_potb2_families(potb2_14, potb2_28):
     (lambda: _potb2(4), is_potb),
     (_potb3, is_potb),
     (lambda: _potp(4, 3), lambda plan: is_potp(plan, ("A1", "A2"))),
-], ids=["potb2-h2", "potb2-h4", "potb3", "potp-4-3"])
+    (lambda: _asym(7), asym_report),
+], ids=["potb2-h2", "potb2-h4", "potb3", "potp-4-3", "asym-7"])
 def test_builder_report_is_a_fresh_check(build, check):
     plan, report = build()
     assert report.to_json() == check(plan).to_json()
     assert report.passed
 
 
-@pytest.mark.parametrize("build,grams", [(lambda: construct_asym(7), 1),
-                                         (lambda: construct_potp(4, 3), 3)],
-                         ids=["asym-7", "potp-4-3"])
-def test_incidence_self_checks_count_once(record_calls, build, grams):
+@pytest.mark.parametrize("build,heads", [
+    (lambda: construct_asym(7), [("block",), ("block",), ("G",)]),
+    (lambda: construct_potp(4, 3), [()] * 3),
+], ids=["asym-7", "potp-4-3"])
+def test_incidence_self_checks_count_once(record_calls, build, heads):
     """Every incidence the asym and potp self-checks compare is a slice of
     one gram matrix (``incidence`` and ``block_incidence`` count one gram
-    each); the potp self-check's report counts two more, for its pairs and
-    for its contrast C-matrix."""
+    each).  Each builder's report counts two more: the asym report's for
+    its pairs through the block and through G, the potp report's for its
+    pairs and for its contrast C-matrix."""
     calls = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
     plan = build()
-    counted = plan.factor_names if plan.name.startswith("potp") else ("block",) + plan.factor_names
-    assert [idents for _, idents in calls] == [counted] * grams
+    assert [idents for _, idents in calls] == [head + plan.factor_names for head in heads]
+
+
+def test_asym_checks_its_one_level_by_block_matrix_once(record_calls):
+    """The halves check pins one L for every s-level factor, so the asym
+    self-check makes one BIBD check for them and one for the extended factor."""
+    calls = record_calls(constructions, "bibd_check")
+    construct_asym(7)
+    assert len(calls) == 2
+
+
+def test_asym_requires_the_report_it_hands_over(monkeypatch):
+    """A report with a failing s-level pair fails the asym builder."""
+    real = constructions.is_potb
+
+    def failing_level_pair(plan):
+        rep = real(plan)
+        return replace(rep, pairs=(replace(rep.pairs[0], passed=False),) + rep.pairs[1:])
+
+    monkeypatch.setattr(constructions, "is_potb", failing_level_pair)
+    with pytest.raises(VerificationFailed, match="asym s=7: s-level pairs orthogonal"):
+        construct_asym(7)
 
 
 def test_potb2_bad_order():
@@ -268,11 +293,6 @@ def test_potb2_bad_order():
 def test_potb3_family(potb3_15):
     assert (potb3_15.n, potb3_15.m, potb3_15.b) == (90, 15, 27)
     assert potb3_15.block_sizes == (4, 4, 2) * 9
-
-
-def test_potb3_only_nine_translates():
-    with pytest.raises(UnsupportedOrder):
-        construct_potb3(5)
 
 
 # ---------------------------------------------------------------------------

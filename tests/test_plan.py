@@ -81,6 +81,16 @@ def test_non_integer_runs_and_block_sizes_are_refused_not_truncated():
     assert {type(x) for x in (*p.runs[0], *p.block_sizes)} == {int}
 
 
+def test_bool_symbols_levels_and_block_sizes_are_refused():
+    """``plan_from_json`` refuses a bool, and so does the data model."""
+    with pytest.raises(NotAnInteger, match="run 0"):
+        Plan("p", (Factor("A", 2),), ((True,), (False,)))
+    with pytest.raises(NotAnInteger, match="factor A levels"):
+        Factor("A", True)
+    with pytest.raises(NotAnInteger, match="block sizes"):
+        Plan("p", (Factor("A", 2),), ((1,), (0,)), block_sizes=(True, True))
+
+
 def test_block_size_validation():
     with pytest.raises(BlockSizeMismatch):
         Plan("p", (Factor("A", 2),), ((0,), (1,)), block_sizes=(1,))
