@@ -7,11 +7,15 @@ O_A O_A' = I.  Row j of the un-normalized (integer) system is
     (1, ..., 1, -j, 0, ..., 0)        (j ones, squared norm j(j+1))
 
 so every orthonormal entry is an integer divided by sqrt(j(j+1)).  A
-congruence O M O' therefore has entries  raw[i,j] / sqrt(d_i d_j)  with
-raw exactly rational; ``ContrastMatrix`` carries (raw, d) so that
-zero / identity / rational-equality checks stay exact, and converts to
-floating point only for eigenvalues and irrational entries.  It forms the
-float matrix and its spectrum once, on first use, and keeps them.
+congruence O M O' therefore has entries  num[i,j] / (d sqrt(n_i n_j)),
+num an integer matrix over one denominator d > 0 (the integer pair of
+``ratmat``) and n_i the squared row norms.  ``ContrastMatrix`` carries
+(num, d) and the norms, so zero / identity / rational-equality checks and
+the printed rational entries stay on integers; it makes Fractions only on
+request (``raw``, ``entry_exact``) and converts to floating point, num / d
+entry by entry (correctly rounded), only for eigenvalues and irrational
+entries.  It forms the float matrix and its spectrum once, on first use,
+and keeps them.
 
 Note on scaling: some authors use contrast rows of squared norm 2 (for
 two levels, the row (1, -1)).  Every C-matrix produced under that
@@ -20,10 +24,10 @@ convention is exactly twice the orthonormal one reported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -61,38 +65,59 @@ def orthonormal_contrasts(s):
 @dataclass(frozen=True, eq=False)
 class ContrastMatrix:
     """A matrix O M O' over a stacked orthonormal Helmert basis, stored as
-    the exact rational congruence ``raw`` plus squared row norms.  An
-    instance is immutable: ``raw`` is not written after construction, so
-    its float form and spectrum, formed on first use, stay valid."""
+    the integer congruence ``num`` over one denominator ``d`` plus squared
+    row norms.  An instance is immutable: ``num`` is not written after
+    construction, so its float form and spectrum, formed on first use,
+    stay valid."""
 
-    raw: np.ndarray          # v x v Fractions, raw[i,j] = u_i' M u_j
-    norms: tuple             # squared norms d_i of the integer rows
+    num: np.ndarray          # v x v Python ints, num[i,j] / d = u_i' M u_j
+    d: int                   # positive common denominator
+    norms: tuple             # squared norms n_i of the integer rows
     labels: tuple            # human-readable contrast row labels
 
     def __post_init__(self):
         v = len(self.norms)
-        if self.raw.shape != (v, v) or len(self.labels) != v:
-            raise ShapeMismatch("raw / norms / labels sizes disagree")
+        if self.num.shape != (v, v) or len(self.labels) != v:
+            raise ShapeMismatch("num / norms / labels sizes disagree")
+
+    @classmethod
+    def from_rational(cls, raw, norms, labels):
+        """The matrix whose exact congruence u_i' M u_j is the rational matrix ``raw``."""
+        raw = np.asarray(raw, dtype=object)
+        rows, d = ratmat._scaled_ints(raw)
+        return cls(ratmat._object(rows, raw.shape[1]), d, tuple(norms), tuple(labels))
+
+    @property
+    def raw(self):
+        """The exact congruence u_i' M u_j as Fractions, formed on each call."""
+        return ratmat._over(self.num, self.d)
 
     @property
     def dim(self):
         return len(self.norms)
 
+    def _exact(self, i, j):
+        """The (i, j) entry as a reduced pair (p, q), q > 0, or None when it is irrational."""
+        x = self.num[i, j]
+        if not x:
+            return 0, 1
+        nn = self.norms[i] * self.norms[j]
+        r = isqrt(nn)
+        if r * r != nn:
+            return None
+        g = gcd(x, self.d * r)
+        return x // g, self.d * r // g
+
     def entry_exact(self, i, j):
         """The (i, j) entry as a Fraction, or None when it is irrational."""
-        if self.raw[i, j] == 0:
-            return Fraction(0)
-        d = self.norms[i] * self.norms[j]
-        r = isqrt(d)
-        if r * r != d:
-            return None
-        return Fraction(self.raw[i, j], r)
+        e = self._exact(i, j)
+        return None if e is None else Fraction(*e)
 
     @cached_property
     def _float(self):
         """The symmetrized float matrix, formed once per instance."""
         scale = 1.0 / np.sqrt(np.array(self.norms, dtype=np.float64))
-        f = ratmat.to_float(self.raw) * scale[:, None] * scale[None, :]
+        f = (self.num / self.d).astype(np.float64) * scale[:, None] * scale[None, :]
         return (f + f.T) / 2.0
 
     @cached_property
@@ -105,24 +130,20 @@ class ContrastMatrix:
 
     def scalar_identity(self):
         """(True, a) when the matrix is exactly a * I, else (False, None)."""
-        v = self.dim
-        diag = [Fraction(self.raw[i, i], self.norms[i]) for i in range(v)]
-        off_zero = all(self.raw[i, j] == 0 for i in range(v) for j in range(v) if i != j)
-        if off_zero and len(set(diag)) == 1:
-            return True, diag[0]
+        diag = self.num.diagonal()      # entry i is diag[i] / (d n_i)
+        if (self.dim and np.count_nonzero(self.num) == np.count_nonzero(diag)
+                and all(x * self.norms[0] == diag[0] * n for x, n in zip(diag, self.norms))):
+            return True, Fraction(diag[0], self.d * self.norms[0])
         return False, None
 
     def equals_rational(self, expected):
         """Exact comparison against a rational matrix."""
         expected = ratmat.rational(expected)
-        if expected.shape != self.raw.shape:
+        if expected.shape != self.num.shape:
             return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                e = self.entry_exact(i, j)
-                if e is None or e != Fraction(expected[i, j]):
-                    return False
-        return True
+        pairs = (self._exact(i, j) for i, j in np.ndindex(expected.shape))
+        return all(e is not None and e[0] * x.denominator == x.numerator * e[1]
+                   for e, x in zip(pairs, expected.flat))
 
     def eigenvalues(self, tol=_EIGEN_TOL):
         """Ascending eigenvalues (floating point), residual-checked by
@@ -134,17 +155,17 @@ class ContrastMatrix:
     def scaled(self, factor):
         """The same matrix multiplied by an exact rational factor."""
         factor = Fraction(factor)
-        raw = self.raw * factor
-        return ContrastMatrix(raw=ratmat.rational(raw), norms=self.norms, labels=self.labels)
+        return replace(self, num=self.num * factor.numerator, d=self.d * factor.denominator)
 
     def entries_json(self):
-        """Entries as strings: exact 'p/q' when rational, decimal otherwise."""
+        """Entries as strings: exact 'p/q' when rational (the text of
+        ``str(Fraction)``, from the reduced pair), decimal otherwise."""
         out = []
-        f = self._float
         for i in range(self.dim):
             row = []
             for j in range(self.dim):
-                e = self.entry_exact(i, j)
-                row.append(str(e) if e is not None else repr(float(f[i, j])))
+                e = self._exact(i, j)
+                row.append(repr(float(self._float[i, j])) if e is None
+                           else str(e[0]) if e[1] == 1 else f"{e[0]}/{e[1]}")
             out.append(row)
         return out

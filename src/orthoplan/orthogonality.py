@@ -21,7 +21,8 @@ classical special cases are such slices:
 * T = {block}: the defining condition of a plan orthogonal through the
   block factor, N_AB = L_A D_k^{-1} L_B', whose stacked matrix over all
   factors also gives the contrast C-matrix and, as Schur complements
-  read by one recursive split, every factor's fully adjusted information.
+  taken along its factor coupling graph, every factor's fully adjusted
+  information.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from . import ratmat
-from .contrasts import ContrastMatrix, helmert_norms, helmert_raw
+from .contrasts import ContrastMatrix, helmert_norms
 from .errors import NoBlocks, OverlappingSets
 from .plan import BLOCK, GENERAL, _as_tuple, gram, levels_of
 
@@ -68,24 +69,25 @@ def _incidences(plan, idents):
     return lambda u, v: g[cols[u], cols[v]]
 
 
+def _pick(cols, group):
+    """The stacked column indices of the identifiers ``group``."""
+    return np.array([i for u in group for i in range(cols[u].start, cols[u].stop)],
+                    dtype=np.intp)
+
+
 def _information(plan, a, b, through, reverse=False):
     """X_A' (I - P_T) X_B = num / d as the pair (num, d) of ``ratmat.schur_complement``.
 
     Computed as N_AB - N_AT Z from one gram matrix over T, A and B and one
-    fraction-free solve of X_T'X_T Z = N_TB with every B column at once;
+    exact solve of X_T'X_T Z = N_TB with every B column at once, with no
+    elimination when T is one identifier (X_T'X_T is then diagonal);
     N_AT Z does not depend on the solution choice (``reverse`` flips the
-    elimination order, which the invariance tests exploit).
-    """
+    elimination order, which the invariance tests exploit)."""
     a, b, through = _as_tuple(a), _as_tuple(b), _as_tuple(through)
     idents = tuple(dict.fromkeys(through + a + b))
     g = gram(plan, idents)
     cols = _columns(plan, idents)
-
-    def pick(group):
-        return np.array([i for u in group for i in range(cols[u].start, cols[u].stop)],
-                        dtype=np.intp)
-
-    ta, ia, ib = pick(through), pick(a), pick(b)
+    ta, ia, ib = _pick(cols, through), _pick(cols, a), _pick(cols, b)
     return ratmat.schur_complement(g[np.ix_(ia, ib)], g[np.ix_(ia, ta)],
                                    g[np.ix_(ta, ta)], g[np.ix_(ta, ib)], reverse=reverse)
 
@@ -219,12 +221,17 @@ def is_potp(plan, through):
                       c_matrix=contrast_c_matrix(plan))
 
 
+def _helmert(x):
+    """helmert_raw(s) @ x for the s rows of x, by prefix sums."""
+    return np.cumsum(x, axis=0)[:-1] - np.arange(1, len(x), dtype=object)[:, None] * x[1:]
+
+
 def _contrast(plan, info):
     """The contrast C-matrix H M H' of the stacked information M = num / d,
-    ``info`` = (num, d), over all factors, H the block-diagonal Helmert rows."""
+    ``info`` = (num, d), over all factors, H the block-diagonal Helmert rows:
+    the integer congruence H num H' over the same d."""
     names = plan.factor_names
     num, d = info
-    raws = {f: helmert_raw(plan.factor(f).levels) for f in names}
     norms = []
     labels = []
     for f in names:
@@ -232,9 +239,9 @@ def _contrast(plan, info):
         norms.extend(helmert_norms(s))
         labels.extend([f"{f}[{j}]" for j in range(1, s)])
     cols = _columns(plan, names)
-    rows = np.vstack([raws[f] @ num[cols[f], :] for f in names])
-    raw = np.hstack([rows[:, cols[f]] @ raws[f].T for f in names])
-    return ContrastMatrix(raw=ratmat._over(raw, d), norms=tuple(norms), labels=tuple(labels))
+    rows = np.vstack([_helmert(num[cols[f], :]) for f in names])
+    con = np.hstack([_helmert(rows[:, cols[f]].T).T for f in names])
+    return ContrastMatrix(num=con, d=d, norms=tuple(norms), labels=tuple(labels))
 
 
 def contrast_c_matrix(plan):
@@ -253,31 +260,62 @@ def _factor_information(plan):
     return _information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
 
 
+def _reduced(num, d):
+    """The canonical pair of num / d for d > 0: gcd(d, *num) = 1."""
+    g = gcd(d, *num.flat)
+    return num // g, d // g
+
+
 def _fully_adjusted(plan, info, names=None):
     """{A: C_A} over ``names`` (all factors by default), each fully adjusted
     information C_A a reduced pair (num, d), from ``info`` = M over ``names``
     as (num, d), ``_factor_information(plan)`` for all factors.  C_A is the
     Schur complement of M over the other factors, and Schur complements
     compose (Crabtree & Haynsworth 1969; for positive semidefinite M,
-    Carlson, Haynsworth & Markham 1974): eliminate one half of the factors
-    and recurse into the other; halves that M does not couple need no solve."""
+    Carlson, Haynsworth & Markham 1974), so factors are eliminated in the
+    order of the coupling graph G_M, which joins two factors when M's block
+    between them is nonzero (George & Liu 1981).  C_A depends only on A's
+    connected component.  A star with hub h (a lone factor is one with no
+    leaf) is solved leaf by leaf: with term_i = M_hi M_ii^- M_ih and
+    S = M_hh - sum_i term_i, C_h = S and C_j = M_jj - M_jh (S + term_j)^- M_hj.
+    Any other component is split: eliminate one half, recurse into the other."""
     names = plan.factor_names if names is None else names
-    if len(names) < 2:
-        return dict.fromkeys(names, info)
     num, d = info
-    half = len(names) // 2
-    cut = sum(levels_of(plan, u) for u in names[:half])
-    lo, hi = slice(None, cut), slice(cut, None)
-    coupled = not ratmat.is_zero(num[lo, hi])   # M is symmetric
+    cols = _columns(plan, names)
+    nbrs = {a: {b for b in names if b != a and not ratmat.is_zero(num[cols[a], cols[b]])}
+            for a in names}
     out = {}
-    for part, keep, drop in ((names[:half], lo, hi), (names[half:], hi, lo)):
-        c_num, c_d = num[keep, keep], 1
-        if coupled:
-            c_num, c_d = ratmat.schur_complement(c_num, num[keep, drop], num[drop, drop],
-                                                 num[drop, keep])
-        g = gcd(c_d * d, *c_num.flat)
-        out.update(_fully_adjusted(plan, (c_num // g, c_d * d // g), part))
-    return out
+    for a in names:
+        if a in out:
+            continue
+        comp, grow = {a}, [a]
+        while grow:
+            new = nbrs[grow.pop()] - comp
+            comp |= new
+            grow.extend(new)
+        part = [u for u in names if u in comp]
+        hub = next((h for h in part if all(nbrs[i] == {h} for i in part if i != h)), None)
+        if hub is None:
+            half = len(part) // 2
+            for keep, drop in ((part[:half], part[half:]), (part[half:], part[:half])):
+                k, r = _pick(cols, keep), _pick(cols, drop)
+                c_num, c_d = ratmat.schur_complement(num[np.ix_(k, k)], num[np.ix_(k, r)],
+                                                     num[np.ix_(r, r)], num[np.ix_(r, k)])
+                out.update(_fully_adjusted(plan, _reduced(c_num, c_d * d), keep))
+            continue
+        h, leaves = cols[hub], [(i, cols[i]) for i in part if i != hub]
+        # each -term_i reduced on its own, then over the lcm of their denominators
+        negs = [ratmat.schur_complement(0 * num[h, h], num[h, c], num[c, c], num[c, h])
+                for _, c in leaves]
+        den = lcm(*(t_d for _, t_d in negs))
+        negs = [t_num * (den // t_d) for t_num, t_d in negs]
+        s_num = den * num[h, h] + sum(negs)          # S = s_num / den
+        out[hub] = _reduced(s_num, den * d)
+        for (j, c), t_num in zip(leaves, negs):
+            c_num, c_d = ratmat.schur_complement(num[c, c], num[c, h], s_num - t_num,
+                                                 den * num[h, c])
+            out[j] = _reduced(c_num, c_d * d)
+    return {a: out[a] for a in names}
 
 
 def c_matrix_factor(plan, a, adjust_for=None):

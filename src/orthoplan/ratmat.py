@@ -3,7 +3,8 @@
 Inside the package an exact matrix is an integer numpy object array
 ``num`` together with one positive int ``d``, standing for num / d.  Rank,
 inverse, g-inverse, the consistent solve and the Schur complement all run
-on one fraction-free (Bareiss) elimination over Python ints and verify
+on one fraction-free (Bareiss) elimination over Python ints, which a
+square diagonal system skips (d is the lcm of its diagonal), and verify
 their results over ints with checks that ``python -O`` keeps.  ``Fraction``
 input is accepted only at the public edge, where rank, inverse, g-inverse
 and the solve scale it to ints once; ``Fraction`` entries are made once, by
@@ -180,17 +181,26 @@ def _solve_scaled(m, rhs, reverse=False):
     """Z = Z_int / d with M Z = RHS, for integer object matrices M and RHS,
     as (Z_int, d): Z_int an object matrix of Python ints, d a nonzero int,
     and M Z_int = d RHS verified over ints.  Mismatched row counts raise
-    ValueError (from ``np.hstack``)."""
+    ValueError (from ``np.hstack``).  A square, non-empty, diagonal M needs
+    no elimination: d is the lcm of its nonzero diagonal entries and
+    Z_int[i] = (d / m_ii) RHS[i]; a zero m_ii needs RHS[i] = 0 (Z_int[i] = 0)."""
     ncol, t = m.shape[1], rhs.shape[1]
-    rows, pivots, d = _eliminate(np.hstack([m, rhs]).tolist(), ncol, reverse=reverse)
-    used = {pr for pr, _ in pivots}
-    for r, row in enumerate(rows):
-        if r in used:
-            continue
-        require(not any(row[:ncol]), "free rows of the elimination are zero")
-        if any(row[ncol:]):
+    diag = m.diagonal()
+    if 0 < ncol == m.shape[0] == rhs.shape[0] and np.count_nonzero(m) == np.count_nonzero(diag):
+        if any(rhs[i].any() for i in np.flatnonzero(diag == 0)):
             raise ArithmeticError("system is inconsistent")
-    z = _object(_back_substitute(rows, pivots, d, ncol, t), t)
+        d = lcm(*(x for x in diag if x))
+        z = np.array([d // x if x else 0 for x in diag], dtype=object)[:, None] * rhs
+    else:
+        rows, pivots, d = _eliminate(np.hstack([m, rhs]).tolist(), ncol, reverse=reverse)
+        used = {pr for pr, _ in pivots}
+        for r, row in enumerate(rows):
+            if r in used:
+                continue
+            require(not any(row[:ncol]), "free rows of the elimination are zero")
+            if any(row[ncol:]):
+                raise ArithmeticError("system is inconsistent")
+        z = _object(_back_substitute(rows, pivots, d, ncol, t), t)
     require((m @ z == d * rhs).all(), "M Z = d RHS")
     return z, d
 

@@ -4,10 +4,14 @@ The dense projectors build n x n matrices explicitly, which the package
 never does, and serve only as independent references for its small-matrix
 identities.  The per-call adjusted sum of squares redoes all of its
 response-free algebra for every response, as the package did before it
-built that algebra once per (target, adjusting set).
+built that algebra once per (target, adjusting set).  The one-stage Schur
+complement eliminates everything else at once over Fractions, and the
+contrast oracle reads a C-matrix off its Fraction congruence entry by
+entry, as ``ContrastMatrix`` did before it kept an integer pair.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -98,3 +102,33 @@ class PerCallForm:
     def ss(self, y, s):
         ys = [Fraction(v, s) for v in y.flat]
         return ss_adjusted_per_call(self.plan, ys, self.target, self.adjust_for).value
+
+
+def one_stage_schur(m, keep, drop):
+    """M_kk - M_kd M_dd^- M_dk over Fractions, for index lists ``keep`` and ``drop``."""
+    m = ratmat.rational(m)
+    k, d = np.ix_(keep, keep), np.ix_(drop, drop)
+    if not drop:
+        return m[k]
+    return m[k] - m[np.ix_(keep, drop)] @ ratmat.g_inverse(m[d]) @ m[np.ix_(drop, keep)]
+
+
+def contrast_oracle(raw, norms, tol=1e-9):
+    """(entries_json, eigenvalues, scalar_identity) of the contrast matrix
+    with entries raw[i,j] / sqrt(n_i n_j), from the Fraction matrix ``raw``."""
+    v = len(norms)
+    scale = 1.0 / np.sqrt(np.array(norms, dtype=np.float64))
+    f = ratmat.to_float(raw) * scale[:, None] * scale[None, :]
+    f = (f + f.T) / 2.0
+    entries = []
+    for i in range(v):
+        row = []
+        for j in range(v):
+            nn = norms[i] * norms[j]
+            exact = raw[i, j] == 0 or isqrt(nn) ** 2 == nn
+            row.append(str(Fraction(raw[i, j], isqrt(nn))) if exact else repr(float(f[i, j])))
+        entries.append(row)
+    diag = [Fraction(raw[i, i], norms[i]) for i in range(v)]
+    off_zero = all(raw[i, j] == 0 for i in range(v) for j in range(v) if i != j)
+    identity = (True, diag[0]) if off_zero and len(set(diag)) == 1 else (False, None)
+    return entries, ratmat.checked_eigenvalues(f, tol), identity

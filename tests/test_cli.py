@@ -13,8 +13,9 @@ import pytest
 from orthoplan import cli, constructions, orthogonality, ratmat
 from orthoplan.cli import main
 from orthoplan.errors import VerificationFailed
+from orthoplan import plan as plan_module
 from orthoplan.plan import plan_dumps
-from orthoplan import Factor, Plan, seed_plans
+from orthoplan import Factor, Plan, construct_potp, seed_plans
 
 
 def run(capsys, *argv):
@@ -152,6 +153,29 @@ def test_stdout_matches_the_benchmark_reference_digest(capsys, op, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == reference["digests"][op]
+
+
+PINNED = {   # sha256 of stdout, recorded before the exact layers followed their structure
+    "asym-19": "2863babc831e68924e892b162f9784a12542d56e6aa90531ba10507dde89e255",
+    "ico-2-6": "e26d4043d6b4984e716e31bef8f8593ab426b2b000a6c6b3d936883cf031fc4f",
+    "potp-h8-s7": "83e28cf316e1ce122ad4ec86b7cc23b1372de549b1b8485e879f5b8f79a53749",
+}
+
+
+@pytest.mark.parametrize("op", sorted(PINNED))
+def test_stdout_beyond_the_benchmark_digests_is_pinned(capsys, tmp_path, op):
+    """Outputs the benchmark does not pin: irrational C-matrix entries
+    (asym 19), coupling components that are not stars (ico_2_6) and pairs
+    through a factor pair on the unrelabelled potp h=8 s=7 plan."""
+    argv = {
+        "asym-19": ["construct", "--family", "asym", "--s", "19"],
+        "ico-2-6": ["construct", "--family", "seed", "--name", "ico_2_6"],
+        "potp-h8-s7": ["verify", "--check", "potp", "--through", "A1,A2",
+                       "--plan", write_plan(tmp_path, construct_potp(8, 7))],
+    }[op]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[op]
 
 
 def test_construct_asym(capsys):
@@ -359,6 +383,29 @@ def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, dec
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert (len(pairs), len(eigh)) == (checks, decompositions)
+
+
+@pytest.mark.parametrize("argv,most_solves,widest,grams", [
+    (["catalog"], 20, None, 28),
+    (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3),
+    (["construct", "--family", "asym", "--s", "7"], None, None, 4),
+    (["construct", "--family", "asym", "--s", "11"], None, 12, 4),
+], ids=["catalog", "potb2", "asym-7", "asym-11"])
+def test_exact_layers_follow_the_structure_of_their_matrices(capsys, record_calls, argv,
+                                                             most_solves, widest, grams):
+    """Deterministic work counts of whole verbs.  A diagonal X_T'X_T (T the
+    blocks or G) is solved without elimination, so the potb2 report and
+    ledger eliminate nothing; the asym ledger solves its star leaf by leaf,
+    each system at most as wide as the s + 1 levels of ``inf``; the gram
+    matrices counted stay as they were."""
+    solves = record_calls(ratmat, "_eliminate")
+    counted = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(counted) == grams
+    if most_solves is not None:
+        assert len(solves) <= most_solves
+    if widest is not None:
+        assert max((ncol for _, ncol, *_ in solves), default=0) <= widest
 
 
 def test_failed_self_check_exits_one(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orthoplan import ContrastMatrix, helmert_raw, orthonormal_contrasts, ratmat, rational
+from orthoplan import (ContrastMatrix, helmert_raw, is_potb, orthonormal_contrasts, ratmat,
+                       rational)
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import ShapeMismatch
 
@@ -38,8 +39,8 @@ def scalar_cm(value, s=3):
     """ContrastMatrix of value * I built from a congruence with X = v I."""
     raw = helmert_raw(s)
     m = rational(np.diag([Fraction(value)] * s))
-    return ContrastMatrix(raw=raw @ m @ raw.T, norms=helmert_norms(s),
-                          labels=tuple(f"A[{j}]" for j in range(1, s)))
+    return ContrastMatrix.from_rational(raw @ m @ raw.T, norms=helmert_norms(s),
+                                        labels=tuple(f"A[{j}]" for j in range(1, s)))
 
 
 def test_scalar_identity():
@@ -62,10 +63,10 @@ def test_entry_exact_and_equals_rational():
 def test_entry_exact_irrational_is_none():
     # congruence with distinct norms: entry 1/sqrt(2*6) is irrational
     raw = rational([[1, 0], [0, 1]])
-    cm = ContrastMatrix(raw=raw, norms=(2, 6), labels=("a", "b"))
+    cm = ContrastMatrix.from_rational(raw, norms=(2, 6), labels=("a", "b"))
     assert cm.entry_exact(0, 1) == 0        # zero stays exact
-    cm2 = ContrastMatrix(raw=rational([[1, 1], [1, 1]]), norms=(2, 6),
-                         labels=("a", "b"))
+    cm2 = ContrastMatrix.from_rational(rational([[1, 1], [1, 1]]), norms=(2, 6),
+                                       labels=("a", "b"))
     assert cm2.entry_exact(0, 1) is None
     assert "0.2886" in cm2.entries_json()[0][1]
 
@@ -82,7 +83,8 @@ def test_one_decomposition_per_instance(record_calls):
     per instance; a copy of the matrix is handed out, and another
     tolerance is checked afresh."""
     calls = record_calls(ratmat, "checked_eigenvalues")
-    cm = ContrastMatrix(raw=rational([[2, 1], [1, 2]]), norms=(2, 2), labels=("a", "b"))
+    cm = ContrastMatrix.from_rational(rational([[2, 1], [1, 2]]), norms=(2, 2),
+                                      labels=("a", "b"))
     cm.as_float()[0, 0] = 99.0
     first = cm.eigenvalues()
     first.append(0.0)
@@ -102,4 +104,12 @@ def test_scaled():
 
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        ContrastMatrix(raw=rational([[1, 0], [0, 1]]), norms=(2,), labels=("a",))
+        ContrastMatrix.from_rational(rational([[1, 0], [0, 1]]), norms=(2,), labels=("a",))
+
+
+def test_potb_report_makes_no_fractions(potb2_28, record_calls):
+    """The report's contrast C-matrix stays an integer pair up to its
+    printed text: no Fraction matrix is formed for a passing report."""
+    calls = record_calls(ratmat, "_over")
+    is_potb(potb2_28).to_json()
+    assert calls == []

@@ -11,6 +11,7 @@ from orthoplan import (
     GENERAL,
     Factor,
     Plan,
+    construct_asym,
     contrast_c_matrix,
     c_matrix_factor,
     is_potb,
@@ -21,6 +22,8 @@ from orthoplan import (
 )
 from orthoplan.errors import NoBlocks, OverlappingSets, UnknownFactor
 from orthoplan.orthogonality import (
+    _factor_information,
+    _fully_adjusted,
     adjusted_information,
     connected_factors,
     gram,
@@ -186,6 +189,21 @@ def test_c_matrix_factor_level_space(potb27):
     assert c.tolist() == [[2, -2], [-2, 2]]
     with pytest.raises(OverlappingSets):
         c_matrix_factor(potb27, "A1", ("A1", GENERAL))
+
+
+@pytest.mark.parametrize("s", [3, 7, 11])
+def test_asym_ledger_matches_the_one_stage_oracle(record_calls, s):
+    """The asym coupling graph is a star with hub ``inf``: every C_A read
+    leaf by leaf equals the one-stage adjustment for all other factors
+    and the blocks, and no solve spans more than one factor."""
+    plan = construct_asym(s)
+    calls = record_calls(ratmat, "_eliminate")
+    adjusted = _fully_adjusted(plan, _factor_information(plan))
+    assert max(ncol for _, ncol, *_ in calls) <= s + 1
+    names = plan.factor_names
+    for a, (c_num, c_d) in adjusted.items():
+        oracle = adjusted_information(plan, a, a, tuple(f for f in names if f != a) + (BLOCK,))
+        assert (c_num == c_d * oracle).all()
 
 
 def test_connected_factors(potb27):

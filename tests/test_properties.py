@@ -16,11 +16,11 @@ from math import gcd, lcm
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import projector, ss_adjusted_per_call
+from oracles import contrast_oracle, one_stage_schur, projector, ss_adjusted_per_call
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, contrast_c_matrix,
-                       helmert_raw, is_potb, is_potp, orth_through, ratmat, ss_adjusted,
-                       universal_ledger)
+                       helmert_raw, is_potb, is_potp, orth_through, orthogonality, ratmat,
+                       ss_adjusted, universal_ledger)
 from orthoplan.optimality import _fit_scalar_plus_j
 from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
                                      adjusted_information, c_matrix_factor, connected_factors,
@@ -133,10 +133,86 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
             fit = _fit_scalar_plus_j(oracles[entry.factor])
             assert (entry.scalar_pass, entry.a, entry.b) == fit
 
+    # the integer contrast C-matrix against its Fraction congruence
     contrast_through = (BLOCK,) if plan.blocked else ()
     h = helmert_rows(plan, names)
-    info = adjusted_information(plan, names, names, contrast_through)
-    assert (contrast_c_matrix(plan).raw == h @ info @ h.T).all()
+    raw = h @ adjusted_information(plan, names, names, contrast_through) @ h.T
+    cm = contrast_c_matrix(plan)
+    assert (cm.raw == raw).all()
+    entries, spectrum, identity = contrast_oracle(raw, cm.norms)
+    assert cm.entries_json() == entries
+    assert cm.eigenvalues() == spectrum
+    assert cm.scalar_identity() == identity
+
+
+# Coupling graphs over factors 0..k-1: (edges, whether C_A needs the split).
+COUPLINGS = {
+    "star": ([(0, 1), (0, 2), (0, 3)], False),
+    "two components": ([(0, 1), (0, 2), (3, 4)], False),
+    "chain": ([(0, 1), (1, 2), (2, 3)], True),
+    "triangle": ([(0, 1), (1, 2), (0, 2)], True),
+}
+
+
+@st.composite
+def coupled_information(draw):
+    """(plan, (num, d), shape): M = num / d with num = A'A for an integer A
+    whose row blocks each touch one factor or one coupled pair, so M's
+    coupling graph is exactly the drawn shape; factors in a drawn order."""
+    shape = draw(st.sampled_from(sorted(COUPLINGS)))
+    edges, _ = COUPLINGS[shape]
+    k = 1 + max(max(e) for e in edges)
+    sizes = draw(st.lists(st.integers(2, 3), min_size=k, max_size=k))
+    order = draw(st.permutations(range(k)))
+    starts = list(accumulate((sizes[f] for f in order), initial=0))
+    cols = {f: range(starts[p], starts[p] + sizes[f]) for p, f in enumerate(order)}
+    rows = []
+    for group in [(f,) for f in range(k)] + edges:
+        for _ in range(draw(st.integers(1, 2))):
+            row = [0] * starts[-1]
+            for f in group:
+                for c in cols[f]:
+                    row[c] = draw(st.integers(-3, 3))
+            rows.append(row)
+    a = np.array(rows, dtype=object)
+    num = a.T @ a
+    for i, j in edges:
+        assume(not ratmat.is_zero(num[np.ix_(cols[i], cols[j])]))
+    plan = Plan("coupled", tuple(Factor(f"F{f}", sizes[f]) for f in order),
+                (tuple(0 for _ in order),))
+    return plan, (num, draw(st.integers(1, 6))), shape
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(coupled_information())
+def test_fully_adjusted_follows_the_coupling_graph(case):
+    """Every C_A against the one-stage Schur complement over Fractions, on
+    PSD matrices coupled as a star, two components, a chain or a triangle;
+    only the last two recurse into the split."""
+    plan, (num, d), shape = case
+    names = plan.factor_names
+    real = orthogonality._fully_adjusted
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    orthogonality._fully_adjusted = recorded
+    try:
+        adjusted = real(plan, (num, d))
+    finally:
+        orthogonality._fully_adjusted = real
+    assert bool(calls) == COUPLINGS[shape][1]
+    starts = list(accumulate((levels_of(plan, u) for u in names), initial=0))
+    span = {u: list(range(lo, hi)) for u, lo, hi in zip(names, starts, starts[1:])}
+    assert list(adjusted) == list(names)
+    for a, (c_num, c_d) in adjusted.items():
+        rest = [i for u in names if u != a for i in span[u]]
+        oracle = one_stage_schur(num, span[a], rest) / d
+        assert c_d > 0 and gcd(c_d, *c_num.flat) == 1
+        assert (c_num == c_d * oracle).all()
 
 
 def assert_residuals_are_blocks(plan, pairs, names, through):

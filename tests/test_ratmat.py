@@ -140,6 +140,37 @@ def test_schur_complement_takes_integer_matrices():
     assert d == 6 and num.tolist() == [[23]]  # 5 - (1 + 1/6)
 
 
+def ints(rows, ncol=None):
+    """An integer object matrix (Python ints), as the package's kernels take."""
+    return np.array(rows, dtype=object).reshape(len(rows), ncol if ncol is not None else -1)
+
+
+def test_diagonal_system_is_solved_without_elimination(record_calls):
+    """Z = D^+ RHS for a diagonal M with a zero diagonal entry and a zero
+    RHS row there, with no call of the elimination."""
+    calls = record_calls(ratmat, "_eliminate")
+    m, rhs = ints([[2, 0, 0], [0, 0, 0], [0, 0, -3]]), ints([[1, 4], [0, 0], [5, -1]])
+    z, d = ratmat._solve_scaled(m, rhs)
+    d_plus = ratmat.rational([[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, Fraction(-1, 3)]])
+    assert d == 6 and (ratmat.rational(z) / d == d_plus @ ratmat.rational(rhs)).all()
+    assert (ratmat.solve_consistent(ratmat.rational(m), ratmat.rational(rhs))
+            == d_plus @ ratmat.rational(rhs)).all()
+    assert calls == []
+
+
+def test_diagonal_system_with_a_nonzero_rhs_on_a_zero_pivot_is_inconsistent(record_calls):
+    calls = record_calls(ratmat, "_eliminate")
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        ratmat._solve_scaled(ints([[2, 0], [0, 0]]), ints([[1], [1]]))
+    assert calls == []
+
+
+def test_empty_system_takes_the_general_path(record_calls):
+    calls = record_calls(ratmat, "_eliminate")
+    z, d = ratmat._solve_scaled(ints([], 0), ints([], 2))
+    assert z.shape == (0, 2) and d == 1 and len(calls) == 1
+
+
 def test_solve_consistent_fractional_entries():
     m = ratmat.rational([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 9)]])
     w = ratmat.rational([[Fraction(5, 7)], [Fraction(-2, 3)]])
@@ -218,6 +249,15 @@ except VerificationFailed as exc:
     print("solve:", exc)
 ratmat._back_substitute = real_back_substitute
 
+real_lcm = ratmat.lcm
+ratmat.lcm = lambda *xs: real_lcm(*xs) + 1     # a wrong d, so a wrong diagonal Z
+try:
+    ratmat._solve_scaled(np.array([[2, 0], [0, 3]], dtype=object),
+                         np.array([[1], [1]], dtype=object))
+except VerificationFailed as exc:
+    print("diagonal:", exc)
+ratmat.lcm = real_lcm
+
 cm = contrast_c_matrix(seed_plans()["potb_2_7"])
 real_eigh = np.linalg.eigh
 np.linalg.eigh = lambda f: (real_eigh(f)[0] + 1.0, real_eigh(f)[1])
@@ -229,9 +269,10 @@ except VerificationFailed as exc:
 
 
 def test_self_checks_survive_python_O(src_env):
-    """A wrong kernel solution and a wrong eigenpair are caught even when
-    the interpreter strips asserts."""
+    """A wrong kernel solution, general or diagonal, and a wrong eigenpair
+    are caught even when the interpreter strips asserts."""
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                           capture_output=True, text=True, env=src_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "solve: M Z = d RHS does not hold\neigen: eigen\n"
+    assert proc.stdout == ("solve: M Z = d RHS does not hold\n"
+                           "diagonal: M Z = d RHS does not hold\neigen: eigen\n")
