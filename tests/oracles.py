@@ -107,10 +107,8 @@ class PerCallForm:
 def one_stage_schur(m, keep, drop):
     """M_kk - M_kd M_dd^- M_dk over Fractions, for index lists ``keep`` and ``drop``."""
     m = ratmat.rational(m)
-    k, d = np.ix_(keep, keep), np.ix_(drop, drop)
-    if not drop:
-        return m[k]
-    return m[k] - m[np.ix_(keep, drop)] @ ratmat.g_inverse(m[d]) @ m[np.ix_(drop, keep)]
+    return (m[np.ix_(keep, keep)]
+            - m[np.ix_(keep, drop)] @ ratmat.g_inverse(m[np.ix_(drop, drop)]) @ m[np.ix_(drop, keep)])
 
 
 def contrast_oracle(raw, norms, tol=1e-9):

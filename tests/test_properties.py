@@ -2,8 +2,10 @@
 and its canonical integer pair (num, d) against the dense projector oracle
 and the single-pair check, every report's pair residuals against the
 blocks of the stacked information, the counted gram against the dense
-X'X, the recursively split C_A, the ledger and the connectedness verdicts
-against their one-stage definitions, the contrast C-matrix against its
+X'X, the C_A read along the coupling graph (also on random star,
+two-component, chain and triangle couplings), the ledger and the
+connectedness verdicts against their one-stage definitions, the contrast
+C-matrix and its printed entries, spectrum and scalar form against its
 Fraction congruence, the adjusted sum of squares against the dense
 projection Y' P_V Y, the pair verdicts against relabelled plans, and the
 JSON round trip."""
