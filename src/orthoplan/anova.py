@@ -4,7 +4,8 @@ The SS of a factor set U adjusted for a set T is the squared length of
 the projection of Y onto span(V), V = (I - P_T) X_U.  With
 L = X_U' - N_UT G_T X_T' = V' and C = C_UU;T = V'V it is the g-inverse
 form  Q' C^- Q  with  Q = L Y = X_U'Y - N_UT G_T X_T'Y,  evaluated on
-every call under two pivot orders, which must agree exactly.
+every call with two g-inverses of C, which must agree exactly: the
+second is that of C with its indices reversed, a second pivot order.
 
 Everything that does not depend on Y (L, C and the two g-inverses of C)
 is built once per (U, T) as integer matrices over one denominator, with
@@ -133,9 +134,9 @@ class _SSForm:
     """Everything in SS_{U;T} that does not depend on the response, as
     integer matrices over the one denominator d of the X_T'X_T solve:
     L = X_U' - N_UT G_T X_T' = l / d and C = C_UU;T = c / d, with the
-    g-inverses g, g2 of c under the two pivot orders as pairs (num, den),
-    each checked over ints when it was built, as was L L' = C.  L is
-    V' = ((I - P_T) X_U)', so Q' C^- Q is the projection Y' V (V'V)^- V' Y."""
+    g-inverses g of c and g2 of c index-reversed (reversed back) as pairs
+    (num, den), each checked over ints when it was built, as was L L' = C.
+    L is V' = ((I - P_T) X_U)', so Q' C^- Q is the projection Y' V (V'V)^- V' Y."""
 
     target: tuple
     adjust: tuple
@@ -147,12 +148,12 @@ class _SSForm:
 
     def ss(self, y, s):
         """SS_{U;T} of the response Y = y / s, ``y`` an integer column,
-        under both pivot orders, required equal."""
+        from both g-inverses, required equal."""
         q = self.l @ y                       # Q = q / (d s)
         num, den = self.g
         require((self.c @ (num @ q) == den * q).all(),
                 f"Q of {self.target} adjusted for {self.adjust} in the column space of C")
-        # Q' C^- Q = q' c^- q / (d s^2), under both pivoting orders
+        # Q' C^- Q = q' c^- q / (d s^2), from both g-inverses
         ss_g = _quad(q, self.g, self.d * s * s)
         ss_g2 = _quad(q, self.g2, self.d * s * s)
         require(ss_g == ss_g2 >= 0,
@@ -180,15 +181,16 @@ def _ss_form(plan, target, adjust_for=()):
     c = d * g_uu - n_ut @ z[:, :u]
     # L = V', so the run-level L L' = V'V must be the gram-level C: l l' = d c
     require((l @ l.T == d * c).all(), f"V'V = C for {target} adjusted for {adjust}")
-    return _SSForm(target=target, adjust=adjust, d=d, l=l, c=c,
-                   g=ratmat._g_inverse(c), g2=ratmat._g_inverse(c, reverse=True))
+    g = ratmat._g_inverse(c)
+    g2, den2 = ratmat._g_inverse(c[::-1, ::-1])
+    return _SSForm(target=target, adjust=adjust, d=d, l=l, c=c, g=g, g2=(g2[::-1, ::-1], den2))
 
 
 def ss_adjusted(plan, y, target, adjust_for=()):
     """SS of the factor set ``target`` adjusted for the set ``adjust_for``
     (identifiers may include the general effect and the block factor).
 
-    The g-inverse form Q' C^- Q is evaluated under two pivoting orders and
+    The g-inverse form Q' C^- Q is evaluated with two g-inverses of C and
     required equal, making invariance to the g-inverse choice part of the
     result; the form's L is checked against C once, when it is built.
     """

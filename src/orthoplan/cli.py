@@ -7,24 +7,24 @@ prints one JSON document (or writes it with --out) and exits with
     1  a verified claim failed,
     2  usage or input error (diagnostic on stderr).
 
-Reports are deterministic: keys sorted, two-space indent, no timestamps,
-so identical invocations are byte-identical.  Each verb imports the
-modules it runs inside its own function, so that no invocation pays to
-load the layers it does not use.  ``construct`` and ``catalog`` print the
-report with which the builder of every built family verified its plan,
-rather than checking the plan a second time.
+Reports are deterministic (``plan._dumps``: keys sorted, two-space
+indent, no timestamps), so identical invocations are byte-identical.
+Each verb imports the modules it runs inside its own function, so that
+no invocation pays to load the layers it does not use.  ``construct``
+and ``catalog`` print the report with which the builder of every built
+family verified its plan, rather than checking the plan a second time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import UnknownFactor, VerificationFailed
 from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
 from .plan import (
     GENERAL,
+    _dumps,
     plan_dumps,
     plan_loads,
     plan_to_csv,
@@ -32,10 +32,6 @@ from .plan import (
 )
 
 __all__ = ["main"]
-
-
-def _dump(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(text, out_path):
@@ -199,7 +195,7 @@ def _cmd_construct(args):
         doc["grid"] = grid
         if args.csv:
             _emit(_matrix_csv(grid), args.csv)
-        _emit(_dump(doc), args.out)
+        _emit(_dumps(doc), args.out)
         return 0
     from .optimality import _ledger
 
@@ -212,9 +208,9 @@ def _cmd_construct(args):
     if args.out:
         _emit(plan_dumps(plan), args.out)
         if args.report:
-            _emit(_dump(doc), args.report)
+            _emit(_dumps(doc), args.report)
     else:
-        _emit(_dump(doc), args.report)
+        _emit(_dumps(doc), args.report)
     return 0 if all(c["pass"] == c["expect"] for c in claims) else 1
 
 
@@ -239,7 +235,7 @@ def _cmd_verify(args):
         rep = OrthReport(plan_name=plan.name, check="pfc", pairs=pairs)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown check {args.check!r}")
-    _emit(_dump(rep.to_json()), args.out)
+    _emit(_dumps(rep.to_json()), args.out)
     return 0 if rep.passed else 1
 
 
@@ -248,7 +244,7 @@ def _cmd_optimality(args):
 
     plan = _load_plan(args.plan)
     ledger = universal_ledger(plan)
-    _emit(_dump(ledger.to_json()), args.out)
+    _emit(_dumps(ledger.to_json()), args.out)
     return 0
 
 
@@ -259,7 +255,7 @@ def _cmd_anova(args):
     adjust = tuple(_split_idents(args.adjust))
     report = estssq_equivalence(plan, args.target, adjust,
                                 trials=args.trials, seed=args.seed)
-    _emit(_dump(report.to_json()), args.out)
+    _emit(_dumps(report.to_json()), args.out)
     return 0 if report.biconditional_observed else 1
 
 
@@ -308,7 +304,7 @@ def _cmd_catalog(args):
     overall = all(c["pass"] == c["expect"] for c in claims)
     doc = {"plans": plans, "reports": reports, "optimality": ledgers,
            "claims": claims, "pass": overall}
-    _emit(_dump(doc), args.out)
+    _emit(_dumps(doc), args.out)
     return 0 if overall else 1
 
 

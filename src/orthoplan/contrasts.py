@@ -36,8 +36,6 @@ from .errors import ShapeMismatch
 
 __all__ = ["helmert_raw", "helmert_norms", "orthonormal_contrasts", "ContrastMatrix"]
 
-_EIGEN_TOL = 1e-9
-
 
 def helmert_raw(s):
     """Integer Helmert rows, (s-1) x s, pairwise orthogonal, zero row
@@ -122,8 +120,8 @@ class ContrastMatrix:
 
     @cached_property
     def _spectrum(self):
-        """The eigenvalues at the default tolerance, decomposed once per instance."""
-        return tuple(ratmat.checked_eigenvalues(self._float, _EIGEN_TOL))
+        """The eigenvalues, decomposed once per instance."""
+        return tuple(ratmat.checked_eigenvalues(self._float))
 
     def as_float(self):
         return self._float.copy()
@@ -145,11 +143,9 @@ class ContrastMatrix:
         return all(e is not None and e[0] * x.denominator == x.numerator * e[1]
                    for e, x in zip(pairs, expected.flat))
 
-    def eigenvalues(self, tol=_EIGEN_TOL):
+    def eigenvalues(self):
         """Ascending eigenvalues (floating point), residual-checked by
         ``ratmat.checked_eigenvalues``."""
-        if tol != _EIGEN_TOL:
-            return ratmat.checked_eigenvalues(self._float, tol)
         return list(self._spectrum)
 
     def scaled(self, factor):

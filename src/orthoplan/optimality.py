@@ -37,18 +37,16 @@ __all__ = [
 ]
 
 
-def _fit_scalar_plus_j(mat):
-    """(True, a, b) when mat = a I + b J exactly, else (False, None, None)."""
-    s = mat.shape[0]
-    if mat.shape != (s, s):
-        return False, None, None
-    off = {Fraction(mat[i, j]) for i in range(s) for j in range(s) if i != j}
-    diag = {Fraction(mat[i, i]) for i in range(s)}
+def _fit_scalar_plus_j(num, d):
+    """(True, a, b) when num / d = a I + b J exactly, for a square integer
+    ``num`` and an int d > 0, else (False, None, None); a and b are the
+    only Fractions made."""
+    off = set(num[~np.eye(len(num), dtype=bool)])
+    diag = set(num.diagonal())
     if len(diag) != 1 or len(off) > 1:
         return False, None, None
-    b = off.pop() if off else Fraction(0)
-    a = diag.pop() - b
-    return True, a, b
+    b = off.pop() if off else 0
+    return True, Fraction(diag.pop() - b, d), Fraction(b, d)
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def _factor_conditions(plan, a, l_a, info, c_a):
     own = _columns(plan, plan.factor_names)[a]
     num, _ = info
     orth_pass = ratmat.is_zero(num[own, :own.start]) and ratmat.is_zero(num[own, own.stop:])
-    scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(ratmat._over(*c_a))
+    scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(*c_a)
     return FactorConditions(factor=a, count_pass=count_pass,
                             block_counts=counts, t_floor=floors,
                             orth_pass=orth_pass, scalar_pass=scalar_pass,
@@ -190,11 +188,12 @@ def e_value(plan):
     return spectrum[min(1, len(spectrum) - 1)]
 
 
-def a_value(plan, tol=1e-9):
+def a_value(plan):
     """Sum of reciprocal eigenvalues of the contrast C-matrix; smaller is
-    better.  Raises on a singular spectrum (disconnected plan)."""
+    better.  Raises on a singular spectrum (disconnected plan): one with an
+    eigenvalue at or below ``ratmat._EIGEN_TOL``."""
     spectrum = contrast_spectrum(plan)
-    if min(spectrum) <= tol:
+    if min(spectrum) <= ratmat._EIGEN_TOL:
         raise ValueError("contrast information is singular; no A-value")
     return float(sum(1.0 / x for x in spectrum))
 

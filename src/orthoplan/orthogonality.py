@@ -75,27 +75,27 @@ def _pick(cols, group):
                     dtype=np.intp)
 
 
-def _information(plan, a, b, through, reverse=False):
+def _information(plan, a, b, through):
     """X_A' (I - P_T) X_B = num / d as the pair (num, d) of ``ratmat.schur_complement``.
 
     Computed as N_AB - N_AT Z from one gram matrix over T, A and B and one
     exact solve of X_T'X_T Z = N_TB with every B column at once, with no
     elimination when T is one identifier (X_T'X_T is then diagonal);
-    N_AT Z does not depend on the solution choice (``reverse`` flips the
-    elimination order, which the invariance tests exploit)."""
+    N_AT Z, and so the canonical pair, does not depend on which solution
+    the elimination picks."""
     a, b, through = _as_tuple(a), _as_tuple(b), _as_tuple(through)
     idents = tuple(dict.fromkeys(through + a + b))
     g = gram(plan, idents)
     cols = _columns(plan, idents)
     ta, ia, ib = _pick(cols, through), _pick(cols, a), _pick(cols, b)
     return ratmat.schur_complement(g[np.ix_(ia, ib)], g[np.ix_(ia, ta)],
-                                   g[np.ix_(ta, ta)], g[np.ix_(ta, ib)], reverse=reverse)
+                                   g[np.ix_(ta, ta)], g[np.ix_(ta, ib)])
 
 
-def adjusted_information(plan, a, b, through, reverse=False):
+def adjusted_information(plan, a, b, through):
     """X_A' (I - P_T) X_B as Fractions, for a factor identifier or a tuple
     of them on each side (the result then stacks one block per identifier)."""
-    return ratmat._over(*_information(plan, a, b, through, reverse))
+    return ratmat._over(*_information(plan, a, b, through))
 
 
 @dataclass(frozen=True)
@@ -318,20 +318,13 @@ def _fully_adjusted(plan, info, names=None):
     return {a: out[a] for a in names}
 
 
-def c_matrix_factor(plan, a, adjust_for=None):
-    """C_{AA;T} = X_A' (I - P_T) X_A, exact.
-
-    ``adjust_for=None`` adjusts for everything else: all other treatment
-    factors, the general effect, and the block factor when present,
-    giving the factor's fully adjusted information matrix C_A.
-    """
-    if adjust_for is None:
-        plan.factor(a)
-        return ratmat._over(*_fully_adjusted(plan, _factor_information(plan))[a])
-    adjust_for = _as_tuple(adjust_for)
-    if a in adjust_for:
-        raise OverlappingSets(f"{a!r} cannot be adjusted for itself")
-    return adjusted_information(plan, a, a, adjust_for)
+def c_matrix_factor(plan, a):
+    """The fully adjusted information C_A = X_A' (I - P_T) X_A of factor
+    ``a``, exact: T is everything else, i.e. all other treatment factors,
+    the general effect, and the block factor when present.  For any other
+    T, ``adjusted_information(plan, a, a, T)`` is C_AA;T."""
+    plan.factor(a)
+    return ratmat._over(*_fully_adjusted(plan, _factor_information(plan))[a])
 
 
 def connected_factors(plan):

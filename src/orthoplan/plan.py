@@ -240,8 +240,13 @@ def plan_to_json(plan):
     return doc
 
 
+def _dumps(doc):
+    """The JSON text of every document the package writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def plan_dumps(plan):
-    return json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n"
+    return _dumps(plan_to_json(plan))
 
 
 def _expect(doc, key, typ, path):
@@ -298,6 +303,8 @@ def plan_loads(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaViolation("$", f"not valid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise SchemaViolation("$", "nested too deeply") from exc
     return plan_from_json(doc)
 
 

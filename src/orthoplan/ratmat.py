@@ -5,11 +5,12 @@ Inside the package an exact matrix is an integer numpy object array
 inverse, g-inverse, the consistent solve and the Schur complement all run
 on one fraction-free (Bareiss) elimination over Python ints, which a
 square diagonal system skips (d is the lcm of its diagonal), and verify
-their results over ints with checks that ``python -O`` keeps.  ``Fraction``
-input is accepted only at the public edge, where rank, inverse, g-inverse
-and the solve scale it to ints once; ``Fraction`` entries are made once, by
-``_over``, where a matrix leaves through the public API.  Floating point
-enters only in ``checked_eigenvalues``.
+their results over ints with checks that ``python -O`` keeps.  It has one
+pivot order; a second is the same elimination on the index-reversed
+matrix.  ``Fraction`` input is accepted only at the public edge, where
+rank, inverse, g-inverse and the solve scale it to ints once; ``Fraction``
+entries are made once, by ``_over``, where a matrix leaves through the
+public API.  Floating point enters only in ``checked_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ __all__ = [
     "checked_eigenvalues",
     "sym_eigenvalues",
 ]
+
+# The one float tolerance: the relative eigenpair residual bound, and the
+# eigenvalue at or below which ``optimality.a_value`` calls a spectrum singular
+_EIGEN_TOL = 1e-9
 
 
 def rational(values):
@@ -99,18 +104,17 @@ def _scaled_ints(*mats):
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
-def _eliminate(rows, ncol, reverse=False):
+def _eliminate(rows, ncol):
     """The one exact elimination: a fraction-free (Bareiss 1968) forward
     pass over a copy of the integer ``rows``.
 
     Pivots come from the first ``ncol`` columns; later columns (right-hand
     sides) ride along.  The scan is deterministic: columns left to right
-    and, within a column, the first still-unused row with a nonzero entry,
-    both in row-major order (everything reversed when ``reverse`` is set,
-    giving an independent second route for the invariance tests).  Every
-    division by the previous pivot is exact, and each eliminated row is a
-    nonzero multiple of the row ordinary Gaussian elimination would give,
-    so the pivots are the ones that elimination picks.
+    and, within a column, the first still-unused row from the top with a
+    nonzero entry.  Every division by the previous pivot is exact, and
+    each eliminated row is a nonzero multiple of the row ordinary Gaussian
+    elimination would give, so the pivots are the ones that elimination
+    picks.
 
     Returns (eliminated rows, (original_row, column) pivots in order, d),
     d being the last pivot: the determinant of the pivot submatrix, up to
@@ -118,12 +122,9 @@ def _eliminate(rows, ncol, reverse=False):
     """
     rows = [row[:] for row in rows]
     free = list(range(len(rows)))
-    if reverse:
-        free.reverse()
-    cols = range(ncol - 1, -1, -1) if reverse else range(ncol)
     pivots = []
     prev = 1
-    for c in cols:
+    for c in range(ncol):
         pr = next((r for r in free if rows[r][c] != 0), None)
         if pr is None:
             continue
@@ -177,7 +178,7 @@ def rank(m):
     return len(_eliminate(_scaled_ints(m)[0], m.shape[1])[1])
 
 
-def _solve_scaled(m, rhs, reverse=False):
+def _solve_scaled(m, rhs):
     """Z = Z_int / d with M Z = RHS, for integer object matrices M and RHS,
     as (Z_int, d): Z_int an object matrix of Python ints, d a nonzero int,
     and M Z_int = d RHS verified over ints.  Mismatched row counts raise
@@ -192,7 +193,7 @@ def _solve_scaled(m, rhs, reverse=False):
         d = lcm(*(x for x in diag if x))
         z = np.array([d // x if x else 0 for x in diag], dtype=object)[:, None] * rhs
     else:
-        rows, pivots, d = _eliminate(np.hstack([m, rhs]).tolist(), ncol, reverse=reverse)
+        rows, pivots, d = _eliminate(np.hstack([m, rhs]).tolist(), ncol)
         used = {pr for pr, _ in pivots}
         for r, row in enumerate(rows):
             if r in used:
@@ -205,25 +206,24 @@ def _solve_scaled(m, rhs, reverse=False):
     return z, d
 
 
-def solve_consistent(m, rhs, reverse=False):
+def solve_consistent(m, rhs):
     """One exact solution Z of M Z = RHS, with free variables set to zero.
 
     Raises ArithmeticError when some RHS column is outside the column
     space of M.  For the normal systems solved in this package (M a gram
     matrix, RHS of the form M W) the result equals G @ RHS for some
     generalized inverse G; products P @ Z with the rows of P inside the
-    row space of M do not depend on the choice, and ``reverse`` flips the
-    elimination order to let tests confirm exactly that.
+    row space of M do not depend on the choice.
     """
     (m_int, s_m), (rhs_int, s_rhs) = _scaled_ints(m), _scaled_ints(rhs)
-    z, d = _solve_scaled(_object(m_int, m.shape[1]), _object(rhs_int, rhs.shape[1]), reverse)
+    z, d = _solve_scaled(_object(m_int, m.shape[1]), _object(rhs_int, rhs.shape[1]))
     return _over(s_m * z, d * s_rhs)
 
 
-def schur_complement(corner, left, m, right, reverse=False):
+def schur_complement(corner, left, m, right):
     """corner - left M^- right = num / d, exact, for integer object matrices,
     as the canonical pair of an integer object matrix num and an
-    int d > 0 with gcd(d, *num) = 1; both elimination orders give the same
+    int d > 0 with gcd(d, *num) = 1, so every pivot order gives the same
     pair.
 
     M^- right is the solution Z of M Z = right from ``_solve_scaled``; the
@@ -235,7 +235,7 @@ def schur_complement(corner, left, m, right, reverse=False):
     """
     if not set(map(type, chain(corner.flat, left.flat, m.flat, right.flat))) <= {int}:
         raise TypeError("schur_complement takes integer matrices; scale Fractions first")
-    z, d = _solve_scaled(m, right, reverse=reverse)
+    z, d = _solve_scaled(m, right)
     num = d * corner - left @ z
     g = gcd(d, *num.flat) * (1 if d > 0 else -1)
     return num // g, d // g
@@ -251,17 +251,17 @@ def inverse(m):
     return solve_consistent(m, eye(n))
 
 
-def _g_inverse(m, reverse=False):
+def _g_inverse(m):
     """A generalized inverse of the integer object matrix M as (G_int, d),
     G = G_int / d, with M G_int M = d M verified over ints.
 
     Found from a full-rank submatrix: elimination picks r independent rows
     I and columns J, and G carries (M[I,J])^-1 on the (J, I) positions,
-    zero elsewhere.  ``reverse`` flips the pivot scan order, giving a
-    second, generally different, g-inverse.
+    zero elsewhere.  The g-inverse of the index-reversed M, reversed back,
+    is a second, generally different, one.
     """
     nrow, ncol = m.shape
-    _, piv, _ = _eliminate(m.tolist(), ncol, reverse=reverse)
+    _, piv, _ = _eliminate(m.tolist(), ncol)
     g = _object([[0] * nrow for _ in range(ncol)], nrow)
     d = 1
     if piv:
@@ -273,32 +273,32 @@ def _g_inverse(m, reverse=False):
     return g, d
 
 
-def g_inverse(m, reverse=False):
+def g_inverse(m):
     """A generalized inverse G with M G M = M, exact: ``_g_inverse`` of M
-    scaled to ints (see there for the choice of G and ``reverse``)."""
+    scaled to ints (see there for the choice of G)."""
     system, scale = _scaled_ints(m)
-    g, d = _g_inverse(_object(system, m.shape[1]), reverse)
+    g, d = _g_inverse(_object(system, m.shape[1]))
     # M = M_int / scale and G_int checks against M_int, so G = scale G_int / d
     return _over(scale * g, d)
 
 
-def checked_eigenvalues(f, tol=1e-9):
+def checked_eigenvalues(f):
     """Ascending eigenvalues of a symmetric float matrix by ``eigh``.
 
-    Each eigenpair residual must satisfy |F v - lam v| <= tol * max(1, |F|)
-    (max-abs norm), else VerificationFailed.
+    Each eigenpair residual must satisfy |F v - lam v| <= _EIGEN_TOL *
+    max(1, |F|) (max-abs norm), else VerificationFailed.
     """
     w, v = np.linalg.eigh(f)
-    scale = max(1.0, np.abs(f).max())
+    bound = _EIGEN_TOL * max(1.0, np.abs(f).max())
     resid = np.abs(f @ v - v * w).max()
-    if resid > tol * scale:
-        raise VerificationFailed(f"eigen residual {resid} exceeds {tol * scale}")
+    if resid > bound:
+        raise VerificationFailed(f"eigen residual {resid} exceeds {bound}")
     return [float(x) for x in w]
 
 
-def sym_eigenvalues(m, tol=1e-9):
+def sym_eigenvalues(m):
     """Eigenvalues of an exactly-symmetric rational matrix, ascending,
     computed in floating point by ``checked_eigenvalues``."""
     if not is_symmetric(m):
         raise NotSymmetric("matrix is not exactly symmetric")
-    return checked_eigenvalues(to_float(m), tol)
+    return checked_eigenvalues(to_float(m))

@@ -7,7 +7,13 @@ response-free algebra for every response, as the package did before it
 built that algebra once per (target, adjusting set).  The one-stage Schur
 complement eliminates everything else at once over Fractions, and the
 contrast oracle reads a C-matrix off its Fraction congruence entry by
-entry, as ``ContrastMatrix`` did before it kept an integer pair.
+entry, as ``ContrastMatrix`` did before it kept an integer pair; the
+scalar-plus-J fit reads a Fraction matrix, as the ledger did before it
+fitted the integer pair.
+
+The package's elimination has one pivot order.  The ``*_reversed``
+helpers give the invariance tests their second order: the same
+elimination on the index-reversed system, with the result reversed back.
 """
 
 from fractions import Fraction
@@ -21,12 +27,43 @@ from orthoplan.errors import LengthMismatch, OverlappingSets, require
 from orthoplan.plan import _as_tuple, design_matrix, gram, levels_of
 
 
+def flip(m):
+    """M with the order of its rows and of its columns reversed."""
+    return m[::-1, ::-1]
+
+
+def g_inverse_reversed(m):
+    """``ratmat.g_inverse`` under the reverse pivot order."""
+    return flip(ratmat.g_inverse(flip(m)))
+
+
+def solve_reversed(m, rhs):
+    """``ratmat.solve_consistent`` under the reverse pivot order."""
+    return ratmat.solve_consistent(flip(m), rhs[::-1])[::-1]
+
+
+def schur_reversed(corner, left, m, right):
+    """``ratmat.schur_complement`` with M eliminated in the reverse pivot order."""
+    return ratmat.schur_complement(corner, left[:, ::-1], flip(m), right[::-1])
+
+
+def information_reversed(plan, a, b, through):
+    """``orthogonality.adjusted_information`` with X_T'X_T eliminated in the
+    reverse pivot order."""
+    a, b, through = _as_tuple(a), _as_tuple(b), _as_tuple(through)
+    t, u = (sum(levels_of(plan, x) for x in group) for group in (through, a))
+    g = gram(plan, through + a + b)
+    num, d = schur_reversed(g[t:t + u, t + u:], g[t:t + u, :t], g[:t, :t], g[:t, t + u:])
+    return ratmat._over(num, d)
+
+
 def is_idempotent(m):
     return bool((m @ m == m).all())
 
 
 def projector(m, reverse=False):
-    """Orthogonal projector onto the column space, P = M (M'M)^- M'.
+    """Orthogonal projector onto the column space, P = M (M'M)^- M', with
+    the g-inverse of M'M under the reverse pivot order when ``reverse``.
 
     Exact, and invariant to the g-inverse route (checked by tests).  A
     matrix with no columns projects onto {0}.
@@ -34,7 +71,7 @@ def projector(m, reverse=False):
     n = m.shape[0]
     if m.shape[1] == 0:
         return ratmat.zeros(n, n)
-    g = ratmat.g_inverse(m.T @ m, reverse=reverse)
+    g = (g_inverse_reversed if reverse else ratmat.g_inverse)(m.T @ m)
     p = m @ g @ m.T
     assert ratmat.is_symmetric(p) and is_idempotent(p)
     return p
@@ -53,8 +90,10 @@ def projector_decompose(u, v):
 
 def _form(x, m, scale, reverse=False):
     """x' M^- x / scale for x in the column space of M, both integer: minus
-    the 1 x 1 Schur complement of M in [[0, x'], [x, M]], over ``scale``."""
-    num, den = ratmat.schur_complement(np.zeros((1, 1), dtype=object), x.T, m, x, reverse)
+    the 1 x 1 Schur complement of M in [[0, x'], [x, M]], over ``scale``,
+    with M eliminated in the reverse pivot order when ``reverse``."""
+    schur = schur_reversed if reverse else ratmat.schur_complement
+    num, den = schur(np.zeros((1, 1), dtype=object), x.T, m, x)
     return Fraction(-num[0, 0], den * scale)
 
 
@@ -111,7 +150,19 @@ def one_stage_schur(m, keep, drop):
             - m[np.ix_(keep, drop)] @ ratmat.g_inverse(m[np.ix_(drop, drop)]) @ m[np.ix_(drop, keep)])
 
 
-def contrast_oracle(raw, norms, tol=1e-9):
+def fit_scalar_plus_j(mat):
+    """(True, a, b) when the Fraction matrix mat = a I + b J exactly, else
+    (False, None, None)."""
+    s = mat.shape[0]
+    off = {Fraction(mat[i, j]) for i in range(s) for j in range(s) if i != j}
+    diag = {Fraction(mat[i, i]) for i in range(s)}
+    if len(diag) != 1 or len(off) > 1:
+        return False, None, None
+    b = off.pop() if off else Fraction(0)
+    return True, diag.pop() - b, b
+
+
+def contrast_oracle(raw, norms):
     """(entries_json, eigenvalues, scalar_identity) of the contrast matrix
     with entries raw[i,j] / sqrt(n_i n_j), from the Fraction matrix ``raw``."""
     v = len(norms)
@@ -129,4 +180,4 @@ def contrast_oracle(raw, norms, tol=1e-9):
     diag = [Fraction(raw[i, i], norms[i]) for i in range(v)]
     off_zero = all(raw[i, j] == 0 for i in range(v) for j in range(v) if i != j)
     identity = (True, diag[0]) if off_zero and len(set(diag)) == 1 else (False, None)
-    return entries, ratmat.checked_eigenvalues(f, tol), identity
+    return entries, ratmat.checked_eigenvalues(f), identity

@@ -173,10 +173,12 @@ def test_routes_agree_check_fires(potb27, monkeypatch):
     one entry (so no g-inverse, past its own check) makes the g-inverse
     routes disagree, and the call must refuse to answer."""
     real = ratmat._g_inverse
+    calls = []
 
-    def off_by_one(m, reverse=False):
-        g, d = real(m, reverse)
-        if reverse:
+    def off_by_one(m):
+        g, d = real(m)
+        calls.append(m)
+        if len(calls) == 2:                 # the second route: C index-reversed
             g = g.copy()
             g[0, 0] += 1
         return g, d
@@ -186,19 +188,20 @@ def test_routes_agree_check_fires(potb27, monkeypatch):
         ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,))
 
 
-def test_a_form_takes_two_g_inverses(potb27, monkeypatch):
+def test_a_form_takes_two_g_inverses(potb27, record_calls):
     """One g-inverse of C per pivot order, and none of V'V: the projection
-    Y'V (V'V)^- V'Y is the g-inverse form Q' C^- Q itself."""
-    real = ratmat._g_inverse
-    calls = []
-
-    def counted(m, reverse=False):
-        calls.append(reverse)
-        return real(m, reverse)
-
-    monkeypatch.setattr(ratmat, "_g_inverse", counted)
-    anova._ss_form(potb27, "A1", (BLOCK,))
-    assert calls == [False, True]
+    Y'V (V'V)^- V'Y is the g-inverse form Q' C^- Q itself.  The two are
+    different g-inverses, the second that of C index-reversed, reversed
+    back, so the routes-agree check compares two routes."""
+    calls = record_calls(ratmat, "_g_inverse")
+    form = anova._ss_form(potb27, "A1", (BLOCK,))
+    assert len(calls) == 2
+    assert form.c.tolist() == [[10, -10], [-10, 10]]
+    (g, den), (g2, den2) = form.g, form.g2
+    assert (g.tolist(), den) == ([[1, 0], [0, 0]], 10)
+    assert (g2.tolist(), den2) == ([[0, 0], [0, 1]], 10)
+    flipped, flipped_den = ratmat._g_inverse(form.c[::-1, ::-1])
+    assert (flipped[::-1, ::-1].tolist(), flipped_den) == (g2.tolist(), den2)
 
 
 def test_l_that_is_not_v_transposed_is_refused(potb27, monkeypatch):
@@ -206,8 +209,8 @@ def test_l_that_is_not_v_transposed_is_refused(potb27, monkeypatch):
     solve's own check) makes L L' differ from C, and the form refuses."""
     real = ratmat._solve_scaled
 
-    def off_by_one(m, rhs, reverse=False):
-        z, d = real(m, rhs, reverse)
+    def off_by_one(m, rhs):
+        z, d = real(m, rhs)
         if rhs.shape[1] == 2 + potb27.n:    # [N_TU | X_T'] for the two levels of A1
             z = z.copy()
             z[0, -1] += 1

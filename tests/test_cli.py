@@ -272,6 +272,19 @@ def test_verify_rejects_bad_json(capsys, tmp_path):
     assert code == 2 and "$: not valid JSON" in err
 
 
+@pytest.mark.parametrize("verb", [["verify", "--check", "potb"], ["optimality"],
+                                  ["anova", "--target", "A1", "--adjust", "block"]],
+                         ids=["verify", "optimality", "anova"])
+def test_deeply_nested_plan_is_an_input_error(capsys, tmp_path, verb):
+    """JSON nested past the parser's recursion limit is refused like any
+    other malformed plan: exit 2, not the exit 1 of a failed claim."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, *verb, "--plan", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("verb", [["verify", "--check", "potb"], ["optimality"]])
 def test_plan_without_factors_is_rejected(capsys, tmp_path, verb):
     path = tmp_path / "empty.json"

@@ -125,6 +125,16 @@ def test_ledger_counts_the_level_by_block_tables_once(record_calls, potb2_28):
         assert f.block_counts == tuple(tuple(col) for col in l_a.T.tolist())
 
 
+@pytest.mark.parametrize("plan", ["potb2_28", "asym7"])
+def test_ledger_makes_no_fraction_matrix(record_calls, request, plan):
+    # the a I + b J fit reads each C_A as its integer pair; only the
+    # printed a and b are Fractions
+    plan = request.getfixturevalue(plan)
+    calls = record_calls(ratmat, "_over")
+    universal_ledger(plan).to_json()
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # spectrum summaries
 

@@ -18,12 +18,12 @@ from math import gcd, lcm
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import contrast_oracle, one_stage_schur, projector, ss_adjusted_per_call
+from oracles import (contrast_oracle, fit_scalar_plus_j, information_reversed, one_stage_schur,
+                     projector, schur_reversed, ss_adjusted_per_call)
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, contrast_c_matrix,
                        helmert_raw, is_potb, is_potp, orth_through, orthogonality, ratmat,
                        ss_adjusted, universal_ledger)
-from orthoplan.optimality import _fit_scalar_plus_j
 from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
                                      adjusted_information, c_matrix_factor, connected_factors,
                                      pair_checks)
@@ -84,13 +84,13 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
                "first": names[:1]}[which]
 
     oracle = dense_oracle(plan, names, through)
-    got = adjusted_information(plan, names, names, through, reverse=reverse)
+    got = (information_reversed if reverse else adjusted_information)(plan, names, names, through)
     assert (got == oracle).all()
 
     g = gram(plan, through + names)
     t = sum(levels_of(plan, u) for u in through)
-    pairs = [ratmat.schur_complement(g[t:, t:], g[t:, :t], g[:t, :t], g[:t, t:], reverse=r)
-             for r in (False, True)]
+    pairs = [schur(g[t:, t:], g[t:, :t], g[:t, :t], g[:t, t:])
+             for schur in (ratmat.schur_complement, schur_reversed)]
     (num, d), (num_rev, d_rev) = pairs
     assert d == d_rev and (num == num_rev).all()
     assert d > 0 and gcd(d, *num.flat) == 1
@@ -132,7 +132,7 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
             verdicts = [orth_through(plan, entry.factor, b, (BLOCK,)).passed
                         for b in names if b != entry.factor]
             assert entry.orth_pass == all(verdicts)
-            fit = _fit_scalar_plus_j(oracles[entry.factor])
+            fit = fit_scalar_plus_j(oracles[entry.factor])
             assert (entry.scalar_pass, entry.a, entry.b) == fit
 
     # the integer contrast C-matrix against its Fraction congruence
