@@ -1,9 +1,9 @@
 """Three recipes that grow small seed plans into whole families.
 
-1. construct_potp(h, s): signed Hadamard seed x translation -> 2h runs,
+1. construct_potp(h, s): signed Hadamard seed x translation -> h s (s-1) runs,
    2h factors at s levels, orthogonal through the leading pair.
 2. construct_potb2(h): power-and-translate (diamond) on the 10-run seed
-   -> 5h runs, 7h factors, 2h blocks, information matrix 4h * I.
+   -> 10h runs, 7h factors, 2h blocks, information matrix 4h * I.
 3. construct_potb3(): same diamond idea over GF(3) -> 90 runs, fifteen
    3-level factors in 27 blocks, information matrix 27 * I.
 """

@@ -1,9 +1,9 @@
 """Mixed-level plans from square classes of a finite field.
 
-For an odd prime power s = 4t - 1 the construction yields t factors at
-s levels plus one factor at s + 1 levels ("inf", whose top symbol absorbs
-the field labels that have nowhere else to go), arranged in 2s blocks of
-size t + 1.
+For a prime power s = 3 (mod 4) and t = (s - 1)/2 the construction
+yields t factors at s levels plus one factor at s + 1 levels ("inf",
+whose top symbol absorbs the field labels that have nowhere else to go),
+arranged in 2s blocks of size t + 1.
 
 The s-level pairs are orthogonal through blocks in the strict sense.  The
 pairs involving the extended factor satisfy proportional frequencies --

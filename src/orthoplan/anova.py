@@ -8,12 +8,13 @@ every call with two g-inverses of C, which must agree exactly: the
 second is that of C with its indices reversed, a second pivot order.
 
 Everything that does not depend on Y (L, C and the two g-inverses of C)
-is built once per (U, T) as integer matrices over one denominator, with
-V'V = C and each g-inverse checked over ints.  A response is scaled once
-to integers over one denominator (binary floats are rationals); a sum of
-squares is then one integer matrix-vector product and two integer
-quadratic forms, so "SS fully adjusted = SS adjusted for T" is a
-decidable identity instead of an almost-sure event.  The independent
+is built once per (U, T) as integer matrices over one denominator, [C | L]
+from one ``ratmat.schur_complement`` as every X_A'(I - P_T)X_B of the
+package is, with V'V = C and each g-inverse checked over ints.  A
+response is scaled once to integers over one denominator (binary floats
+are rationals); a sum of squares is then one integer matrix-vector
+product and two integer quadratic forms, so "SS fully adjusted = SS
+adjusted for T" is a decidable identity instead of an almost-sure event.  The independent
 projection route Y' V (V'V)^- V' Y is kept in the tests: the per-call
 oracle ``tests/oracles.py`` ``ss_adjusted_per_call`` and the dense
 projector of ``test_ss_invariant_across_runs``.
@@ -132,11 +133,12 @@ def _quad(x, g, scale):
 @dataclass(frozen=True)
 class _SSForm:
     """Everything in SS_{U;T} that does not depend on the response, as
-    integer matrices over the one denominator d of the X_T'X_T solve:
-    L = X_U' - N_UT G_T X_T' = l / d and C = C_UU;T = c / d, with the
-    g-inverses g of c and g2 of c index-reversed (reversed back) as pairs
-    (num, den), each checked over ints when it was built, as was L L' = C.
-    L is V' = ((I - P_T) X_U)', so Q' C^- Q is the projection Y' V (V'V)^- V' Y."""
+    integer matrices over the reduced denominator d of one Schur
+    complement, [C | L] = [c | l] / d with C = C_UU;T and
+    L = X_U' - N_UT G_T X_T', and the g-inverses g of c and g2 of c
+    index-reversed (reversed back) as pairs (num, den), each checked over
+    ints when it was built, as was L L' = C.  L is V' = ((I - P_T) X_U)',
+    so Q' C^- Q is the projection Y' V (V'V)^- V' Y."""
 
     target: tuple
     adjust: tuple
@@ -163,8 +165,8 @@ class _SSForm:
 
 def _ss_form(plan, target, adjust_for=()):
     """The ``_SSForm`` of the factor set ``target`` adjusted for the set
-    ``adjust_for``, from one gram matrix and one integer solve of
-    X_T'X_T Z = [N_TU | X_T']."""
+    ``adjust_for``, from one gram matrix and one Schur complement:
+    [C | L] = [N_UU | X_U'] - N_UT (X_T'X_T)^- [N_TU | X_T']."""
     target = _as_tuple(target)
     adjust = _as_tuple(adjust_for)
     if not target:
@@ -174,11 +176,10 @@ def _ss_form(plan, target, adjust_for=()):
     x = np.hstack([design_matrix(plan, u) for u in adjust + target])
     g = gram(plan, adjust + target)
     t = sum(levels_of(plan, u) for u in adjust)
-    g_tt, n_ut, g_uu = g[:t, :t], g[t:, :t], g[t:, t:]
-    u = g_uu.shape[0]
-    z, d = ratmat._solve_scaled(g_tt, np.hstack([n_ut.T, x[:, :t].T]))
-    l = d * x[:, t:].T - n_ut @ z[:, u:]
-    c = d * g_uu - n_ut @ z[:, :u]
+    u = g.shape[0] - t
+    cl, d = ratmat.schur_complement(np.hstack([g[t:, t:], x[:, t:].T]), g[t:, :t],
+                                    g[:t, :t], np.hstack([g[:t, t:], x[:, :t].T]))
+    c, l = cl[:, :u], cl[:, u:]
     # L = V', so the run-level L L' = V'V must be the gram-level C: l l' = d c
     require((l @ l.T == d * c).all(), f"V'V = C for {target} adjusted for {adjust}")
     g = ratmat._g_inverse(c)

@@ -51,42 +51,48 @@ def _claim(label, passed, expect=True):
     return {"label": label, "pass": bool(passed), "expect": expect}
 
 
+def _claims(tag, rep, scalar=None):
+    """The claim list of a built potp, potb or asym plan tagged ``tag``,
+    chosen by the kind of its report ``rep``; ``scalar`` is the contrast
+    scalar a potb plan must reach."""
+    if rep.check == "potp":
+        return [_claim(f"{tag}-orthogonal-through-leading-pair", rep.passed)]
+    if rep.check == "asym-dual":
+        ext = [p for p in rep.pairs if p.informational]
+        return [
+            _claim(f"{tag}-level-pairs-through-block", rep.passed),
+            _claim(f"{tag}-extended-pairs-proportional", all(p.pfc for p in ext)),
+            _claim(f"{tag}-extended-pairs-blocked-identity",
+                   any(p.passed for p in ext), expect=False),
+        ]
+    ok, val = rep.c_matrix.scalar_identity()
+    return [
+        _claim(f"{tag}-all-pairs-through-block", rep.passed),
+        _claim(f"{tag}-contrast-scalar-{scalar}", ok and val == scalar),
+    ]
+
+
 def _pair_claims(name, plan):
     """Verification report + claim list for a named built-in plan."""
     if name == "potp_3_4":
         rep = is_potp(plan, ("A1", "A2"))
-        claims = [_claim("potp-3-4-orthogonal-through-leading-pair", rep.passed)]
-    elif name == "potb_2_7":
-        rep = is_potb(plan)
-        ok, val = rep.c_matrix.scalar_identity()
-        claims = [
-            _claim("potb-2-7-all-pairs-through-block", rep.passed),
-            _claim("potb-2-7-contrast-scalar-4", ok and val == 4),
-            _claim("potb-2-7-leading-pair-pfc-fails",
-                   not rep.pair("A1", "A2").pfc),
-        ]
-    elif name == "ico_2_6":
-        rep = is_potb(plan)
+        return rep, _claims("potp-3-4", rep)
+    rep = is_potb(plan)
+    if name == "ico_2_6":
         classes = {"A1": 1, "B1": 1, "C1": 1, "A2": 2, "B2": 2, "C2": 2}
         cross = [p for p in rep.pairs if classes[p.a] != classes[p.b]]
         within = [p for p in rep.pairs if classes[p.a] == classes[p.b]]
-        claims = [
+        return rep, [
             _claim("ico-2-6-cross-class-pairs-through-block",
                    all(p.passed for p in cross)),
             _claim("ico-2-6-within-class-pairs-fail",
                    not any(p.passed for p in within)),
             _claim("ico-2-6-not-potb-overall", rep.passed, expect=False),
         ]
-    elif name == "potb_3_3":
-        rep = is_potb(plan)
-        ok, val = rep.c_matrix.scalar_identity()
-        claims = [
-            _claim("potb-3-3-all-pairs-through-block", rep.passed),
-            _claim("potb-3-3-contrast-scalar-3", ok and val == 3),
-        ]
-    else:
-        raise UnknownFactor(f"no built-in plan called {name!r}")
-    return rep, claims
+    if name == "potb_3_3":
+        return rep, _claims("potb-3-3", rep, 3)
+    return rep, _claims("potb-2-7", rep, 4) + [
+        _claim("potb-2-7-leading-pair-pfc-fails", not rep.pair("A1", "A2").pfc)]
 
 
 # The options each construct family reads; a matrix family writes no report.
@@ -140,47 +146,25 @@ def _construct_family(args):
         if name not in plans:
             raise UnknownFactor(
                 f"unknown seed plan {name!r}; have {sorted(plans)}")
-        plan = plans[name]
-        rep, claims = _pair_claims(name, plan)
-    elif fam == "potp":
+        return plans[name], None, None, _pair_claims(name, plans[name])
+    scalar = None
+    if fam == "potp":
         plan, rep = _potp(_require(args, "h"), _require(args, "s"))
-        claims = [_claim(f"potp-{args.s}-{2 * args.h}-orthogonal-through-leading-pair",
-                         rep.passed)]
     elif fam == "potb2":
-        h = _require(args, "h")
-        plan, rep = _potb2(h)
-        ok, val = rep.c_matrix.scalar_identity()
-        claims = [
-            _claim(f"potb-2-{7 * h}-all-pairs-through-block", rep.passed),
-            _claim(f"potb-2-{7 * h}-contrast-scalar-{4 * h}", ok and val == 4 * h),
-        ]
+        plan, rep = _potb2(_require(args, "h"))
+        scalar = 4 * args.h
     elif fam == "potb3":
         plan, rep = _potb3()
-        ok, val = rep.c_matrix.scalar_identity()
-        claims = [
-            _claim("potb-3-15-all-pairs-through-block", rep.passed),
-            _claim("potb-3-15-contrast-scalar-27", ok and val == 27),
-        ]
-    elif fam == "asym":
-        s = _require(args, "s")
-        plan, rep = _asym(s)
-        ext = [p for p in rep.pairs if p.informational]
-        claims = [
-            _claim(f"asym-{s}-level-pairs-through-block", rep.passed),
-            _claim(f"asym-{s}-extended-pairs-proportional",
-                   all(p.pfc for p in ext)),
-            _claim(f"asym-{s}-extended-pairs-blocked-identity",
-                   any(p.passed for p in ext), expect=False),
-        ]
+        scalar = 27
     else:
-        raise UnknownFactor(f"unknown family {fam!r}")
-    return plan, None, None, (rep, claims)
+        plan, rep = _asym(_require(args, "s"))
+    return plan, None, None, (rep, _claims(plan.name.replace("_", "-"), rep, scalar))
 
 
 def _require(args, attr):
     val = getattr(args, attr, None)
     if val is None:
-        raise ValueError(f"--{attr.replace('_', '-')} is required for family {args.family!r}")
+        raise ValueError(f"--{attr} is required for family {args.family!r}")
     return val
 
 
@@ -230,11 +214,9 @@ def _cmd_verify(args):
         if not through:
             raise ValueError("--through is required for --check potp")
         rep = is_potp(plan, through)
-    elif args.check == "pfc":
+    else:
         pairs, _ = pair_checks(plan, plan.factor_names, (GENERAL,))
         rep = OrthReport(plan_name=plan.name, check="pfc", pairs=pairs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown check {args.check!r}")
     _emit(_dumps(rep.to_json()), args.out)
     return 0 if rep.passed else 1
 
@@ -287,7 +269,7 @@ def _cmd_catalog(args):
         plan, rep = build()
         plans[name] = plan_to_json(plan)
         if name.startswith("potp"):
-            claims.append(_claim(f"{name}-orthogonal-through-leading-pair", rep.passed))
+            claims.extend(_claims(name, rep))
         elif name.startswith("asym"):
             ext = [p for p in rep.pairs if p.informational]
             claims.append(_claim(f"{name}-level-pairs-through-block", rep.passed))

@@ -26,7 +26,7 @@ from .errors import (
 from .gf import field_new, square_classes
 from .optimality import bibd_check
 from .orthogonality import _incidences, is_potb, is_potp
-from .plan import BLOCK, Factor, Plan
+from .plan import BLOCK, MAX_GRAM_SIZE, Factor, Plan
 
 __all__ = [
     "seed_plans",
@@ -236,9 +236,17 @@ def construct_potp(h, s):
     return _potp(h, s)[0]
 
 
+def _refuse_gram_size(what, size):
+    """UnsupportedOrder for a family whose gram size (levels + blocks + 1)
+    exceeds ``MAX_GRAM_SIZE``, raised before anything is built."""
+    if size > MAX_GRAM_SIZE:
+        raise UnsupportedOrder(f"{what}: gram size {size} exceeds the limit {MAX_GRAM_SIZE}")
+
+
 def _potp(h, s):
     """``construct_potp(h, s)`` and its verified ``is_potp`` report through
     the first two factors, as (plan, report)."""
+    _refuse_gram_size(f"potp h={h} s={s}", 2 * h * s + 1)
     field = field_new(s)
     if s % 4 != 3:
         raise BadCongruence(f"s = {s} fails s = 3 (mod 4)")
@@ -336,6 +344,7 @@ def construct_potb2(h):
 
 def _potb2(h):
     """``construct_potb2(h)`` and its verified ``is_potb`` report, as (plan, report)."""
+    _refuse_gram_size(f"potb2 h={h}", 16 * h + 1)
     q = _q_array_two_level(h)
     plan = diamond(q, seed_potb_27(), field_new(2), name=f"potb_2_{7 * h}")
     return plan, _verify_potb(plan, f"potb2 h={h}", 7 * h, (5,) * (2 * h), 4 * h)

@@ -19,10 +19,12 @@ classical special cases are such slices:
 
 * T = {G}: the proportional frequency condition n N_AB = r_A r_B';
 * T = {block}: the defining condition of a plan orthogonal through the
-  block factor, N_AB = L_A D_k^{-1} L_B', whose stacked matrix over all
-  factors also gives the contrast C-matrix and, as Schur complements
-  taken along its factor coupling graph, every factor's fully adjusted
-  information.
+  block factor, N_AB = L_A D_k^{-1} L_B'.
+
+The stacked matrix over all factors through the blocks (through G for an
+unblocked plan) is the plan's one information matrix: it gives the
+contrast C-matrix and, as Schur complements taken along its factor
+coupling graph, every factor's fully adjusted information.
 """
 
 from __future__ import annotations
@@ -247,15 +249,15 @@ def _contrast(plan, info):
 def contrast_c_matrix(plan):
     """The C-matrix of all normalized main-effect contrasts, dimension
     v = sum_A (s_A - 1), as an exact ContrastMatrix: the contrasts of
-    X'(I - P_block)X for blocked plans, of X'X otherwise."""
-    names = plan.factor_names
-    through = (BLOCK,) if plan.blocked else ()
-    return _contrast(plan, _information(plan, names, names, through))
+    X'(I - P_T)X, adjusted for T = {block} in a blocked plan and for the
+    general effect, T = {G}, in an unblocked one."""
+    return _contrast(plan, _factor_information(plan))
 
 
 def _factor_information(plan):
     """X'(I - P_T)X over all factors as (num, d), T = {block} for a blocked
-    plan and {G} otherwise: the matrix every factor's C_A is read from."""
+    plan and {G} otherwise: the plan's one information matrix, which the
+    contrast C-matrix and every factor's C_A are read from."""
     names = plan.factor_names
     return _information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
 

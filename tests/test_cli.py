@@ -118,6 +118,20 @@ def test_construct_refuses_options_its_family_ignores(capsys, tmp_path, argv, me
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,size", [
+    (["potb2", "--h", "524"], 8385),
+    (["potb2", "--h", "4000000"], 64000001),
+    (["potp", "--h", "1400", "--s", "3"], 8401),
+], ids=["potb2-h524", "potb2-h4000000", "potp-h1400"])
+def test_construct_refuses_an_oversized_family_before_building(capsys, record_calls, argv, size):
+    """A family whose gram matrix would exceed the plan-file limit is a
+    usage error, raised before the Hadamard matrix it starts from is built."""
+    calls = record_calls(constructions, "hadamard")
+    code, out, err = run(capsys, "construct", "--family", *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert f"gram size {size} exceeds the limit {plan_module.MAX_GRAM_SIZE}" in err
+
+
 def test_construct_hadamard(capsys, tmp_path):
     csv_file = tmp_path / "h.csv"
     code, out, _ = run(capsys, "construct", "--family", "hadamard", "--order", "8",
@@ -155,27 +169,57 @@ def test_stdout_matches_the_benchmark_reference_digest(capsys, op, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == reference["digests"][op]
 
 
-PINNED = {   # sha256 of stdout, recorded before the exact layers followed their structure
-    "asym-19": "2863babc831e68924e892b162f9784a12542d56e6aa90531ba10507dde89e255",
-    "ico-2-6": "e26d4043d6b4984e716e31bef8f8593ab426b2b000a6c6b3d936883cf031fc4f",
-    "potp-h8-s7": "83e28cf316e1ce122ad4ec86b7cc23b1372de549b1b8485e879f5b8f79a53749",
+PINNED = {   # op: (argv, sha256 of stdout); a last argument {name} is that plan's file
+    "asym-19": (["construct", "--family", "asym", "--s", "19"],
+                "2863babc831e68924e892b162f9784a12542d56e6aa90531ba10507dde89e255"),
+    "ico-2-6": (["construct", "--family", "seed", "--name", "ico_2_6"],
+                "e26d4043d6b4984e716e31bef8f8593ab426b2b000a6c6b3d936883cf031fc4f"),
+    "potp-h8-s7": (["verify", "--check", "potp", "--through", "A1,A2", "--plan", "{potp_h8_s7}"],
+                   "83e28cf316e1ce122ad4ec86b7cc23b1372de549b1b8485e879f5b8f79a53749"),
+    # every claim path of construct, recorded before the claims had one writer
+    "asym-3": (["construct", "--family", "asym", "--s", "3"],
+               "bd73b8807bd3ae4efba887886604a9683dfefc98e055dfae33bc6cf355554f3f"),
+    "asym-7": (["construct", "--family", "asym", "--s", "7"],
+               "64287de1000f39a2b59c16ff516a54a5058de82507fbed272b2adced62a5a463"),
+    "potb2-h2": (["construct", "--family", "potb2", "--h", "2"],
+                 "ce76a0d3c68a88afc03a1a76da5711ead95b52974aa04237024939adca7ccfe8"),
+    "potb3": (["construct", "--family", "potb3"],
+              "29d1bce306bec78d21567164c9f9689210cdd7bc790c8d867bb9dae3cfca911e"),
+    "potp-h4-s3": (["construct", "--family", "potp", "--h", "4", "--s", "3"],
+                   "3fe013bdec9abd7a0aadc578debde195a37f4499557fa5310a0a16aedee7cade"),
+    "seed-potb-2-7": (["construct", "--family", "seed", "--name", "potb_2_7"],
+                      "87b0c3e1a2e7091972176cabed5cdc5a3bb3dd2c1221fb1e257535c553d675b8"),
+    "seed-potb-3-3": (["construct", "--family", "seed", "--name", "potb_3_3"],
+                      "270c36f87406f91c8a1d54fb580c94dcefe398f6a5b4a3745b8ffba8ab51cbad"),
+    "seed-potp-3-4": (["construct", "--family", "seed", "--name", "potp_3_4"],
+                      "9a0812655e5155a62f9e79a97ae48e5eadc6297a27254e52af628dc9c3ca4e15"),
+    # the benchmark's anova ops on the unrelabelled plans
+    "anova-potb-2-7": (["anova", "--target", "A1", "--adjust", "block", "--trials", "50",
+                        "--plan", "{potb_2_7}"],
+                       "36a6f1d470640255dcd7a70cf8777c6ce96d6557149d6218f052284b950ffd95"),
+    "anova-ico-2-6": (["anova", "--target", "A1", "--adjust", "block", "--trials", "50",
+                       "--plan", "{ico_2_6}"],
+                      "5bb3e323c4079d86448f3913251b5bef162240019d1d4424176b8d312f888afb"),
+    "anova-potp-3-4": (["anova", "--target", "A3", "--adjust", "A1,A2", "--trials", "50",
+                        "--plan", "{potp_3_4}"],
+                       "4154a2968e184e6f6d8ea4bc70663cb6838deab870151161ce2fe27073961d57"),
 }
 
 
 @pytest.mark.parametrize("op", sorted(PINNED))
 def test_stdout_beyond_the_benchmark_digests_is_pinned(capsys, tmp_path, op):
     """Outputs the benchmark does not pin: irrational C-matrix entries
-    (asym 19), coupling components that are not stars (ico_2_6) and pairs
-    through a factor pair on the unrelabelled potp h=8 s=7 plan."""
-    argv = {
-        "asym-19": ["construct", "--family", "asym", "--s", "19"],
-        "ico-2-6": ["construct", "--family", "seed", "--name", "ico_2_6"],
-        "potp-h8-s7": ["verify", "--check", "potp", "--through", "A1,A2",
-                       "--plan", write_plan(tmp_path, construct_potp(8, 7))],
-    }[op]
+    (asym 19), coupling components that are not stars (ico_2_6), pairs
+    through a factor pair on the unrelabelled potp h=8 s=7 plan, the claim
+    list of every built family and seed, and the anova reports."""
+    argv, digest = PINNED[op]
+    if argv[-1].startswith("{"):
+        name = argv[-1].strip("{}")
+        plan = construct_potp(8, 7) if name == "potp_h8_s7" else seed_plans()[name]
+        argv = argv[:-1] + [write_plan(tmp_path, plan)]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[op]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_construct_asym(capsys):
@@ -221,6 +265,17 @@ def test_verify_potp(capsys, tmp_path):
     assert code == 0 and json.loads(out)["pass"] is True
     code, _, err = run(capsys, "verify", "--check", "potp", "--plan", path)
     assert code == 2 and "--through is required" in err
+
+
+def test_verify_potp_prints_the_c_matrix_adjusted_for_the_mean(capsys, tmp_path):
+    """Each factor has replications (2, 3) on five runs: its contrast
+    information adjusted for G is (5 - 1/5) / 2 = 12/5, not X'X's 5/2."""
+    plan = Plan("unequal", (Factor("A", 2), Factor("B", 2), Factor("C", 2)),
+                ((0, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 1)))
+    _, out, err = run(capsys, "verify", "--check", "potp", "--through", "A",
+                      "--plan", write_plan(tmp_path, plan))
+    entries = json.loads(out)["c_matrix"]["entries"]
+    assert err == "" and [row[i] for i, row in enumerate(entries)] == ["12/5"] * 3
 
 
 def test_verify_potp_through_block(capsys, tmp_path):

@@ -251,7 +251,7 @@ def test_builder_report_is_a_fresh_check(build, check):
 
 @pytest.mark.parametrize("build,heads", [
     (lambda: construct_asym(7), [("block",), ("block",), ("G",)]),
-    (lambda: construct_potp(4, 3), [()] * 3),
+    (lambda: construct_potp(4, 3), [(), (), ("G",)]),
 ], ids=["asym-7", "potp-4-3"])
 def test_incidence_self_checks_count_once(record_calls, build, heads):
     """Every incidence the asym and potp self-checks compare is a slice of

@@ -12,9 +12,11 @@ from orthoplan import (
     GENERAL,
     Factor,
     Plan,
+    a_value,
     construct_asym,
     contrast_c_matrix,
     c_matrix_factor,
+    e_value,
     is_potb,
     is_potp,
     orth_through,
@@ -183,6 +185,17 @@ def test_c_matrix_interchanged_classes(ico26):
                          [np.array(zero, dtype=object), np.array(block, dtype=object)]])
     assert cm.equals_rational(expected)
     assert cm.labels == ("A1[1]", "B1[1]", "C1[1]", "A2[1]", "B2[1]", "C2[1]")
+
+
+def test_unblocked_c_matrix_is_adjusted_for_the_mean():
+    """An unblocked plan's contrasts are adjusted for the general effect,
+    X'(I - P_G)X, as a blocked plan's are for the blocks.  With
+    replications (1, 3) the contrast's variance is 1/1 + 1/3 over the
+    squared norm 2, i.e. 2/3, so C = 3/2; X'X would give C = 2."""
+    plan = Plan("r13", (Factor("A", 2),), ((0,), (1,), (1,), (1,)))
+    assert contrast_c_matrix(plan).entries_json() == [["3/2"]]
+    assert a_value(plan) == pytest.approx(2 / 3)
+    assert e_value(plan) == pytest.approx(3 / 2)
 
 
 def test_c_matrix_factor_level_space(potb27):

@@ -136,7 +136,7 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
             assert (entry.scalar_pass, entry.a, entry.b) == fit
 
     # the integer contrast C-matrix against its Fraction congruence
-    contrast_through = (BLOCK,) if plan.blocked else ()
+    contrast_through = (BLOCK,) if plan.blocked else (GENERAL,)
     h = helmert_rows(plan, names)
     raw = h @ adjusted_information(plan, names, names, contrast_through) @ h.T
     cm = contrast_c_matrix(plan)

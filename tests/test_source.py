@@ -8,6 +8,9 @@
   ``vector`` outside ``ratmat`` itself: they take and give ``Fraction``
   matrices at the public edge, while the package computes on integer
   matrices over one denominator.
+* No call of the elimination kernel (``ratmat._eliminate``,
+  ``_back_substitute``, ``_solve_scaled``) outside ``ratmat``: the other
+  layers reach it through ``schur_complement``, ``_g_inverse`` and ``rank``.
 * Start-up: ``__init__`` imports no submodule (its exports resolve on first
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
@@ -31,16 +34,18 @@ PACKAGE = Path(orthoplan.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 CACHES = {"cache", "lru_cache"}
 EDGE = {"solve_consistent", "g_inverse", "inverse", "vector"}
+KERNEL = {"_eliminate", "_back_substitute", "_solve_scaled"}
+PRIVATE = EDGE | KERNEL    # the names of ratmat that no other module calls
 
 
 def violations(path):
     """(line, what) for every broken invariant in one source file."""
     module = ast.parse(path.read_text(), filename=str(path))
-    edge_names = set()     # local names bound to the Fraction edge of ratmat
+    edge_names = set()     # local names bound to the Fraction edge or the kernel of ratmat
     if path.stem != "ratmat":
         for node in ast.walk(module):
             if isinstance(node, ast.ImportFrom) and node.module == "ratmat":
-                edge_names |= {a.asname or a.name for a in node.names if a.name in EDGE}
+                edge_names |= {a.asname or a.name for a in node.names if a.name in PRIVATE}
     found = []
     for node in ast.walk(module):
         if isinstance(node, ast.Assert):
@@ -53,7 +58,7 @@ def violations(path):
                     found.append((dec.lineno, f"@{name} decorator"))
         if isinstance(node, ast.Call) and path.stem != "ratmat":
             func = node.func
-            if (isinstance(func, ast.Attribute) and func.attr in EDGE
+            if (isinstance(func, ast.Attribute) and func.attr in PRIVATE
                     and isinstance(func.value, ast.Name) and func.value.id == "ratmat"):
                 found.append((node.lineno, f"ratmat.{func.attr} call"))
             if isinstance(func, ast.Name) and func.id in edge_names:
@@ -75,6 +80,7 @@ from functools import lru_cache
 import functools
 from . import ratmat
 from .ratmat import g_inverse as gi
+from .ratmat import _eliminate as elim
 
 @lru_cache(maxsize=None)
 def a(m):
@@ -84,6 +90,9 @@ def a(m):
 @functools.cache
 def b(m):
     return gi(m), ratmat.vector([1]), ratmat.inverse(m), ratmat.rank(m)
+
+def c(m):
+    return ratmat._solve_scaled(m, m), ratmat._back_substitute(m), elim(m, 1), ratmat._g_inverse(m)
 '''
 
 
@@ -91,8 +100,9 @@ def test_the_checker_sees_each_kind(tmp_path):
     path = tmp_path / "bad.py"
     path.write_text(BAD)
     assert sorted(what for _, what in violations(path)) == [
-        "@cache decorator", "@lru_cache decorator", "assert statement", "gi call",
-        "ratmat.inverse call", "ratmat.solve_consistent call", "ratmat.vector call"]
+        "@cache decorator", "@lru_cache decorator", "assert statement", "elim call", "gi call",
+        "ratmat._back_substitute call", "ratmat._solve_scaled call", "ratmat.inverse call",
+        "ratmat.solve_consistent call", "ratmat.vector call"]
 
 
 CLI_LAYERS = {".errors", ".orthogonality", ".plan"}
