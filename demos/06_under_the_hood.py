@@ -2,9 +2,9 @@
 
 Everything upstream of a verification verdict is integer or rational:
 finite-field tables, Hadamard matrices, orthogonal arrays, and a small
-fraction-free linear algebra kit (rank, g-inverse, and a
-consistent-system solver whose answer-products do not depend on the
-pivoting order).
+fraction-free linear algebra kit over integers (rank, g-inverse, and
+the Schur complement behind every adjusted information matrix, whose
+value does not depend on the pivoting order).
 """
 
 import numpy as np

@@ -14,7 +14,7 @@ _EXPORTS = {
     "plan": ("BLOCK", "GENERAL", "Factor", "Plan", "design_matrix", "incidence",
              "block_incidence", "block_diagonal", "replication", "plan_from_json",
              "plan_to_json", "plan_to_csv"),
-    "ratmat": ("g_inverse", "inverse", "rank", "rational", "sym_eigenvalues", "to_float"),
+    "ratmat": ("g_inverse", "rank", "to_float"),
     "contrasts": ("ContrastMatrix", "helmert_raw", "orthonormal_contrasts"),
     "orthogonality": ("OrthReport", "PairCheck", "c_matrix_factor", "contrast_c_matrix",
                       "is_potb", "is_potp", "orth_through", "proportional_frequencies"),

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import OrderTooSmall, UnsupportedOrder, require
 from .gf import field_new, prime_power, square_classes
+from .plan import MAX_GRAM_SIZE
 
 __all__ = [
     "OrthogonalArray",
@@ -20,6 +21,15 @@ __all__ = [
     "oa_rao_hamming",
     "q_extend",
 ]
+
+
+# The largest Hadamard order a built family can ask for.  ``construct_potp``
+# builds from order h with gram size 2 h s + 1, largest at its smallest
+# field, s = 3: 6 h + 1 <= MAX_GRAM_SIZE gives h <= 1397 (``construct_potb2``,
+# at 16 h + 1, stops lower).  ``hadamard`` refuses a larger order before it
+# builds anything, as the N x N matrix and its check grow about eightfold in
+# time per doubling of N.
+MAX_HADAMARD_ORDER = (MAX_GRAM_SIZE - 1) // 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +139,12 @@ def hadamard(order):
     Orders covered: 1, 2, and multiples of 4 reachable by the quadratic
     character construction, column doubling, and Kronecker products.
     The H H' = order * I identity is checked exactly before returning.
+    Orders above ``MAX_HADAMARD_ORDER`` are refused before anything is built.
     """
     if order < 1 or (order > 2 and order % 4 != 0):
         raise UnsupportedOrder(f"no Hadamard matrix of order {order}")
+    if order > MAX_HADAMARD_ORDER:
+        raise UnsupportedOrder(f"Hadamard order {order} exceeds the limit {MAX_HADAMARD_ORDER}")
     h = _build_hadamard(order)
     if h is None:
         raise UnsupportedOrder(f"order {order} not reachable by the built-in constructions")

@@ -10,12 +10,12 @@ so every orthonormal entry is an integer divided by sqrt(j(j+1)).  A
 congruence O M O' therefore has entries  num[i,j] / (d sqrt(n_i n_j)),
 num an integer matrix over one denominator d > 0 (the integer pair of
 ``ratmat``) and n_i the squared row norms.  ``ContrastMatrix`` carries
-(num, d) and the norms, so zero / identity / rational-equality checks and
-the printed rational entries stay on integers; it makes Fractions only on
-request (``raw``, ``entry_exact``) and converts to floating point, num / d
-entry by entry (correctly rounded), only for eigenvalues and irrational
-entries.  It forms the float matrix and its spectrum once, on first use,
-and keeps them.
+(num, d) and the norms, so the identity check and the printed rational
+entries stay on integers; a Fraction is made only for a scalar (the a of
+``scalar_identity``, the factor of ``scaled``).  It converts to floating
+point, num / d entry by entry (correctly rounded), only for eigenvalues
+and irrational entries, and forms the float matrix and its spectrum once,
+on first use, and keeps them.
 
 Note on scaling: some authors use contrast rows of squared norm 2 (for
 two levels, the row (1, -1)).  Every C-matrix produced under that
@@ -78,18 +78,6 @@ class ContrastMatrix:
         if self.num.shape != (v, v) or len(self.labels) != v:
             raise ShapeMismatch("num / norms / labels sizes disagree")
 
-    @classmethod
-    def from_rational(cls, raw, norms, labels):
-        """The matrix whose exact congruence u_i' M u_j is the rational matrix ``raw``."""
-        raw = np.asarray(raw, dtype=object)
-        rows, d = ratmat._scaled_ints(raw)
-        return cls(ratmat._object(rows, raw.shape[1]), d, tuple(norms), tuple(labels))
-
-    @property
-    def raw(self):
-        """The exact congruence u_i' M u_j as Fractions, formed on each call."""
-        return ratmat._over(self.num, self.d)
-
     @property
     def dim(self):
         return len(self.norms)
@@ -106,11 +94,6 @@ class ContrastMatrix:
         g = gcd(x, self.d * r)
         return x // g, self.d * r // g
 
-    def entry_exact(self, i, j):
-        """The (i, j) entry as a Fraction, or None when it is irrational."""
-        e = self._exact(i, j)
-        return None if e is None else Fraction(*e)
-
     @cached_property
     def _float(self):
         """The symmetrized float matrix, formed once per instance."""
@@ -123,9 +106,6 @@ class ContrastMatrix:
         """The eigenvalues, decomposed once per instance."""
         return tuple(ratmat.checked_eigenvalues(self._float))
 
-    def as_float(self):
-        return self._float.copy()
-
     def scalar_identity(self):
         """(True, a) when the matrix is exactly a * I, else (False, None)."""
         diag = self.num.diagonal()      # entry i is diag[i] / (d n_i)
@@ -133,15 +113,6 @@ class ContrastMatrix:
                 and all(x * self.norms[0] == diag[0] * n for x, n in zip(diag, self.norms))):
             return True, Fraction(diag[0], self.d * self.norms[0])
         return False, None
-
-    def equals_rational(self, expected):
-        """Exact comparison against a rational matrix."""
-        expected = ratmat.rational(expected)
-        if expected.shape != self.num.shape:
-            return False
-        pairs = (self._exact(i, j) for i, j in np.ndindex(expected.shape))
-        return all(e is not None and e[0] * x.denominator == x.numerator * e[1]
-                   for e, x in zip(pairs, expected.flat))
 
     def eigenvalues(self):
         """Ascending eigenvalues (floating point), residual-checked by

@@ -65,10 +65,6 @@ class BadCongruence(ValueError):
     """Field order fails a congruence condition required by a construction."""
 
 
-class NotSymmetric(ValueError):
-    """Symmetric eigenvalue routine called on an asymmetric matrix."""
-
-
 class LengthMismatch(ValueError):
     """Effect vector length does not match the factor's level count."""
 

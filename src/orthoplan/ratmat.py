@@ -1,16 +1,16 @@
 """Exact linear algebra over Python ints with a common denominator.
 
-Inside the package an exact matrix is an integer numpy object array
-``num`` together with one positive int ``d``, standing for num / d.  Rank,
-inverse, g-inverse, the consistent solve and the Schur complement all run
-on one fraction-free (Bareiss) elimination over Python ints, which a
-square diagonal system skips (d is the lcm of its diagonal), and verify
-their results over ints with checks that ``python -O`` keeps.  It has one
-pivot order; a second is the same elimination on the index-reversed
-matrix.  ``Fraction`` input is accepted only at the public edge, where
-rank, inverse, g-inverse and the solve scale it to ints once; ``Fraction``
-entries are made once, by ``_over``, where a matrix leaves through the
-public API.  Floating point enters only in ``checked_eigenvalues``.
+An exact matrix is an integer numpy object array ``num`` together with
+one positive int ``d``, standing for num / d.  Rank, the g-inverse and the
+Schur complement all run on one fraction-free (Bareiss) elimination over
+Python ints, which a square diagonal system skips (d is the lcm of its
+diagonal), and verify their results over ints with checks that
+``python -O`` keeps.  It has one pivot order; a second is the same
+elimination on the index-reversed matrix.  ``Fraction`` input is accepted
+only by ``rank`` and ``g_inverse``, which scale it to ints once; ``Fraction``
+entries are made only by ``_over``, where a matrix leaves through the
+public API.  Floating point enters only in ``checked_eigenvalues``, the one
+eigenvalue routine.
 """
 
 from __future__ import annotations
@@ -22,64 +22,20 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import NotSymmetric, VerificationFailed, require
+from .errors import VerificationFailed, require
 
 __all__ = [
-    "rational",
-    "vector",
-    "zeros",
-    "eye",
-    "ones",
     "to_float",
     "is_zero",
-    "is_symmetric",
     "rank",
-    "inverse",
     "g_inverse",
-    "solve_consistent",
     "schur_complement",
     "checked_eigenvalues",
-    "sym_eigenvalues",
 ]
 
 # The one float tolerance: the relative eigenpair residual bound, and the
 # eigenvalue at or below which ``optimality.a_value`` calls a spectrum singular
 _EIGEN_TOL = 1e-9
-
-
-def rational(values):
-    """Coerce a nested sequence / array to an object matrix of Fractions."""
-    vals = np.asarray(values, dtype=object)
-    if vals.ndim == 1:
-        vals = vals[None, :] if len(vals) else vals.reshape(0, 0)
-    out = np.empty(vals.shape, dtype=object)
-    for idx in np.ndindex(vals.shape):
-        out[idx] = Fraction(vals[idx])
-    return out
-
-
-def vector(values):
-    """Column vector of Fractions, shape (n, 1)."""
-    return rational([[v] for v in values])
-
-
-def zeros(r, c):
-    out = np.empty((r, c), dtype=object)
-    out[:] = Fraction(0)
-    return out
-
-
-def eye(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
-
-
-def ones(r, c):
-    out = np.empty((r, c), dtype=object)
-    out[:] = Fraction(1)
-    return out
 
 
 def to_float(m):
@@ -90,16 +46,11 @@ def is_zero(m):
     return bool(all(x == 0 for x in m.flat))
 
 
-def is_symmetric(m):
-    return bool(m.shape[0] == m.shape[1] and (m == m.T).all())
-
-
-def _scaled_ints(*mats):
-    """The rows of the side-by-side matrices ``mats`` as lists of Python
-    ints (numpy integers too), every entry multiplied by the least common
-    denominator s of all of them; returns (rows, s)."""
-    rows = [[int(x) if isinstance(x, Integral) else Fraction(x)
-             for x in chain.from_iterable(parts)] for parts in zip(*mats)]
+def _scaled_ints(m):
+    """The rows of the matrix ``m`` as lists of Python ints (numpy integers
+    too), every entry multiplied by the least common denominator s of its
+    entries; returns (rows, s)."""
+    rows = [[int(x) if isinstance(x, Integral) else Fraction(x) for x in row] for row in m]
     scale = lcm(1, *(x.denominator for row in rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
@@ -206,20 +157,6 @@ def _solve_scaled(m, rhs):
     return z, d
 
 
-def solve_consistent(m, rhs):
-    """One exact solution Z of M Z = RHS, with free variables set to zero.
-
-    Raises ArithmeticError when some RHS column is outside the column
-    space of M.  For the normal systems solved in this package (M a gram
-    matrix, RHS of the form M W) the result equals G @ RHS for some
-    generalized inverse G; products P @ Z with the rows of P inside the
-    row space of M do not depend on the choice.
-    """
-    (m_int, s_m), (rhs_int, s_rhs) = _scaled_ints(m), _scaled_ints(rhs)
-    z, d = _solve_scaled(_object(m_int, m.shape[1]), _object(rhs_int, rhs.shape[1]))
-    return _over(s_m * z, d * s_rhs)
-
-
 def schur_complement(corner, left, m, right):
     """corner - left M^- right = num / d, exact, for integer object matrices,
     as the canonical pair of an integer object matrix num and an
@@ -239,16 +176,6 @@ def schur_complement(corner, left, m, right):
     num = d * corner - left @ z
     g = gcd(d, *num.flat) * (1 if d > 0 else -1)
     return num // g, d // g
-
-
-def inverse(m):
-    """Exact inverse of a nonsingular square matrix."""
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("inverse needs a square matrix")
-    if rank(m) < n:
-        raise ValueError("matrix is singular")
-    return solve_consistent(m, eye(n))
 
 
 def _g_inverse(m):
@@ -294,11 +221,3 @@ def checked_eigenvalues(f):
     if resid > bound:
         raise VerificationFailed(f"eigen residual {resid} exceeds {bound}")
     return [float(x) for x in w]
-
-
-def sym_eigenvalues(m):
-    """Eigenvalues of an exactly-symmetric rational matrix, ascending,
-    computed in floating point by ``checked_eigenvalues``."""
-    if not is_symmetric(m):
-        raise NotSymmetric("matrix is not exactly symmetric")
-    return checked_eigenvalues(to_float(m))

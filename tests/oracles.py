@@ -37,11 +37,6 @@ def g_inverse_reversed(m):
     return flip(ratmat.g_inverse(flip(m)))
 
 
-def solve_reversed(m, rhs):
-    """``ratmat.solve_consistent`` under the reverse pivot order."""
-    return ratmat.solve_consistent(flip(m), rhs[::-1])[::-1]
-
-
 def schur_reversed(corner, left, m, right):
     """``ratmat.schur_complement`` with M eliminated in the reverse pivot order."""
     return ratmat.schur_complement(corner, left[:, ::-1], flip(m), right[::-1])
@@ -70,10 +65,10 @@ def projector(m, reverse=False):
     """
     n = m.shape[0]
     if m.shape[1] == 0:
-        return ratmat.zeros(n, n)
+        return np.zeros((n, n), dtype=object)
     g = (g_inverse_reversed if reverse else ratmat.g_inverse)(m.T @ m)
     p = m @ g @ m.T
-    assert ratmat.is_symmetric(p) and is_idempotent(p)
+    assert (p == p.T).all() and is_idempotent(p)
     return p
 
 
@@ -144,8 +139,9 @@ class PerCallForm:
 
 
 def one_stage_schur(m, keep, drop):
-    """M_kk - M_kd M_dd^- M_dk over Fractions, for index lists ``keep`` and ``drop``."""
-    m = ratmat.rational(m)
+    """M_kk - M_kd M_dd^- M_dk, exact, for index lists ``keep`` and ``drop``
+    of the integer matrix M, with the ``Fraction`` g-inverse of M_dd."""
+    m = np.asarray(m, dtype=object)
     return (m[np.ix_(keep, keep)]
             - m[np.ix_(keep, drop)] @ ratmat.g_inverse(m[np.ix_(drop, drop)]) @ m[np.ix_(drop, keep)])
 

@@ -93,7 +93,7 @@ def test_c04_interchanged_classes_trade_scalar_form_for_efficiency(potb27, ico26
         ]
         for i in range(6)
     ]
-    assert cm.equals_rational(expected)
+    assert cm.entries_json() == [[str(x) for x in row] for row in expected]
     spectrum = sorted(cm.eigenvalues())
     for got, want in zip(spectrum, [4, 4, 4, 4, 6.4, 6.4]):
         assert abs(got - want) <= TOL
@@ -237,7 +237,7 @@ def test_c11_infrastructure_identities():
     """Field tables, orthogonal arrays, Hadamard matrices, and exact linear
     algebra hold on every supported input; projector and adjusted-SS results
     are invariant to the g-inverse choice on 100 seeded instances."""
-    from orthoplan import ratmat, ss_adjusted
+    from orthoplan import ss_adjusted
     from orthoplan.arrays import hadamard, oa_rao_hamming
     from orthoplan.constructions import seed_plans
     from orthoplan.gf import field_new, supported_orders
@@ -275,9 +275,9 @@ def test_c11_infrastructure_identities():
 
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        m = ratmat.rational(rng.integers(-3, 4, size=(6, 3)))
+        m = rng.integers(-3, 4, size=(6, 3)).astype(object)
         p = projector(m)
-        assert ratmat.is_symmetric(p) and is_idempotent(p)
+        assert (p == p.T).all() and is_idempotent(p)
         assert (p == projector(m, reverse=True)).all()
 
     potb33 = seed_plans()["potb_3_3"]

@@ -122,8 +122,8 @@ def test_ss_multi_factor_target(potp34):
     got = ss_adjusted(potp34, y, ("A1", "A2"), (GENERAL,))
     x_u = np.hstack([design_matrix(potp34, "A1"), design_matrix(potp34, "A2")])
     x_t = design_matrix(potp34, GENERAL)
-    v = x_u - projector(ratmat.rational(x_t)) @ x_u
-    y_col = ratmat.vector(y)
+    v = x_u - projector(x_t.astype(object)) @ x_u
+    y_col = np.array([[x] for x in y], dtype=object)
     want = (y_col.T @ projector(v) @ y_col)[0, 0]
     assert got.value == want
 
@@ -156,8 +156,8 @@ def test_ss_invariant_across_runs(potb33, seed):
     x_u = design_matrix(potb33, "A1")
     x_t = np.hstack([design_matrix(potb33, BLOCK), design_matrix(potb33, GENERAL),
                      design_matrix(potb33, "A2")])
-    v = x_u - projector(ratmat.rational(x_t)) @ x_u
-    y_col = ratmat.vector(y)
+    v = x_u - projector(x_t.astype(object)) @ x_u
+    y_col = np.array([[x] for x in y], dtype=object)
     assert got.value == (y_col.T @ projector(v) @ y_col)[0, 0]
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from orthoplan import (
     OrthogonalArray,
+    arrays,
+    construct_potp,
     field_new,
     hadamard,
     hadamard_to_oa,
@@ -37,6 +39,17 @@ def test_hadamard_unsupported(order):
     # built-in constructions
     with pytest.raises(UnsupportedOrder):
         hadamard(order)
+
+
+def test_hadamard_order_limit_is_the_largest_a_family_asks_for():
+    """potp at s = 3 is the built family with the largest Hadamard order
+    under the gram limit: its gram check passes at the order limit (the
+    order is then refused as not divisible by 4) and fails one above."""
+    limit = arrays.MAX_HADAMARD_ORDER
+    with pytest.raises(UnsupportedOrder, match="divisible by 4"):
+        construct_potp(limit, 3)
+    with pytest.raises(UnsupportedOrder, match="gram size"):
+        construct_potp(limit + 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoplan import cli, constructions, orthogonality, ratmat
+from orthoplan import arrays, cli, constructions, orthogonality, ratmat
 from orthoplan.cli import main
 from orthoplan.errors import VerificationFailed
 from orthoplan import plan as plan_module
@@ -130,6 +130,18 @@ def test_construct_refuses_an_oversized_family_before_building(capsys, record_ca
     code, out, err = run(capsys, "construct", "--family", *argv)
     assert (code, out, calls) == (2, "", [])
     assert f"gram size {size} exceeds the limit {plan_module.MAX_GRAM_SIZE}" in err
+
+
+@pytest.mark.parametrize("order", [1400, 2048])
+@pytest.mark.parametrize("family", ["hadamard", "oa", "qarray"])
+def test_construct_refuses_an_oversized_order_before_building(capsys, record_calls, family,
+                                                              order):
+    """An --order above the largest Hadamard order a built family asks for
+    is a usage error, raised before any matrix is built."""
+    calls = record_calls(arrays, "_build_hadamard")
+    code, out, err = run(capsys, "construct", "--family", family, "--order", str(order))
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: Hadamard order {order} exceeds the limit {arrays.MAX_HADAMARD_ORDER}\n"
 
 
 def test_construct_hadamard(capsys, tmp_path):

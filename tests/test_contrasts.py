@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orthoplan import (ContrastMatrix, helmert_raw, is_potb, orthonormal_contrasts, ratmat,
-                       rational)
+from orthoplan import ContrastMatrix, helmert_raw, is_potb, orthonormal_contrasts, ratmat
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import ShapeMismatch
 
@@ -36,11 +35,18 @@ def test_orthonormal_rows(s):
 
 
 def scalar_cm(value, s=3):
-    """ContrastMatrix of value * I built from a congruence with X = v I."""
+    """ContrastMatrix of value * I: the congruence H (value I) H' of the
+    integer Helmert rows H is value diag(n_i), held as (num, d)."""
+    value = Fraction(value)
     raw = helmert_raw(s)
-    m = rational(np.diag([Fraction(value)] * s))
-    return ContrastMatrix.from_rational(raw @ m @ raw.T, norms=helmert_norms(s),
-                                        labels=tuple(f"A[{j}]" for j in range(1, s)))
+    return ContrastMatrix(raw @ raw.T * value.numerator, value.denominator, helmert_norms(s),
+                          tuple(f"A[{j}]" for j in range(1, s)))
+
+
+def pair_cm(num, d, norms):
+    """ContrastMatrix of the 2 x 2 integer congruence num / d over rows of
+    squared norms ``norms``."""
+    return ContrastMatrix(np.array(num, dtype=object), d, norms, ("a", "b"))
 
 
 def test_scalar_identity():
@@ -51,40 +57,34 @@ def test_scalar_identity():
 
 
 def test_entry_exact_and_equals_rational():
-    cm = scalar_cm(2)
-    assert cm.entry_exact(0, 0) == 2
-    assert cm.entry_exact(0, 1) == 0
-    expected = rational([[2, 0], [0, 2]])
-    assert cm.equals_rational(expected)
-    assert not cm.equals_rational(rational([[2, 0], [0, 3]]))
-    assert not cm.equals_rational(rational([[2]]))
+    """Every entry of 2 I is exact and printed as the expected rational;
+    off the diagonal, a reduced pair prints as 'p/q'."""
+    assert scalar_cm(2).entries_json() == [["2", "0"], ["0", "2"]]
+    # entries num / (d sqrt(n_i n_j)) with n = (2, 8): sqrt(16) = 4
+    cm = pair_cm([[3, 6], [6, 4]], 3, (2, 8))
+    assert cm.entries_json() == [["1/2", "1/2"], ["1/2", "1/6"]]
+    assert cm.scalar_identity() == (False, None)
 
 
 def test_entry_exact_irrational_is_none():
     # congruence with distinct norms: entry 1/sqrt(2*6) is irrational
-    raw = rational([[1, 0], [0, 1]])
-    cm = ContrastMatrix.from_rational(raw, norms=(2, 6), labels=("a", "b"))
-    assert cm.entry_exact(0, 1) == 0        # zero stays exact
-    cm2 = ContrastMatrix.from_rational(rational([[1, 1], [1, 1]]), norms=(2, 6),
-                                       labels=("a", "b"))
-    assert cm2.entry_exact(0, 1) is None
+    cm = pair_cm([[1, 0], [0, 1]], 1, (2, 6))
+    assert cm.entries_json()[0][1] == "0"           # zero stays exact
+    cm2 = pair_cm([[1, 1], [1, 1]], 1, (2, 6))
+    assert cm2._exact(0, 1) is None
     assert "0.2886" in cm2.entries_json()[0][1]
 
 
 def test_as_float_and_eigenvalues():
     cm = scalar_cm(3)
-    f = cm.as_float()
-    assert np.abs(f - 3 * np.eye(2)).max() < 1e-12
+    assert np.abs(cm._float - 3 * np.eye(2)).max() < 1e-12
     assert cm.eigenvalues() == pytest.approx([3.0, 3.0])
 
 
 def test_one_decomposition_per_instance(record_calls):
-    """The float matrix and the spectrum are formed once per instance; a
-    copy of each is handed out."""
+    """The spectrum is formed once per instance; a copy is handed out."""
     calls = record_calls(ratmat, "checked_eigenvalues")
-    cm = ContrastMatrix.from_rational(rational([[2, 1], [1, 2]]), norms=(2, 2),
-                                      labels=("a", "b"))
-    cm.as_float()[0, 0] = 99.0
+    cm = pair_cm([[2, 1], [1, 2]], 1, (2, 2))
     first = cm.eigenvalues()
     first.append(0.0)
     assert cm.eigenvalues() == pytest.approx([0.5, 1.5])
@@ -101,7 +101,7 @@ def test_scaled():
 
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        ContrastMatrix.from_rational(rational([[1, 0], [0, 1]]), norms=(2,), labels=("a",))
+        ContrastMatrix(np.array([[1, 0], [0, 1]], dtype=object), 1, (2,), ("a",))
 
 
 def test_potb_report_makes_no_fractions(potb2_28, record_calls):

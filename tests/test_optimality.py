@@ -171,22 +171,22 @@ def test_e_value_single_contrast():
 # block design identities
 
 def test_bibd_all_ones():
-    assert bibd_check(ratmat.ones(3, 3), v=3, b=3, r=3, k=3, lam=3)
+    assert bibd_check(np.ones((3, 3), dtype=object), v=3, b=3, r=3, k=3, lam=3)
 
 
 def test_bibd_cyclic():
-    l_mat = ratmat.rational([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    l_mat = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=object)
     assert bibd_check(l_mat, v=3, b=3, r=2, k=2, lam=1)
 
 
 def test_bibd_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        bibd_check(ratmat.ones(3, 3), v=3, b=4, r=3, k=3, lam=3)
+        bibd_check(np.ones((3, 3), dtype=object), v=3, b=4, r=3, k=3, lam=3)
 
 
 def circulant(offsets, n=7):
-    return ratmat.rational([[int((j - i) % n in offsets) for j in range(n)]
-                            for i in range(n)])
+    return np.array([[int((j - i) % n in offsets) for j in range(n)] for i in range(n)],
+                    dtype=object)
 
 
 def test_bibd_fano_difference_set():
@@ -194,10 +194,10 @@ def test_bibd_fano_difference_set():
 
 
 def test_bibd_rejections():
-    l_mat = ratmat.rational([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    l_mat = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=object)
     # counting identities violated
     assert not bibd_check(l_mat, v=3, b=3, r=2, k=2, lam=2)
-    assert not bibd_check(ratmat.ones(3, 3), v=3, b=3, r=2, k=3, lam=3)
+    assert not bibd_check(np.ones((3, 3), dtype=object), v=3, b=3, r=2, k=3, lam=3)
     # row sums off
     broken = l_mat.copy()
     broken[0, 2] = Fraction(1)
@@ -210,9 +210,9 @@ def test_bibd_needs_integer_entries():
     # the cyclic (3, 3, 2, 2, 1) incidence times a rational rotation about
     # the all-ones vector: every sum and L L' = I + J still hold
     third = Fraction(1, 3)
-    l_mat = ratmat.rational([[4 * third, third, third],
-                             [third, third, 4 * third],
-                             [third, 4 * third, third]])
+    l_mat = np.array([[4 * third, third, third],
+                      [third, third, 4 * third],
+                      [third, 4 * third, third]], dtype=object)
     assert not bibd_check(l_mat, v=3, b=3, r=2, k=2, lam=1)
     assert bibd_check(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=np.int64),
                       v=3, b=3, r=2, k=2, lam=1)

@@ -1,5 +1,6 @@
-"""Exact rational linear algebra: ranks, (generalized) inverses,
-projectors, consistent solves, and the eigenvalue bridge to floats."""
+"""Exact linear algebra over integers: ranks, the solve kernel and its
+inverses, generalized inverses, projectors, and the eigenvalue bridge to
+floats."""
 
 import subprocess
 import sys
@@ -7,16 +8,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import (g_inverse_reversed, is_idempotent, projector, projector_decompose,
-                     solve_reversed)
+from oracles import g_inverse_reversed, is_idempotent, projector, projector_decompose
 
 from orthoplan import ratmat
-from orthoplan.errors import NotSymmetric
+from orthoplan.errors import VerificationFailed
+
+
+def ints(rows, ncol=None):
+    """An integer object matrix (Python ints), as the package's kernels take."""
+    return np.array(rows, dtype=object).reshape(len(rows), ncol if ncol is not None else -1)
 
 
 def random_rational(rng, rows, cols, den=3):
-    return ratmat.rational([[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, den + 1)))
-                             for _ in range(cols)] for _ in range(rows)])
+    return np.array([[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, den + 1)))
+                      for _ in range(cols)] for _ in range(rows)], dtype=object)
 
 
 def random_low_rank(rng, n, m, r):
@@ -26,27 +31,17 @@ def random_low_rank(rng, n, m, r):
 
 
 # ---------------------------------------------------------------------------
-# constructors and predicates
-
-def test_constructors():
-    m = ratmat.rational([[1, 2], [3, 4]])
-    assert m[0, 1] == Fraction(2) and isinstance(m[0, 1], Fraction)
-    v = ratmat.vector([1, 2, 3])
-    assert v.shape == (3, 1)
-    assert (ratmat.eye(2) == ratmat.rational([[1, 0], [0, 1]])).all()
-    assert ratmat.ones(2, 3).sum() == 6
-    assert ratmat.zeros(2, 2).sum() == 0
-
+# predicates
 
 def test_predicates_return_plain_bool():
-    z = ratmat.zeros(2, 2)
-    for val in (ratmat.is_zero(z), ratmat.is_symmetric(z), is_idempotent(z)):
+    z = ints([[0, 0], [0, 0]])
+    for val in (ratmat.is_zero(z), is_idempotent(z)):
         assert val is True
-    assert ratmat.is_zero(ratmat.eye(2)) is False
+    assert ratmat.is_zero(np.eye(2, dtype=object)) is False
 
 
 def test_to_float():
-    f = ratmat.to_float(ratmat.rational([[Fraction(1, 2), 3]]))
+    f = ratmat.to_float(np.array([[Fraction(1, 2), 3]], dtype=object))
     assert f.dtype == np.float64 and f[0, 0] == 0.5
 
 
@@ -54,36 +49,39 @@ def test_to_float():
 # rank / inverse
 
 def test_rank():
-    assert ratmat.rank(ratmat.eye(3)) == 3
-    assert ratmat.rank(ratmat.ones(3, 3)) == 1
-    assert ratmat.rank(ratmat.zeros(2, 2)) == 0
+    assert ratmat.rank(np.eye(3, dtype=object)) == 3
+    assert ratmat.rank(np.ones((3, 3), dtype=object)) == 1
+    assert ratmat.rank(ints([[0, 0], [0, 0]])) == 0
     rng = np.random.default_rng(7)
     m = random_low_rank(rng, 5, 4, 2)
     assert ratmat.rank(m) <= 2
 
 
 def test_inverse_exact():
-    hilbert = ratmat.rational([[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)])
-    inv = ratmat.inverse(hilbert)
-    assert (hilbert @ inv == ratmat.eye(3)).all()
-    # the 3x3 Hilbert inverse is integral
+    """M Z = d I through the kernel, as ``_g_inverse`` inverts its pivot
+    block: the 3x3 Hilbert matrix, scaled to ints, has an integral inverse."""
+    hilbert = np.array([[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)],
+                       dtype=object)
+    rows, s = ratmat._scaled_ints(hilbert)        # hilbert = rows / s
+    z, d = ratmat._solve_scaled(ints(rows), np.eye(3, dtype=object))
+    inv = s * z / d                                # Fraction entries
+    assert (hilbert @ inv == np.eye(3, dtype=object)).all()
     assert inv[0, 0] == 9 and inv[2, 2] == 180
 
 
 def test_inverse_errors():
-    with pytest.raises(ValueError):
-        ratmat.inverse(ratmat.ones(2, 3))
-    with pytest.raises(ValueError):
-        ratmat.inverse(ratmat.ones(2, 2))
+    """A singular M has no inverse: M Z = I is inconsistent."""
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        ratmat._solve_scaled(ints([[1, 2], [2, 4]]), np.eye(2, dtype=object))
 
 
 # ---------------------------------------------------------------------------
 # generalized inverse
 
 def test_g_inverse_diagonal():
-    m = ratmat.rational([[2, 0], [0, 0]])
-    g = ratmat.g_inverse(m)
-    assert g[0, 0] == Fraction(1, 2) and ratmat.is_zero(g - ratmat.rational([[Fraction(1, 2), 0], [0, 0]]))
+    g = ratmat.g_inverse(ints([[2, 0], [0, 0]]))
+    assert isinstance(g[0, 0], Fraction)
+    assert (g == np.array([[Fraction(1, 2), 0], [0, 0]], dtype=object)).all()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -100,50 +98,40 @@ def test_g_inverse_property(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_solve_consistent_matches_g_inverse_products(seed):
-    """Solutions may differ between pivot orders, but P @ Z is pinned for
-    any P whose rows lie in the row space of M (here P = M itself)."""
+    """M = A'A of rank at most two, so singular, solved by elimination.
+    Solutions may differ between routes, but A Z is pinned, since the rows
+    of A lie in the row space of M: it equals A G RHS for the g-inverse G
+    under either pivot order."""
     rng = np.random.default_rng(seed)
-    a = random_rational(rng, 4, 3)
+    a = ints(rng.integers(-4, 5, size=(4, 2)) @ rng.integers(-4, 5, size=(2, 3)))
     m = a.T @ a
-    w = random_rational(rng, 3, 2)
-    rhs = m @ w
-    z1 = ratmat.solve_consistent(m, rhs)
-    z2 = solve_reversed(m, rhs)
-    assert (m @ z1 == rhs).all()
-    assert (m @ z2 == rhs).all()
-    assert (m @ z1 == m @ z2).all()
-    g = ratmat.g_inverse(m)
-    assert (m @ (g @ rhs) == rhs).all()
+    rhs = m @ ints(rng.integers(-4, 5, size=(3, 2)))
+    z, d = ratmat._solve_scaled(m, rhs)
+    assert (m @ z == d * rhs).all()
+    for g_inverse in (ratmat.g_inverse, g_inverse_reversed):
+        assert (a @ z == d * (a @ g_inverse(m) @ rhs)).all()
 
 
 def test_solve_consistent_inconsistent_raises():
-    m = ratmat.rational([[1, 1], [1, 1]])
-    rhs = ratmat.rational([[1], [0]])
-    with pytest.raises(ArithmeticError):
-        ratmat.solve_consistent(m, rhs)
+    with pytest.raises(ArithmeticError, match="inconsistent"):
+        ratmat._solve_scaled(ints([[1, 1], [1, 1]]), ints([[1], [0]]))
 
 
 def test_solve_consistent_shape_error():
     with pytest.raises(ValueError):
-        ratmat.solve_consistent(ratmat.eye(2), ratmat.rational([[1], [2], [3]]))
+        ratmat._solve_scaled(np.eye(2, dtype=object), ints([[1], [2], [3]]))
 
 
 def test_schur_complement_takes_integer_matrices():
     """The kernel does not rescale: a Fraction matrix is refused up front
     instead of failing inside the integer elimination."""
-    m = ratmat.rational([[Fraction(1, 2), 0], [0, 3]])
-    corner = np.array([[5]], dtype=object)
-    left = np.array([[1, 1]], dtype=object)
+    m = np.array([[Fraction(1, 2), 0], [0, 3]], dtype=object)
+    corner = ints([[5]])
+    left = ints([[1, 1]])
     with pytest.raises(TypeError, match="integer matrices"):
         ratmat.schur_complement(corner, left, m, left.T)
-    num, d = ratmat.schur_complement(corner, left, np.array([[1, 0], [0, 6]], dtype=object),
-                                     left.T)
+    num, d = ratmat.schur_complement(corner, left, ints([[1, 0], [0, 6]]), left.T)
     assert d == 6 and num.tolist() == [[23]]  # 5 - (1 + 1/6)
-
-
-def ints(rows, ncol=None):
-    """An integer object matrix (Python ints), as the package's kernels take."""
-    return np.array(rows, dtype=object).reshape(len(rows), ncol if ncol is not None else -1)
 
 
 def test_diagonal_system_is_solved_without_elimination(record_calls):
@@ -152,10 +140,8 @@ def test_diagonal_system_is_solved_without_elimination(record_calls):
     calls = record_calls(ratmat, "_eliminate")
     m, rhs = ints([[2, 0, 0], [0, 0, 0], [0, 0, -3]]), ints([[1, 4], [0, 0], [5, -1]])
     z, d = ratmat._solve_scaled(m, rhs)
-    d_plus = ratmat.rational([[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, Fraction(-1, 3)]])
-    assert d == 6 and (ratmat.rational(z) / d == d_plus @ ratmat.rational(rhs)).all()
-    assert (ratmat.solve_consistent(ratmat.rational(m), ratmat.rational(rhs))
-            == d_plus @ ratmat.rational(rhs)).all()
+    d_plus = np.array([[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, Fraction(-1, 3)]], dtype=object)
+    assert d == 6 and (z == d * (d_plus @ rhs)).all()
     assert calls == []
 
 
@@ -173,11 +159,18 @@ def test_empty_system_takes_the_general_path(record_calls):
 
 
 def test_solve_consistent_fractional_entries():
-    m = ratmat.rational([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 9)]])
-    w = ratmat.rational([[Fraction(5, 7)], [Fraction(-2, 3)]])
-    rhs = m @ w
-    z = ratmat.solve_consistent(m, rhs)
-    assert (m @ z == rhs).all()
+    """A singular M with fractional entries, scaled to ints with its RHS,
+    solved by elimination: M Z equals M G RHS = RHS for the g-inverse G of
+    the Fraction M under either pivot order."""
+    m = np.array([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 9)]],
+                 dtype=object)
+    rhs = m @ np.array([[Fraction(5, 7)], [Fraction(-2, 3)]], dtype=object)
+    rows, s = ratmat._scaled_ints(np.hstack([m, rhs]))   # [M | RHS] = rows / s
+    system = ints(rows)
+    z, d = ratmat._solve_scaled(system[:, :2], system[:, 2:])
+    assert ratmat.rank(m) == 1 and d != 1
+    for g_inverse in (ratmat.g_inverse, g_inverse_reversed):
+        assert (m @ z == d * (m @ g_inverse(m) @ rhs)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +181,7 @@ def test_projector_properties(seed):
     rng = np.random.default_rng([11, seed])
     m = random_low_rank(rng, 6, 3, int(rng.integers(1, 4)))
     p = projector(m)
-    assert ratmat.is_symmetric(p) and is_idempotent(p)
+    assert (p == p.T).all() and is_idempotent(p)
     assert (p @ m == m).all()
     # invariant to the g-inverse route
     assert (p == projector(m, reverse=True)).all()
@@ -213,15 +206,17 @@ def test_projector_decompose():
 # eigenvalues
 
 def test_sym_eigenvalues():
-    m = ratmat.rational([[2, 0], [0, 5]])
-    assert ratmat.sym_eigenvalues(m) == [2.0, 5.0]
-    w = ratmat.sym_eigenvalues(ratmat.ones(3, 3))
+    """``checked_eigenvalues``, the one eigenvalue routine, on symmetric floats."""
+    assert ratmat.checked_eigenvalues(np.diag([2.0, 5.0])) == [2.0, 5.0]
+    w = ratmat.checked_eigenvalues(np.ones((3, 3)))
     assert abs(w[0]) < 1e-9 and abs(w[2] - 3.0) < 1e-9
 
 
 def test_sym_eigenvalues_requires_symmetry():
-    with pytest.raises(NotSymmetric):
-        ratmat.sym_eigenvalues(ratmat.rational([[0, 1], [0, 0]]))
+    """``eigh`` reads one triangle only; the residual check of every
+    eigenpair against the whole matrix refuses an asymmetric one."""
+    with pytest.raises(VerificationFailed, match="eigen residual"):
+        ratmat.checked_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +238,9 @@ def off_by_one(*args):
     return z
 
 ratmat._back_substitute = off_by_one
-m = ratmat.rational([[2, 1], [1, 1]])
+m = np.array([[2, 1], [1, 1]], dtype=object)
 try:
-    ratmat.solve_consistent(m, m)
+    ratmat._solve_scaled(m, m)
 except VerificationFailed as exc:
     print("solve:", exc)
 ratmat._back_substitute = real_back_substitute

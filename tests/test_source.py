@@ -4,10 +4,9 @@
 * No ``functools.cache`` / ``lru_cache``: caches exist only where a
   measurement justifies them; the one today is per instance, the float
   matrix and spectrum of a ``ContrastMatrix``.
-* No call of ``ratmat.solve_consistent``, ``g_inverse``, ``inverse`` or
-  ``vector`` outside ``ratmat`` itself: they take and give ``Fraction``
-  matrices at the public edge, while the package computes on integer
-  matrices over one denominator.
+* No call of ``ratmat.g_inverse`` outside ``ratmat`` itself: it takes and
+  gives ``Fraction`` matrices at the public edge, while the package
+  computes on integer matrices over one denominator.
 * No call of the elimination kernel (``ratmat._eliminate``,
   ``_back_substitute``, ``_solve_scaled``) outside ``ratmat``: the other
   layers reach it through ``schur_complement``, ``_g_inverse`` and ``rank``.
@@ -15,6 +14,10 @@
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
   a verb loads only the modules it runs.
+* The benchmark under ``bench/`` reads the package through its exports:
+  every ``orthoplan.<name>`` it reads is exported, and every public name of
+  ``ratmat`` is called from another module or from ``bench/``, so no public
+  name of ``ratmat`` goes unused and none that the benchmark calls goes away.
 """
 
 import ast
@@ -27,13 +30,14 @@ from pathlib import Path
 import pytest
 
 import orthoplan
-from orthoplan import seed_plans
+from orthoplan import ratmat, seed_plans
 from orthoplan.plan import plan_dumps
 
 PACKAGE = Path(orthoplan.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 CACHES = {"cache", "lru_cache"}
-EDGE = {"solve_consistent", "g_inverse", "inverse", "vector"}
+EDGE = {"g_inverse"}
 KERNEL = {"_eliminate", "_back_substitute", "_solve_scaled"}
 PRIVATE = EDGE | KERNEL    # the names of ratmat that no other module calls
 
@@ -85,14 +89,14 @@ from .ratmat import _eliminate as elim
 @lru_cache(maxsize=None)
 def a(m):
     assert m
-    return ratmat.solve_consistent(m, m)
+    return ratmat.g_inverse(m)
 
 @functools.cache
 def b(m):
-    return gi(m), ratmat.vector([1]), ratmat.inverse(m), ratmat.rank(m)
+    return gi(m), ratmat.rank(m)
 
 def c(m):
-    return ratmat._solve_scaled(m, m), ratmat._back_substitute(m), elim(m, 1), ratmat._g_inverse(m)
+    return ratmat._solve_scaled(m, m), elim(m, 1), ratmat._g_inverse(m)
 '''
 
 
@@ -101,8 +105,7 @@ def test_the_checker_sees_each_kind(tmp_path):
     path.write_text(BAD)
     assert sorted(what for _, what in violations(path)) == [
         "@cache decorator", "@lru_cache decorator", "assert statement", "elim call", "gi call",
-        "ratmat._back_substitute call", "ratmat._solve_scaled call", "ratmat.inverse call",
-        "ratmat.solve_consistent call", "ratmat.vector call"]
+        "ratmat._solve_scaled call", "ratmat.g_inverse call"]
 
 
 CLI_LAYERS = {".errors", ".orthogonality", ".plan"}
@@ -162,10 +165,42 @@ def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
 def test_every_export_resolves_to_its_module_object():
     names = {}
     exec("from orthoplan import *", names)
-    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 66
+    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 63
     for name in orthoplan.__all__:
         module = importlib.import_module(f"orthoplan.{orthoplan._MODULE_OF[name]}")
         assert getattr(orthoplan, name) is getattr(module, name) is names[name]
     assert set(dir(orthoplan)) >= set(orthoplan.__all__) | {"__version__"}
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         orthoplan.no_such_name
+
+
+def attribute_reads(path, owner, calls_only=False):
+    """The names ``x`` of every ``owner.x`` read in one file (only those
+    called, ``owner.x(...)``, when ``calls_only``)."""
+    nodes = ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    if calls_only:
+        nodes = (n.func for n in nodes if isinstance(n, ast.Call))
+    return {n.attr for n in nodes if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == owner}
+
+
+def test_the_benchmark_reads_only_exported_names():
+    """A name the traced benchmark pass reads from ``orthoplan`` cannot be
+    removed from the exports without this test failing."""
+    assert {p.stem for p in BENCH} >= {"run", "traced_op", "workloads"}
+    read = set().union(*(attribute_reads(p, "orthoplan") for p in BENCH))
+    assert {"g_inverse", "rank", "c_matrix_factor"} <= read
+    assert sorted(read - set(orthoplan.__all__)) == []
+
+
+def test_every_public_name_of_ratmat_has_a_caller():
+    """Each name in ``ratmat.__all__`` is called by another module of the
+    package (``ratmat.x(...)``) or by the benchmark (``orthoplan.x(...)``)."""
+    called = set()
+    for path in SOURCES:
+        if path.stem != "ratmat":
+            called |= attribute_reads(path, "ratmat", calls_only=True)
+    for path in BENCH:
+        called |= {x for x in attribute_reads(path, "orthoplan", calls_only=True)
+                   if orthoplan._MODULE_OF.get(x) == "ratmat"}
+    assert sorted(set(ratmat.__all__) - called) == []
