@@ -10,9 +10,11 @@ prints one JSON document (or writes it with --out) and exits with
 Reports are deterministic (``plan._dumps``: keys sorted, two-space
 indent, no timestamps), so identical invocations are byte-identical.
 Each verb imports the modules it runs inside its own function, so that
-no invocation pays to load the layers it does not use.  ``construct``
-and ``catalog`` print the report with which the builder of every built
-family verified its plan, rather than checking the plan a second time.
+no invocation pays to load the layers it does not use.  ``catalog`` is
+``construct`` over the seed plans and five built plans, through one family
+dispatch (``_built``), one claim writer (``_claims``; ``catalog`` only
+renames labels) and one document assembly (``_documents``).  A built
+plan's report is the one its builder verified it with.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ import sys
 
 from .errors import UnknownFactor, VerificationFailed
 from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
-from .plan import (
-    GENERAL,
-    _dumps,
-    plan_dumps,
-    plan_loads,
-    plan_to_csv,
-    plan_to_json,
-)
+from .plan import GENERAL, _dumps, plan_loads, plan_to_csv, plan_to_json
 
 __all__ = ["main"]
 
@@ -118,47 +113,46 @@ def _refuse_unread_options(args):
             raise ValueError(f"--{opt} does not apply to --family {fam}{which}")
 
 
-def _construct_family(args):
-    """Build the requested plan (or matrix) and its claims."""
+def _built(family, h=None, s=None):
+    """A built family's (plan, report its builder verified, potb contrast
+    scalar or None); the one place the CLI names the builders."""
+    from .constructions import _asym, _potb2, _potb3, _potp
+
+    if family == "potp":
+        return (*_potp(h, s), None)
+    if family == "potb2":
+        return (*_potb2(h), 4 * h)
+    if family == "potb3":
+        return (*_potb3(), 27)
+    return (*_asym(s), None)
+
+
+def _matrix(args):
+    """The document of a hadamard, oa or qarray matrix, its grid included."""
     from .arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
-    from .constructions import _asym, _potb2, _potb3, _potp, seed_plans
     from .gf import field_new
 
-    fam = args.family
-    _refuse_unread_options(args)
-    if fam == "hadamard":
+    if args.family == "hadamard":
         h = hadamard(_require(args, "order"))
-        return None, h.tolist(), {"kind": "hadamard", "order": int(h.shape[0])}, []
-    if fam in ("oa", "qarray"):
-        if args.order is not None:
-            oa = hadamard_to_oa(hadamard(args.order))
-        else:
-            oa = oa_rao_hamming(field_new(_require(args, "s")))
-        if fam == "qarray":
-            oa = q_extend(oa)
-        meta = {"kind": fam, "rows": oa.rows, "columns": oa.columns,
-                "symbols": oa.symbols, "zero_row": oa.zero_row}
-        return None, oa.grid.tolist(), meta, []
-
-    if fam == "seed":
-        name = _require(args, "name")
-        plans = seed_plans()
-        if name not in plans:
-            raise UnknownFactor(
-                f"unknown seed plan {name!r}; have {sorted(plans)}")
-        return plans[name], None, None, _pair_claims(name, plans[name])
-    scalar = None
-    if fam == "potp":
-        plan, rep = _potp(_require(args, "h"), _require(args, "s"))
-    elif fam == "potb2":
-        plan, rep = _potb2(_require(args, "h"))
-        scalar = 4 * args.h
-    elif fam == "potb3":
-        plan, rep = _potb3()
-        scalar = 27
+        return {"kind": "hadamard", "order": int(h.shape[0]), "grid": h.tolist()}
+    if args.order is not None:
+        oa = hadamard_to_oa(hadamard(args.order))
     else:
-        plan, rep = _asym(_require(args, "s"))
-    return plan, None, None, (rep, _claims(plan.name.replace("_", "-"), rep, scalar))
+        oa = oa_rao_hamming(field_new(_require(args, "s")))
+    if args.family == "qarray":
+        oa = q_extend(oa)
+    return {"kind": args.family, "rows": oa.rows, "columns": oa.columns,
+            "symbols": oa.symbols, "zero_row": oa.zero_row, "grid": oa.grid.tolist()}
+
+
+def _documents(plan, rep):
+    """Plan, report and ledger JSON of a verified plan; ledger None if unblocked."""
+    from .optimality import _ledger
+
+    plan_doc, rep_doc, ledger = plan_to_json(plan), rep.to_json(), None
+    if plan.blocked:
+        ledger = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
+    return plan_doc, rep_doc, ledger
 
 
 def _require(args, attr):
@@ -168,39 +162,48 @@ def _require(args, attr):
     return val
 
 
-def _matrix_csv(rows):
-    return "".join(",".join(str(x) for x in row) + "\n" for row in rows)
-
-
 def _cmd_construct(args):
-    plan, grid, meta, verification = _construct_family(args)
-    if plan is None:
-        doc = dict(meta)
-        doc["grid"] = grid
+    fam = args.family
+    _refuse_unread_options(args)
+    if fam in ("hadamard", "oa", "qarray"):
+        doc = _matrix(args)
         if args.csv:
-            _emit(_matrix_csv(grid), args.csv)
+            _emit("".join(",".join(map(str, row)) + "\n" for row in doc["grid"]), args.csv)
         _emit(_dumps(doc), args.out)
         return 0
-    from .optimality import _ledger
+    if fam == "seed":
+        from .constructions import seed_plans
 
-    rep, claims = verification
-    doc = {"plan": plan_to_json(plan), "report": rep.to_json(), "claims": claims}
-    if plan.blocked:
-        doc["optimality"] = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
+        name, plans = _require(args, "name"), seed_plans()
+        if name not in plans:
+            raise UnknownFactor(f"unknown seed plan {name!r}; have {sorted(plans)}")
+        plan = plans[name]
+        rep, claims = _pair_claims(name, plan)
+    else:
+        options = {o: _require(args, o) for o in ("h", "s") if o in _FAMILY_OPTIONS[fam]}
+        plan, rep, scalar = _built(fam, **options)
+        claims = _claims(plan.name.replace("_", "-"), rep, scalar)
+    plan_doc, rep_doc, ledger = _documents(plan, rep)
+    doc = {"plan": plan_doc, "report": rep_doc, "claims": claims}
+    if ledger is not None:
+        doc["optimality"] = ledger
     if args.csv:
         _emit(plan_to_csv(plan), args.csv)
     if args.out:
-        _emit(plan_dumps(plan), args.out)
-        if args.report:
-            _emit(_dumps(doc), args.report)
-    else:
+        _emit(_dumps(plan_doc), args.out)
+    if args.report or not args.out:
         _emit(_dumps(doc), args.report)
     return 0 if all(c["pass"] == c["expect"] for c in claims) else 1
 
 
-def _split_idents(text):
-    """Comma-separated identifiers; 'block' and 'G' are the pseudo-factors."""
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _split_idents(text, option):
+    """Comma-separated identifiers; 'block' and 'G' are the pseudo-factors.
+    A repeated identifier is refused, so that the set echoed is the set used."""
+    idents = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for i, ident in enumerate(idents):
+        if ident in idents[:i]:
+            raise ValueError(f"{option} names {ident!r} twice")
+    return idents
 
 
 def _cmd_verify(args):
@@ -210,7 +213,7 @@ def _cmd_verify(args):
     if args.check == "potb":
         rep = is_potb(plan)
     elif args.check == "potp":
-        through = _split_idents(args.through or "")
+        through = _split_idents(args.through or "", "--through")
         if not through:
             raise ValueError("--through is required for --check potp")
         rep = is_potp(plan, through)
@@ -234,7 +237,7 @@ def _cmd_anova(args):
     from .anova import estssq_equivalence
 
     plan = _load_plan(args.plan)
-    adjust = tuple(_split_idents(args.adjust))
+    adjust = tuple(_split_idents(args.adjust, "--adjust"))
     report = estssq_equivalence(plan, args.target, adjust,
                                 trials=args.trials, seed=args.seed)
     _emit(_dumps(report.to_json()), args.out)
@@ -242,47 +245,25 @@ def _cmd_anova(args):
 
 
 def _cmd_catalog(args):
-    from .constructions import _asym, _potb2, _potb3, _potp, seed_plans
-    from .optimality import _ledger
+    from .constructions import seed_plans
 
-    plans = {}
-    reports = {}
-    ledgers = {}
-    claims = []
+    def verified():
+        for name, plan in sorted(seed_plans().items()):
+            yield (plan, *_pair_claims(name, plan))
+        for family, h, s in [("potp", 4, 3), ("potb2", 2, None), ("potb3", None, None),
+                             ("asym", None, 3), ("asym", None, 7)]:
+            plan, rep, scalar = _built(family, h, s)
+            # the catalog digest pins shorter labels for these plans (ROADMAP item 4)
+            yield plan, rep, [dict(c, label=c["label"].removesuffix(f"-{scalar}"))
+                              for c in _claims(plan.name, rep, scalar)
+                              if not c["label"].endswith("-blocked-identity")]
 
-    for name, plan in sorted(seed_plans().items()):
-        rep, cl = _pair_claims(name, plan)
-        plans[name] = plan_to_json(plan)
-        reports[name] = rep.to_json()
-        claims.extend(cl)
-        if plan.blocked:
-            ledgers[name] = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
-
-    built = [   # name, builder of (plan, report), the contrast scalar a potb plan must reach
-        ("potp_3_8", lambda: _potp(4, 3), None),
-        ("potb_2_14", lambda: _potb2(2), 8),
-        ("potb_3_15", _potb3, 27),
-        ("asym_3", lambda: _asym(3), None),
-        ("asym_7", lambda: _asym(7), None),
-    ]
-    for name, build, scalar in built:
-        plan, rep = build()
-        plans[name] = plan_to_json(plan)
-        if name.startswith("potp"):
-            claims.extend(_claims(name, rep))
-        elif name.startswith("asym"):
-            ext = [p for p in rep.pairs if p.informational]
-            claims.append(_claim(f"{name}-level-pairs-through-block", rep.passed))
-            claims.append(_claim(f"{name}-extended-pairs-proportional",
-                                 all(p.pfc for p in ext)))
-        else:
-            ok, val = rep.c_matrix.scalar_identity()
-            claims.append(_claim(f"{name}-all-pairs-through-block", rep.passed))
-            claims.append(_claim(f"{name}-contrast-scalar", ok and val == scalar))
-        reports[name] = rep.to_json()
-        if plan.blocked:
-            ledgers[name] = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
-
+    plans, reports, ledgers, claims = {}, {}, {}, []
+    for plan, rep, plan_claims in verified():
+        plans[plan.name], reports[plan.name], ledger = _documents(plan, rep)
+        if ledger is not None:
+            ledgers[plan.name] = ledger
+        claims.extend(plan_claims)
     overall = all(c["pass"] == c["expect"] for c in claims)
     doc = {"plans": plans, "reports": reports, "optimality": ledgers,
            "claims": claims, "pass": overall}

@@ -345,9 +345,7 @@ def construct_potb2(h):
 def _potb2(h):
     """``construct_potb2(h)`` and its verified ``is_potb`` report, as (plan, report)."""
     _refuse_gram_size(f"potb2 h={h}", 16 * h + 1)
-    q = _q_array_two_level(h)
-    plan = diamond(q, seed_potb_27(), field_new(2), name=f"potb_2_{7 * h}")
-    return plan, _verify_potb(plan, f"potb2 h={h}", 7 * h, (5,) * (2 * h), 4 * h)
+    return _product(seed_potb_27(), _q_array_two_level(h), f"potb2 h={h}", 4 * h)
 
 
 def construct_potb3():
@@ -362,22 +360,22 @@ def construct_potb3():
 
 def _potb3():
     """``construct_potb3()`` and its verified ``is_potb`` report, as (plan, report)."""
-    q = q_extend(oa_rao_hamming(field_new(3)))
-    plan = diamond(q, seed_potb_33(), field_new(3), name="potb_3_15")
-    return plan, _verify_potb(plan, "potb3", 15, (4, 4, 2) * 9, 27)
+    return _product(seed_potb_33(), q_extend(oa_rao_hamming(field_new(3))), "potb3", 27)
 
 
-def _verify_potb(plan, what, m, block_sizes, scalar):
-    """The self-check of a family orthogonal through the block factor: its
-    shape, every pair's orthogonality and the contrast C-matrix scalar * I.
-    Returns the ``is_potb`` report it verified."""
+def _product(seed, q, what, scalar):
+    """``diamond(q, seed)`` and the ``is_potb`` report that verified it, as
+    (plan, report): the shape its inputs give, every pair orthogonal through
+    the block factor, and the contrast C-matrix ``scalar * I``."""
+    m, block_sizes = seed.m * q.rows, seed.block_sizes * q.columns
+    plan = diamond(q, seed, field_new(q.symbols), name=f"potb_{q.symbols}_{m}")
     require(plan.m == m and plan.block_sizes == block_sizes,
             f"{what}: {m} factors in {len(block_sizes)} blocks")
     report = is_potb(plan)
     require(report.passed, f"{what}: pairs orthogonal through block")
     require(report.c_matrix.scalar_identity() == (True, scalar),
             f"{what}: contrast C-matrix = {scalar} I")
-    return report
+    return plan, report
 
 
 # ---------------------------------------------------------------------------

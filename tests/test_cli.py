@@ -303,6 +303,15 @@ def test_verify_potp_through_block(capsys, tmp_path):
     assert code == 2 and "has no blocks" in err
 
 
+def test_verify_refuses_a_repeated_through_identifier(capsys, tmp_path):
+    """The conditioning set echoed in the report is the set used, so a
+    repeated identifier is refused rather than dropped or echoed twice."""
+    path = write_plan(tmp_path, seed_plans()["potp_3_4"])
+    code, out, err = run(capsys, "verify", "--check", "potp", "--through", "A1,A2, A1",
+                         "--plan", path)
+    assert (code, out, err) == (2, "", "error: --through names 'A1' twice\n")
+
+
 @pytest.mark.parametrize("through", [",", " ", " , "])
 def test_verify_potp_through_that_names_nothing(capsys, tmp_path, through):
     path = write_plan(tmp_path, seed_plans()["potb_2_7"])
@@ -383,6 +392,13 @@ def test_anova_verb(capsys, tmp_path):
     assert doc["trials"]["all_equal"] is True
 
 
+def test_anova_refuses_a_repeated_adjust_identifier(capsys, tmp_path):
+    path = write_plan(tmp_path, seed_plans()["potb_2_7"])
+    code, out, err = run(capsys, "anova", "--plan", path, "--target", "A3",
+                         "--adjust", "block,A1,block")
+    assert (code, out, err) == (2, "", "error: --adjust names 'block' twice\n")
+
+
 def test_anova_unknown_target(capsys, tmp_path):
     path = write_plan(tmp_path, seed_plans()["potb_2_7"])
     code, _, err = run(capsys, "anova", "--plan", path, "--target", "Z9",
@@ -426,6 +442,53 @@ def test_catalog(capsys, tmp_path):
         "potb_2_7", "ico_2_6", "potb_3_3",
         "potb_2_14", "potb_3_15", "asym_3", "asym_7",
     }
+
+
+CATALOG_PLANS = {   # catalog plan: the construct options that build it
+    "potp_3_4": ["seed", "--name", "potp_3_4"],
+    "potb_2_7": ["seed", "--name", "potb_2_7"],
+    "ico_2_6": ["seed", "--name", "ico_2_6"],
+    "potb_3_3": ["seed", "--name", "potb_3_3"],
+    "potp_3_8": ["potp", "--h", "4", "--s", "3"],
+    "potb_2_14": ["potb2", "--h", "2"],
+    "potb_3_15": ["potb3"],
+    "asym_3": ["asym", "--s", "3"],
+    "asym_7": ["asym", "--s", "7"],
+}
+
+
+@pytest.fixture(scope="module")
+def catalog_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("catalog") / "catalog.json"
+    assert main(["catalog", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PLANS))
+def test_catalog_restates_what_construct_prints(capsys, catalog_doc, name):
+    """``catalog`` is ``construct`` over its nine plans: the same plan,
+    report and ledger, and each catalog claim has the pass and expect of
+    the construct claim it renames.  A built plan's catalog label uses
+    underscores and drops the potb scalar suffix; the one construct claim
+    it leaves out is the asym blocked-identity claim."""
+    code, out, err = run(capsys, "construct", "--family", *CATALOG_PLANS[name])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert catalog_doc["plans"][name] == doc["plan"]
+    assert catalog_doc["reports"][name] == doc["report"]
+    assert catalog_doc["optimality"].get(name) == doc.get("optimality")
+    tag = name.replace("_", "-")
+    mine = [c for c in catalog_doc["claims"] if c["label"].startswith((name + "-", tag + "-"))]
+    renamed = set()
+    for claim in mine:
+        label = claim["label"].replace(name, tag, 1)
+        match = [c for c in doc["claims"] if (c["label"] + "-").startswith(label + "-")]
+        assert len(match) == 1
+        assert (match[0]["pass"], match[0]["expect"]) == (claim["pass"], claim["expect"])
+        renamed.add(match[0]["label"])
+    left_out = {c["label"] for c in doc["claims"]} - renamed
+    assert left_out == ({f"{tag}-extended-pairs-blocked-identity"} if tag.startswith("asym")
+                        else set())
 
 
 def test_catalog_contrast_scalar_claim_checks_the_value(capsys, tmp_path, monkeypatch):

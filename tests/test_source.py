@@ -14,6 +14,9 @@
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
   a verb loads only the modules it runs.
+* One family dispatch: ``cli`` names the private family builders
+  (``_potp``, ``_potb2``, ``_potb3``, ``_asym``) in ``_built`` only, so
+  ``construct`` and ``catalog`` cannot build a family two ways.
 * The benchmark under ``bench/`` reads the package through its exports:
   every ``orthoplan.<name>`` it reads is exported, and every public name of
   ``ratmat`` is called from another module or from ``bench/``, so no public
@@ -144,6 +147,49 @@ def test_the_import_checks_see_nested_imports(tmp_path):
     path.write_text("import json\nif True:\n    from . import gf\n"
                     "def f():\n    from .anova import ss_adjusted\n")
     assert sorted(module_level_imports(path)) == [(1, "json"), (3, ".")]
+
+
+BUILDERS = ("_potp", "_potb2", "_potb3", "_asym")
+
+
+def builder_scopes(path):
+    """{builder: sorted scopes} for the private family builders named in one
+    file (by name, attribute or import); a scope is the top-level function
+    that names it, or '<module>'."""
+    found = {b: set() for b in BUILDERS}
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in found:
+                found[name].add(scope)
+    return {b: sorted(scopes) for b, scopes in found.items()}
+
+
+def test_cli_names_the_family_builders_in_one_function():
+    assert builder_scopes(PACKAGE / "cli.py") == {b: ["_built"] for b in BUILDERS}
+
+
+BAD_DISPATCH = '''
+from .constructions import _potp
+from . import constructions
+
+def one(h, s):
+    return _potp(h, s), constructions._potb2(h)
+
+def two(h):
+    from .constructions import _potb2 as product
+    return product(h)
+'''
+
+
+def test_the_dispatch_check_sees_each_kind_of_reference(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text(BAD_DISPATCH)
+    assert builder_scopes(path) == {"_potp": ["<module>", "one"], "_potb2": ["one", "two"],
+                                    "_potb3": [], "_asym": []}
 
 
 def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
