@@ -36,13 +36,12 @@ MAX_HADAMARD_ORDER = (MAX_GRAM_SIZE - 1) // 6
 class OrthogonalArray:
     """An orthogonal array of strength 2, or its zero-row extension.
 
-    When ``zero_row`` is set the grid carries an extra all-zero first row
-    and the strength-2 property is only claimed among the remaining rows.
+    Only the extension starts with an all-zero row (every other row is
+    balanced over s >= 2 symbols); its strength-2 claim is among the rest.
     """
 
     grid: np.ndarray
     symbols: int
-    zero_row: bool = False
 
     def __post_init__(self):
         g = np.asarray(self.grid)
@@ -50,10 +49,12 @@ class OrthogonalArray:
             raise ValueError("grid must be two-dimensional")
         if g.min() < 0 or g.max() >= self.symbols:
             raise ValueError("grid symbols outside 0..s-1")
-        if self.zero_row and g[0].any():
-            raise ValueError("zero_row set but first row is not zero")
         object.__setattr__(self, "grid", g.astype(np.int64))
         verify_strength2(self)
+
+    @property
+    def zero_row(self):
+        return not self.grid[0].any()
 
     @property
     def rows(self):
@@ -159,12 +160,12 @@ def hadamard_to_oa(h):
     """Two-symbol strength-2 OA from a Hadamard matrix.
 
     Drops the all-ones first row and recodes +1 -> 0, -1 -> 1, giving an
-    OA(h, h-1, 2, 2) stored as (h-1) rows by h columns.
+    OA(h, h-1, 2, 2) stored as (h-1) rows by h columns; one row at order 2.
     """
     h = np.asarray(h)
     order = h.shape[0]
-    if order < 4:
-        raise OrderTooSmall("need order >= 4; smaller orders leave fewer than two rows")
+    if order < 2:
+        raise OrderTooSmall("need order >= 2; order 1 leaves no row")
     if h.shape != (order, order) or not (h[0] == 1).all():
         raise ValueError("expected a normalized square Hadamard matrix")
     grid = ((1 - h[1:]) // 2).astype(np.int64)
@@ -188,4 +189,4 @@ def q_extend(oa):
     if oa.zero_row:
         raise ValueError("array already carries a zero row")
     grid = np.vstack([np.zeros(oa.columns, dtype=np.int64), oa.grid])
-    return OrthogonalArray(grid=grid, symbols=oa.symbols, zero_row=True)
+    return OrthogonalArray(grid=grid, symbols=oa.symbols)

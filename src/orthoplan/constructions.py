@@ -298,18 +298,17 @@ def power_plan(plan, t):
                 block_sizes=plan.block_sizes)
 
 
-def diamond(q, plan0, field, name=None):
-    """Product of a zero-row array Q (m rows, N columns) with a plan:
-    the m-th power of the plan, translated by one vector per column of Q,
-    the vector repeating q[i, col] across the i-th copy's factors.
+def diamond(q, plan0, name=None):
+    """Product of a zero-row array Q (m rows, N columns, s symbols) with a
+    plan over GF(s): the m-th power of the plan, translated by one vector per
+    column of Q, the vector repeating q[i, col] across the i-th copy's factors.
 
     The copy aligned with the zero row is never translated, so the result
     contains the power plan itself; blocks multiply to b * N.
     """
     if not isinstance(q, OrthogonalArray) or not q.zero_row:
         raise ValueError("diamond needs a zero-row orthogonal array")
-    if q.symbols != field.order:
-        raise SymbolMismatch(f"array symbols {q.symbols} != field order {field.order}")
+    field = field_new(q.symbols)
     for f in plan0.factors:
         if f.levels != field.order:
             raise SymbolMismatch(f"factor {f.name} has {f.levels} levels, field wants {field.order}")
@@ -322,14 +321,6 @@ def diamond(q, plan0, field, name=None):
         vectors.append(tuple(vec))
     return translate(pw, vectors, field,
                      name=name or f"{plan0.name}_x{q.columns}")
-
-
-def _q_array_two_level(h):
-    """Zero-row two-symbol translation array with h rows and h columns."""
-    if h == 2:
-        grid = np.array([[0, 0], [0, 1]], dtype=np.int64)
-        return OrthogonalArray(grid=grid, symbols=2, zero_row=True)
-    return q_extend(hadamard_to_oa(hadamard(h)))
 
 
 def construct_potb2(h):
@@ -345,7 +336,7 @@ def construct_potb2(h):
 def _potb2(h):
     """``construct_potb2(h)`` and its verified ``is_potb`` report, as (plan, report)."""
     _refuse_gram_size(f"potb2 h={h}", 16 * h + 1)
-    return _product(seed_potb_27(), _q_array_two_level(h), f"potb2 h={h}", 4 * h)
+    return _product(seed_potb_27(), q_extend(hadamard_to_oa(hadamard(h))), f"potb2 h={h}", 4 * h)
 
 
 def construct_potb3():
@@ -368,7 +359,7 @@ def _product(seed, q, what, scalar):
     (plan, report): the shape its inputs give, every pair orthogonal through
     the block factor, and the contrast C-matrix ``scalar * I``."""
     m, block_sizes = seed.m * q.rows, seed.block_sizes * q.columns
-    plan = diamond(q, seed, field_new(q.symbols), name=f"potb_{q.symbols}_{m}")
+    plan = diamond(q, seed, name=f"potb_{q.symbols}_{m}")
     require(plan.m == m and plan.block_sizes == block_sizes,
             f"{what}: {m} factors in {len(block_sizes)} blocks")
     report = is_potb(plan)

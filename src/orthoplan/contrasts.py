@@ -54,12 +54,11 @@ class ContrastMatrix:
     num: np.ndarray          # v x v Python ints, num[i,j] / d = u_i' M u_j
     d: int                   # positive common denominator
     norms: tuple             # squared norms n_i of the integer rows
-    labels: tuple            # human-readable contrast row labels
 
     def __post_init__(self):
         v = len(self.norms)
-        if self.num.shape != (v, v) or len(self.labels) != v:
-            raise ShapeMismatch("num / norms / labels sizes disagree")
+        if self.num.shape != (v, v):
+            raise ShapeMismatch("num / norms sizes disagree")
 
     @property
     def dim(self):

@@ -67,7 +67,6 @@ class GaloisField:
     mul_table: np.ndarray
     neg_table: np.ndarray
     inv_table: np.ndarray
-    modulus: tuple | None
 
     def _check(self, a):
         if not 0 <= a < self.order:
@@ -166,10 +165,8 @@ def field_new(order):
     p, k = pk
     if k == 1:
         add, mul = _tables_prime(p)
-        modulus = None
     else:
-        modulus = _MODULUS[order]
-        add, mul = _tables_prime_power(p, k, modulus)
+        add, mul = _tables_prime_power(p, k, _MODULUS[order])
 
     neg = (add == 0).argmax(axis=1)
     inv = (mul == 1).argmax(axis=1)
@@ -187,7 +184,6 @@ def field_new(order):
         mul_table=mul.astype(np.int16),
         neg_table=neg.astype(np.int16),
         inv_table=inv.astype(np.int16),
-        modulus=modulus,
     )
 
 
@@ -196,7 +192,6 @@ class SquareClasses:
     """Partition of the units of an odd-order field into squares and
     non-squares, each sorted ascending by label."""
 
-    order: int
     c0: tuple
     c1: tuple
 
@@ -214,7 +209,7 @@ def square_classes(field):
     c1 = tuple(a for a in field.units if a not in sq)
     require(len(c0) == len(c1) == (field.order - 1) // 2,
             f"GF({field.order}): squares and non-squares each fill half the units")
-    return SquareClasses(order=field.order, c0=c0, c1=c1)
+    return SquareClasses(c0=c0, c1=c1)
 
 
 def supported_orders():

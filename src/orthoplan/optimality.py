@@ -110,25 +110,6 @@ class OptimalityLedger:
         }
 
 
-def _factor_conditions(plan, a, l_a, info, c_a):
-    """The three per-factor conditions: the count condition read off the
-    level-by-block counts ``l_a``, the other two off ``info`` = (num, d) and
-    the factor's fully adjusted information ``c_a`` = (num, d)."""
-    s = plan.factor(a).levels
-    floors = tuple(int(k) // s for k in plan.block_sizes)
-    counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
-    count_pass = all(
-        c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
-    own = _columns(plan, plan.factor_names)[a]
-    num, _ = info
-    orth_pass = ratmat.is_zero(num[own, :own.start]) and ratmat.is_zero(num[own, own.stop:])
-    scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(*c_a)
-    return FactorConditions(factor=a, count_pass=count_pass,
-                            block_counts=counts, t_floor=floors,
-                            orth_pass=orth_pass, scalar_pass=scalar_pass,
-                            a=fit_a, b=fit_b)
-
-
 def universal_ledger(plan):
     """Assemble the full ledger: per-factor conditions, the global scalar
     identity, and the contrast spectrum, all read off one matrix
@@ -141,15 +122,28 @@ def universal_ledger(plan):
 
 def _ledger(plan, info, c_con):
     """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d)
-    and its contrast C-matrix ``c_con``."""
+    and its contrast C-matrix ``c_con``; each factor's level count s_A is the
+    width of its column slice."""
     names = plan.factor_names
+    num, _ = info
     adjusted = _fully_adjusted(plan, info)
     n_of = _incidences(plan, (BLOCK,) + names)
-    factors = tuple(_factor_conditions(plan, f, n_of(f, BLOCK), info, adjusted[f])
-                    for f in names)
+    factors = []
+    for a, own in _columns(plan, names).items():
+        floors = tuple(int(k) // (own.stop - own.start) for k in plan.block_sizes)
+        l_a = n_of(a, BLOCK)
+        counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
+        count_pass = all(
+            c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
+        orth_pass = ratmat.is_zero(num[own, :own.start]) and ratmat.is_zero(num[own, own.stop:])
+        scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(*adjusted[a])
+        factors.append(FactorConditions(factor=a, count_pass=count_pass,
+                                        block_counts=counts, t_floor=floors,
+                                        orth_pass=orth_pass, scalar_pass=scalar_pass,
+                                        a=fit_a, b=fit_b))
     global_pass, global_a = c_con.scalar_identity()
     spectrum = tuple(c_con.eigenvalues())
-    return OptimalityLedger(plan_name=plan.name, factors=factors,
+    return OptimalityLedger(plan_name=plan.name, factors=tuple(factors),
                             global_pass=global_pass, global_a=global_a,
                             spectrum=spectrum)
 

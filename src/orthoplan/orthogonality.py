@@ -103,8 +103,9 @@ class PairCheck:
     through: tuple
     passed: bool
     # X_A'(I - P_T)X_B as (num, d): the pair's integer slice of the stacked
-    # information and its denominator; ``residual`` makes the Fractions
-    _information: tuple = field(repr=False)
+    # information and its denominator; ``residual`` makes the Fractions.  It
+    # is left out of ``==``: an array compared elementwise has no truth value
+    _information: tuple = field(repr=False, compare=False)
     pfc: bool | None = None
     informational: bool = False
 
@@ -226,15 +227,12 @@ def _contrast(plan, info):
     names = plan.factor_names
     num, d = info
     norms = []
-    labels = []
     for f in names:
-        s = plan.factor(f).levels
-        norms.extend(helmert_norms(s))
-        labels.extend([f"{f}[{j}]" for j in range(1, s)])
+        norms.extend(helmert_norms(plan.factor(f).levels))
     cols = _columns(plan, names)
     rows = np.vstack([_helmert(num[cols[f], :]) for f in names])
     con = np.hstack([_helmert(rows[:, cols[f]].T).T for f in names])
-    return ContrastMatrix(num=con, d=d, norms=tuple(norms), labels=tuple(labels))
+    return ContrastMatrix(num=con, d=d, norms=tuple(norms))
 
 
 def contrast_c_matrix(plan):

@@ -220,6 +220,15 @@ def test_equivalence_fails_with_witness():
     assert rep.biconditional_observed   # inequality is what the condition predicts
 
 
+def test_equivalence_checks_the_block_a_blocked_plan_leaves_out(potb27):
+    """Adjusting a blocked plan for the general effect alone leaves the
+    block factor among the terms A must be orthogonal to."""
+    rep = estssq_equivalence(potb27, "A1", (GENERAL,), trials=20, seed=0)
+    assert rep.checked_against == ("A2", "A3", "A4", "A5", "A6", "A7", BLOCK)
+    assert not rep.condition_holds and rep.equal_trials == 0
+    assert rep.biconditional_observed
+
+
 SEED_EXPERIMENTS = [("potb_2_7", "A1", (BLOCK,)), ("ico_2_6", "A1", (BLOCK,)),
                     ("potp_3_4", "A3", ("A1", "A2"))]
 

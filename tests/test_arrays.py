@@ -24,7 +24,8 @@ def count_pairs(grid, i, j, s):
 # ---------------------------------------------------------------------------
 # Hadamard construction
 
-@pytest.mark.parametrize("order", [1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 48, 64])
+# 400 = 20 x 20 and 528 = 12 x 44 are reached only by the Kronecker product
+@pytest.mark.parametrize("order", [1, 2, 4, 8, 12, 16, 20, 24, 28, 32, 48, 64, 400, 528])
 def test_hadamard_exact(order):
     h = hadamard(order)
     assert h.shape == (order, order)
@@ -55,7 +56,7 @@ def test_hadamard_order_limit_is_the_largest_a_family_asks_for():
 # ---------------------------------------------------------------------------
 # two-symbol arrays from Hadamard matrices
 
-@pytest.mark.parametrize("order", [4, 8, 12, 16])
+@pytest.mark.parametrize("order", [2, 4, 8, 12, 16])     # order 2 gives one row
 def test_hadamard_to_oa_strength2(order):
     oa = hadamard_to_oa(hadamard(order))
     assert oa.rows == order - 1 and oa.columns == order
@@ -68,7 +69,7 @@ def test_hadamard_to_oa_strength2(order):
 
 def test_hadamard_to_oa_too_small():
     with pytest.raises(OrderTooSmall):
-        hadamard_to_oa(hadamard(2))
+        hadamard_to_oa(hadamard(1))
 
 
 def test_hadamard_to_oa_rejects_unnormalized():
@@ -103,8 +104,8 @@ def test_q_extend():
 
 def test_zero_row_single_effective_row():
     # with one effective row only the per-row balance condition applies
-    q = OrthogonalArray(grid=np.array([[0, 0], [0, 1]]), symbols=2, zero_row=True)
-    assert q.rows == 2 and q.columns == 2
+    q = OrthogonalArray(grid=np.array([[0, 0], [0, 1]]), symbols=2)
+    assert q.zero_row and q.rows == 2 and q.columns == 2
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +125,6 @@ def test_rejects_unbalanced_pair():
     grid = np.array([[0, 0, 1, 1], [0, 0, 1, 1]])
     with pytest.raises(ValueError):
         OrthogonalArray(grid=grid, symbols=2)
-
-
-def test_rejects_false_zero_row_flag():
-    with pytest.raises(ValueError):
-        OrthogonalArray(grid=np.array([[0, 1], [0, 1]]), symbols=2, zero_row=True)
 
 
 def test_strength_survives_row_deletion():

@@ -166,6 +166,19 @@ def test_construct_qarray(capsys):
     assert doc["zero_row"] is True and doc["rows"] == 5 and doc["columns"] == 9
 
 
+@pytest.mark.parametrize("family,rows,zero_row,grid", [
+    ("oa", 1, False, [[0, 1]]),
+    ("qarray", 2, True, [[0, 0], [0, 1]]),     # the array of potb2 at h = 2
+])
+def test_construct_arrays_of_order_2(capsys, family, rows, zero_row, grid):
+    code, out, _ = run(capsys, "construct", "--family", family, "--order", "2")
+    assert code == 0
+    assert json.loads(out) == {"kind": family, "rows": rows, "columns": 2, "symbols": 2,
+                               "zero_row": zero_row, "grid": grid}
+    code, out, err = run(capsys, "construct", "--family", family, "--order", "1")
+    assert (code, out) == (2, "") and "order 1 leaves no row" in err
+
+
 @pytest.mark.parametrize("op,argv", [
     ("catalog", ["catalog"]),
     ("construct-asym-s11", ["construct", "--family", "asym", "--s", "11"]),
@@ -389,6 +402,17 @@ def test_anova_verb(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["adjust_for"] == ["block"]
     assert doc["trials"]["all_equal"] is True
+
+
+def test_anova_adjusting_a_blocked_plan_for_the_mean_checks_the_block(capsys, tmp_path):
+    path = write_plan(tmp_path, seed_plans()["potb_2_7"])
+    code, out, _ = run(capsys, "anova", "--plan", path, "--target", "A1",
+                       "--adjust", "G", "--trials", "20", "--seed", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["condition"] == {"checked_against": ["A2", "A3", "A4", "A5", "A6", "A7", "block"],
+                                "holds": False}
+    assert doc["trials"]["equal"] == 0 and doc["biconditional_observed"] is True
 
 
 def test_anova_refuses_a_repeated_adjust_identifier(capsys, tmp_path):

@@ -217,15 +217,12 @@ def test_diamond_contains_untranslated_copy(potb27, potb2_14):
 
 
 def test_diamond_errors(potb27, potb33):
-    f2, f3 = field_new(2), field_new(3)
     plain = OrthogonalArray(grid=np.array([[0, 0, 1, 1], [0, 1, 0, 1]]), symbols=2)
     with pytest.raises(ValueError, match="zero-row"):
-        diamond(plain, potb27, f2)
-    q = OrthogonalArray(grid=np.array([[0, 0], [0, 1]]), symbols=2, zero_row=True)
+        diamond(plain, potb27)
+    q = OrthogonalArray(grid=np.array([[0, 0], [0, 1]]), symbols=2)
     with pytest.raises(SymbolMismatch):
-        diamond(q, potb27, f3)
-    with pytest.raises(SymbolMismatch):
-        diamond(q, potb33, f2)
+        diamond(q, potb33)
 
 
 def test_potb2_families(potb2_14, potb2_28):

@@ -46,14 +46,13 @@ def scalar_cm(value, s=3):
     integer Helmert rows H is value diag(n_i), held as (num, d)."""
     value = Fraction(value)
     raw = helmert_raw(s)
-    return ContrastMatrix(raw @ raw.T * value.numerator, value.denominator, helmert_norms(s),
-                          tuple(f"A[{j}]" for j in range(1, s)))
+    return ContrastMatrix(raw @ raw.T * value.numerator, value.denominator, helmert_norms(s))
 
 
 def pair_cm(num, d, norms):
     """ContrastMatrix of the 2 x 2 integer congruence num / d over rows of
     squared norms ``norms``."""
-    return ContrastMatrix(np.array(num, dtype=object), d, norms, ("a", "b"))
+    return ContrastMatrix(np.array(num, dtype=object), d, norms)
 
 
 def test_scalar_identity():
@@ -110,7 +109,7 @@ def test_scaled():
 
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        ContrastMatrix(np.array([[1, 0], [0, 1]], dtype=object), 1, (2,), ("a",))
+        ContrastMatrix(np.array([[1, 0], [0, 1]], dtype=object), 1, (2,))
 
 
 def test_potb_report_makes_no_fractions(potb2_28, record_calls):

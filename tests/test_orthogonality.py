@@ -178,7 +178,6 @@ def test_c_matrix_interchanged_classes(ico26):
     block = [[a, b, b], [b, a, b], [b, b, a]]
     zero = ["0"] * 3
     assert cm.entries_json() == [row + zero for row in block] + [zero + row for row in block]
-    assert cm.labels == ("A1[1]", "B1[1]", "C1[1]", "A2[1]", "B2[1]", "C2[1]")
 
 
 def test_unblocked_c_matrix_is_adjusted_for_the_mean():

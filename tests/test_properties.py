@@ -7,9 +7,10 @@ two-component, chain and triangle couplings), the ledger and the
 connectedness verdicts against their one-stage definitions, the contrast
 C-matrix and its printed entries, spectrum and scalar form against its
 Fraction congruence, the adjusted sum of squares against the dense
-projection Y' P_V Y, the pair verdicts against relabelled plans, and the
-JSON round trip."""
+projection Y' P_V Y, the pair verdicts against relabelled plans, report
+equality across repeated runs, and the JSON round trip."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd, lcm
@@ -257,6 +258,21 @@ def test_pair_residuals_are_blocks_of_the_stacked_information(plan, which):
             assert_residuals_are_blocks(plan, rep.pairs, names, through)
             pfc = pair_checks(plan, names, (GENERAL,))[0]
             assert [p.pfc for p in rep.pairs] == [p.passed for p in pfc]
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(plans())
+def test_repeated_reports_compare_equal(plan):
+    """Two ``is_potb`` runs on one blocked plan give equal pairs, and
+    comparing the reports raises nothing: the integer information each
+    pair holds is left out of the comparison, and the C-matrix compares
+    by identity."""
+    assume(plan.blocked)
+    first, second = is_potb(plan), is_potb(plan)
+    assert first.pairs == second.pairs
+    assert first != second                  # the C-matrix compares by identity
+    assert replace(first, c_matrix=None) == replace(second, c_matrix=None)
 
 
 def test_informational_residuals_are_blocks_of_the_stacked_information(asym7):

@@ -25,6 +25,10 @@
   ``bench/`` or ``demos/`` (a name only the tests run belongs in
   ``tests/``), and each module's ``__all__`` lists only names the module
   defines.
+* No unread state: every field of a package dataclass is read as an
+  attribute, ``obj.field``, outside ``__post_init__``, by the package,
+  ``bench/`` or ``demos/``.  The match is by attribute name, so a field
+  that shares its name with an attribute read elsewhere passes.
 """
 
 import ast
@@ -70,6 +74,15 @@ def foreign_exports(module):
     return [(line, name) for line, name in listed if name not in defined]
 
 
+def decorator_names(node):
+    """(line, name) for each decorator of a definition: ``x`` for ``@x``,
+    ``@mod.x`` and ``@x(...)``."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        yield dec.lineno, name
+
+
 def violations(path):
     """(line, what) for every broken invariant in one source file."""
     module = ast.parse(path.read_text(), filename=str(path))
@@ -84,11 +97,8 @@ def violations(path):
         if isinstance(node, ast.Assert):
             found.append((node.lineno, "assert statement"))
         if isinstance(node, DEFINITIONS):
-            for dec in node.decorator_list:
-                target = dec.func if isinstance(dec, ast.Call) else dec
-                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-                if name in CACHES:
-                    found.append((dec.lineno, f"@{name} decorator"))
+            found.extend((line, f"@{name} decorator")
+                         for line, name in decorator_names(node) if name in CACHES)
         if isinstance(node, ast.Call) and path.stem != "ratmat":
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr in PRIVATE
@@ -359,3 +369,79 @@ def test_the_caller_check_sees_each_kind(tmp_path):
     assert unreferenced(paths[:1], paths) == ["lib.unused", "lib.recursive", "lib.Lonely"]
     assert unreferenced(paths[:1], paths[:1]) == [
         "lib.unused", "lib.recursive", "lib.Kept", "lib.Kept.read", "lib.Lonely"]
+
+
+def dataclass_fields(tree):
+    """(class name, field name) for every annotated field of each top-level
+    ``@dataclass`` class of a module."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and any(n == "dataclass" for _, n in decorator_names(top)):
+            yield from ((top.name, node.target.id) for node in top.body
+                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+
+
+def attributes_read(tree):
+    """Every name ``x`` read as an attribute, ``obj.x``, outside a
+    ``__post_init__``."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_fields(defining, reading):
+    """'module.Class.field' for every dataclass field of the files
+    ``defining`` that no file of ``reading`` reads outside ``__post_init__``."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in {*defining, *reading}}
+    read = set().union(*(attributes_read(trees[p]) for p in reading))
+    return [f"{path.stem}.{cls}.{name}" for path in defining
+            for cls, name in dataclass_fields(trees[path]) if name not in read]
+
+
+def test_every_dataclass_field_is_read():
+    """No field is carried that nothing reads: each is read by the package,
+    the benchmark or a demo, not only by its own constructor check."""
+    assert unread_fields(SOURCES, SOURCES + BENCH + DEMOS) == []
+
+
+BAD_FIELDS = '''
+import dataclasses
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Kept:
+    read: int
+    checked: int
+    written: int
+    unread: int
+
+    def __post_init__(self):
+        if self.checked < 0:
+            raise ValueError
+
+
+@dataclasses.dataclass
+class Other:
+    value: int
+
+
+class Plain:
+    note: str
+
+
+def use(k, o):
+    k.written = 0
+    return k.read, o.value
+'''
+
+
+def test_the_field_check_sees_each_kind(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text(BAD_FIELDS)
+    assert unread_fields([path], [path]) == ["bad.Kept.checked", "bad.Kept.written",
+                                             "bad.Kept.unread"]
