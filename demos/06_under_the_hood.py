@@ -18,7 +18,7 @@ from orthoplan.orthogonality import adjusted_information
 print("supported field orders:", supported_orders()[:10], "...",
       len(supported_orders()), "total")
 f9 = field_new(9)
-print("GF(9): 3 * 3 =", f9.mul(3, 3), " (char %d, degree %d)" % (f9.char, f9.degree))
+print("GF(9): 3 * 3 =", f9.mul_table[3, 3], " (char %d, degree %d)" % (f9.char, f9.degree))
 
 # Square classes drive the mixed-level construction.
 sq = square_classes(field_new(7))

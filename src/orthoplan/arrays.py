@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderTooSmall, UnsupportedOrder, require
-from .gf import field_new, prime_power, square_classes
+from .gf import MAX_ORDER, field_new, prime_power, square_classes
 from .plan import MAX_GRAM_SIZE
 
 __all__ = [
@@ -96,11 +96,9 @@ def _paley(q):
     f = field_new(q)
     sq = square_classes(f)
     chi = np.zeros(q, dtype=np.int64)
-    for a in sq.c0:
-        chi[a] = 1
-    for a in sq.c1:
-        chi[a] = -1
-    jac = np.array([[chi[f.sub(i, j)] for j in range(q)] for i in range(q)])
+    chi[list(sq.c0)] = 1
+    chi[list(sq.c1)] = -1
+    jac = chi[f.add_table[:, f.neg_table]]      # entry [i, j] is chi(i - j)
     h = np.zeros((q + 1, q + 1), dtype=np.int64)
     h[0, :] = 1
     h[1:, 0] = -1
@@ -118,7 +116,7 @@ def _build_hadamard(order):
         return None
     q = order - 1
     pk = prime_power(q)
-    if pk is not None and q % 4 == 3 and q <= 128:
+    if pk is not None and q % 4 == 3 and q <= MAX_ORDER:
         return _paley(q)
     half = _build_hadamard(order // 2)
     if half is not None:
@@ -176,11 +174,9 @@ def oa_rao_hamming(field):
     """OA(s^2, s+1, s, 2) over GF(s): columns are the points (u, v) of the
     affine plane, rows read off u, v, and u + a*v for each unit a."""
     s = field.order
-    cols = [(u, v) for u in range(s) for v in range(s)]
-    rows = [np.array([u for u, _ in cols]), np.array([v for _, v in cols])]
-    for a in field.units:
-        rows.append(np.array([field.add(u, field.mul(a, v)) for u, v in cols]))
-    return OrthogonalArray(grid=np.stack(rows), symbols=s)
+    u, v = np.divmod(np.arange(s * s), s)
+    grid = np.vstack([u, v, field.add_table[u, field.mul_table[1:, v]]])
+    return OrthogonalArray(grid=grid, symbols=s)
 
 
 def q_extend(oa):

@@ -123,16 +123,6 @@ def seed_plans():
 # ---------------------------------------------------------------------------
 # translation orbits
 
-def _translate_symbol(x, u, field, levels):
-    if levels == field.order:
-        return field.add(x, u)
-    if levels == field.order + 1:
-        # the extra top label is the absorbing point at infinity
-        return x if x == field.order else field.add(x, u)
-    raise SymbolMismatch(
-        f"factor with {levels} levels incompatible with field of order {field.order}")
-
-
 def translate(plan, vectors, field, name=None):
     """Replace the runs by {x + v : x run, v in vectors}, coordinatewise in
     the field (an absorbing extra level is allowed, see construct_asym).
@@ -140,38 +130,40 @@ def translate(plan, vectors, field, name=None):
     The block structure is replicated once per translation vector, in the
     order given: the result has b * len(vectors) blocks.
     """
+    s = field.order
+    for f in plan.factors:
+        if f.levels not in (s, s + 1):
+            raise SymbolMismatch(
+                f"factor with {f.levels} levels incompatible with field of order {s}")
     vectors = [tuple(int(x) for x in v) for v in vectors]
     for v in vectors:
         if len(v) != plan.m:
             raise DimensionMismatch(f"vector {v} has {len(v)} coordinates, plan has {plan.m}")
-        if any(not 0 <= x < field.order for x in v):
+        if any(not 0 <= x < s for x in v):
             raise SymbolMismatch(f"translation amounts must be field labels: {v}")
-    runs = []
-    for v in vectors:
-        for run in plan.runs:
-            runs.append(tuple(
-                _translate_symbol(x, u, field, f.levels)
-                for x, u, f in zip(run, v, plan.factors)))
+    # the extra row [s, ..., s] keeps the top label of an (s+1)-level
+    # factor, the absorbing point at infinity, where it is
+    padded = np.vstack([field.add_table, np.full(s, s, dtype=field.add_table.dtype)])
+    shifts = np.array(vectors, dtype=np.int64).reshape(-1, 1, plan.m)
+    runs = padded[np.array(plan.runs), shifts].reshape(-1, plan.m)   # vector-major
     blocks = plan.block_sizes * len(vectors) if plan.blocked else None
     return Plan(name=name or f"{plan.name}_t{len(vectors)}",
-                factors=plan.factors, runs=tuple(runs), block_sizes=blocks)
+                factors=plan.factors, runs=runs.tolist(), block_sizes=blocks)
 
 
 def orbit(plan, field, name=None):
     """Translate by all constant vectors u * 1, u in the field."""
-    vectors = [(u,) * plan.m for u in field.elements]
+    vectors = [(u,) * plan.m for u in range(field.order)]
     return translate(plan, vectors, field, name=name)
 
 
 def c0_expand(array, field):
     """Columns {c * P : c in C0}, nonzero squares ascending, each scaled
     copy keeping the original column order."""
-    sq = square_classes(field)
     array = np.asarray(array)
-    blocks = []
-    for c in sq.c0:
-        blocks.append(np.vectorize(lambda x, c=c: field.mul(c, x))(array))
-    return np.hstack(blocks)
+    if array.min() < 0 or array.max() >= field.order:
+        raise SymbolMismatch(f"entries must be labels of the field of order {field.order}")
+    return np.hstack([field.mul_table[c][array] for c in square_classes(field).c0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +246,7 @@ def _potp(h, s):
         raise UnsupportedOrder(f"seed needs a Hadamard order divisible by 4, got {h}")
     seed = _signed_seed(h)
     validate_signed_seed(seed)
-    labels = np.where(seed >= 0, seed, field.neg(1))
+    labels = np.where(seed >= 0, seed, field.neg_table[1])
     expanded = c0_expand(labels, field)
     m = 2 * h
     factors = tuple(Factor(f"A{i}", s) for i in range(1, m + 1))
@@ -313,12 +305,7 @@ def diamond(q, plan0, name=None):
         if f.levels != field.order:
             raise SymbolMismatch(f"factor {f.name} has {f.levels} levels, field wants {field.order}")
     pw = power_plan(plan0, q.rows)
-    vectors = []
-    for col in range(q.columns):
-        vec = []
-        for row in range(q.rows):
-            vec.extend([int(q.grid[row, col])] * plan0.m)
-        vectors.append(tuple(vec))
+    vectors = np.repeat(q.grid.T, plan0.m, axis=1)
     return translate(pw, vectors, field,
                      name=name or f"{plan0.name}_x{q.columns}")
 
@@ -395,26 +382,23 @@ def _asym(s):
         warnings.warn(f"s = {s}: orthogonality claims for this family are "
                       "only established for s = 3 (mod 4)")
     t = (s - 1) // 2
-    c0 = list(sq.c0)
+    c0 = np.array(sq.c0)
     alpha = min(sq.c1)
+    mul = field.mul_table
+    powers = (1, alpha, int(mul[alpha, alpha]))     # alpha^0, alpha^1, alpha^2
     inf = s                           # absorbing label of the extended factor
-    index = c0 + [inf]                # rows and columns of the two arrays
 
-    def entry(level, x, y):
-        if x != inf and y != inf:
-            return field.mul(field.pow(alpha, level), field.mul(x, y))
-        if x != inf and y == inf:
-            return 0
-        if x == inf and y != inf:
-            return field.mul(field.pow(alpha, level + 1), y)
-        return 0 if level == 0 else inf
-
+    # one run per y and one factor per x, each over C0 then inf
     blocks = []
     for level in (0, 1):
-        blocks.append([tuple(entry(level, x, y) for x in index) for y in index])
-    factors = tuple([Factor(f"x{c}", s) for c in c0] + [Factor("inf", s + 1)])
+        runs = np.zeros((t + 1, t + 1), dtype=np.int64)          # y = inf, x finite: 0
+        runs[:t, :t] = mul[powers[level]][mul[np.ix_(c0, c0)]]    # alpha^level x y
+        runs[:t, t] = mul[powers[level + 1]][c0]                 # x = inf: alpha^(level+1) y
+        runs[t, t] = inf if level else 0                         # x = y = inf
+        blocks.append(runs)
+    factors = tuple([Factor(f"x{c}", s) for c in sq.c0] + [Factor("inf", s + 1)])
     base = Plan(name=f"asym_{s}", factors=factors,
-                runs=tuple(blocks[0] + blocks[1]), block_sizes=(t + 1, t + 1))
+                runs=np.vstack(blocks).tolist(), block_sizes=(t + 1, t + 1))
     plan = orbit(base, field, name=f"asym_{s}")
     _verify_asym(plan, field, sq, t)
     report = asym_report(plan)
@@ -455,10 +439,9 @@ def _verify_asym(plan, field, sq, t):
     # the set (C0 + u) u {u} in the even blocks and (C1 + u) u {u} in the
     # odd ones; with m(p, q) = [q - p in C0] the two halves are M' + I and
     # J - M', so every s-level factor has one L and one BIBD check covers all
-    m_mat = np.array([[int(field.sub(q, p) in sq.c0) for q in range(s)]
-                      for p in range(s)], dtype=object)
-    half0 = m_mat.T + eye
-    half1 = jay - m_mat.T
+    m_t = np.isin(field.add_table[:, field.neg_table], sq.c0).astype(np.int64)   # M'[q, p]
+    half0 = m_t + eye
+    half1 = jay - m_t
     for a in names:
         la = n_of(a, BLOCK)
         require((la[:, 0::2] == half0).all() and (la[:, 1::2] == half1).all(),

@@ -49,7 +49,7 @@ class ContrastMatrix:
     the integer congruence ``num`` over one denominator ``d`` plus squared
     row norms.  An instance is immutable: ``num`` is not written after
     construction, so its float form and spectrum, formed on first use,
-    stay valid."""
+    stay valid.  Two instances compare equal when they hold the same matrix."""
 
     num: np.ndarray          # v x v Python ints, num[i,j] / d = u_i' M u_j
     d: int                   # positive common denominator
@@ -59,6 +59,13 @@ class ContrastMatrix:
         v = len(self.norms)
         if self.num.shape != (v, v):
             raise ShapeMismatch("num / norms sizes disagree")
+
+    def __eq__(self, other):
+        """Equal when both hold the same matrix: equal norms and
+        num / d == num' / d' entry by entry, whatever pair represents it."""
+        if not isinstance(other, ContrastMatrix):
+            return NotImplemented
+        return self.norms == other.norms and bool((self.num * other.d == other.num * self.d).all())
 
     @property
     def dim(self):

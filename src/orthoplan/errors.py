@@ -13,10 +13,6 @@ class EvenCharacteristic(ValueError):
     """Square classes are only defined for fields of odd characteristic."""
 
 
-class ZeroInverse(ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
 class OrderTooSmall(ValueError):
     """Array order too small to yield a usable design."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenCharacteristic, NotAPrimePower, UnsupportedOrder, ZeroInverse, require
+from .errors import EvenCharacteristic, NotAPrimePower, UnsupportedOrder, require
 
 MAX_ORDER = 128
 
@@ -56,8 +56,11 @@ def prime_power(n):
 class GaloisField:
     """Complete addition / multiplication tables for one finite field.
 
-    Immutable after construction; all lookups are plain array reads so the
-    object is safe to share between threads.
+    Every operation is a lookup: a + b is ``add_table[a, b]``, a * b is
+    ``mul_table[a, b]``, -a is ``neg_table[a]``, and x - y is entry [x, y]
+    of ``add_table[:, neg_table]``.  Indexing a table by an array applies
+    it elementwise.  Immutable after construction, so safe to share
+    between threads.
     """
 
     order: int
@@ -66,46 +69,6 @@ class GaloisField:
     add_table: np.ndarray
     mul_table: np.ndarray
     neg_table: np.ndarray
-    inv_table: np.ndarray
-
-    def _check(self, a):
-        if not 0 <= a < self.order:
-            raise ValueError(f"label {a} outside field of order {self.order}")
-        return int(a)
-
-    def add(self, a, b):
-        return int(self.add_table[self._check(a), self._check(b)])
-
-    def sub(self, a, b):
-        return int(self.add_table[self._check(a), self.neg_table[self._check(b)]])
-
-    def mul(self, a, b):
-        return int(self.mul_table[self._check(a), self._check(b)])
-
-    def neg(self, a):
-        return int(self.neg_table[self._check(a)])
-
-    def inv(self, a):
-        if self._check(a) == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        return int(self.inv_table[a])
-
-    def pow(self, a, e):
-        self._check(a)
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = 1
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
-
-    @property
-    def elements(self):
-        return range(self.order)
-
-    @property
-    def units(self):
-        return range(1, self.order)
 
 
 def _digits(n, p, k):
@@ -169,12 +132,9 @@ def field_new(order):
         add, mul = _tables_prime_power(p, k, _MODULUS[order])
 
     neg = (add == 0).argmax(axis=1)
-    inv = (mul == 1).argmax(axis=1)
-    inv[0] = 0
     # One structural self-check: every unit must actually have an inverse
     # (fails iff a modulus polynomial were reducible).
-    require((mul[np.arange(1, order), inv[1:]] == 1).all(),
-            f"GF({order}): every unit has an inverse")
+    require((mul[1:] == 1).any(axis=1).all(), f"GF({order}): every unit has an inverse")
 
     return GaloisField(
         order=order,
@@ -183,7 +143,6 @@ def field_new(order):
         add_table=add.astype(np.int16),
         mul_table=mul.astype(np.int16),
         neg_table=neg.astype(np.int16),
-        inv_table=inv.astype(np.int16),
     )
 
 
@@ -204,9 +163,9 @@ def square_classes(field):
     """
     if field.char == 2:
         raise EvenCharacteristic("square classes need odd characteristic")
-    sq = {field.mul(a, a) for a in field.units}
+    sq = set(field.mul_table.diagonal()[1:].tolist())
     c0 = tuple(sorted(sq))
-    c1 = tuple(a for a in field.units if a not in sq)
+    c1 = tuple(a for a in range(1, field.order) if a not in sq)
     require(len(c0) == len(c1) == (field.order - 1) // 2,
             f"GF({field.order}): squares and non-squares each fill half the units")
     return SquareClasses(c0=c0, c1=c1)

@@ -12,6 +12,10 @@ scalar-plus-J fit reads a Fraction matrix, as the ledger did before it
 fitted the integer pair.  The explicit Helmert rows and their orthonormal
 float form check the prefix sums and norms the package applies instead.
 
+The translation oracle adds GF(p^k) labels digit by digit in base p,
+symbol by symbol, as ``constructions.translate`` did before it read one
+padded addition table; it never reads a field table.
+
 The package's elimination has one pivot order.  The ``*_reversed``
 helpers give the invariance tests their second order: the same
 elimination on the index-reversed system, with the result reversed back.
@@ -26,6 +30,7 @@ from orthoplan import ratmat
 from orthoplan.anova import SSResult
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import LengthMismatch, OverlappingSets, require
+from orthoplan.gf import prime_power
 from orthoplan.plan import _as_tuple, design_matrix, gram, levels_of
 
 
@@ -197,3 +202,19 @@ def contrast_oracle(raw, norms):
     off_zero = all(raw[i, j] == 0 for i in range(v) for j in range(v) if i != j)
     identity = (True, diag[0]) if off_zero and len(set(diag)) == 1 else (False, None)
     return entries, ratmat.checked_eigenvalues(f), identity
+
+
+def translate_symbol(x, u, s):
+    """x + u in GF(s) on labels: the base-p digits of x and u (least
+    significant first) added mod p; the label s, the absorbing point of an
+    (s+1)-level factor, maps to itself."""
+    if x == s:
+        return s
+    p, k = prime_power(s)
+    return sum(((x // p**i + u // p**i) % p) * p**i for i in range(k))
+
+
+def translate_oracle(plan, vectors, s):
+    """The runs of ``constructions.translate``: vector-major, then runs."""
+    return tuple(tuple(translate_symbol(x, u, s) for x, u in zip(run, v))
+                 for v in vectors for run in plan.runs)

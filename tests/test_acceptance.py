@@ -256,9 +256,7 @@ def test_c11_infrastructure_identities():
             assert (t == t.T).all()
         assert (add[0] == idx).all() and (mul[1] == idx).all()
         assert (add[idx, np.asarray(f.neg_table)] == 0).all()
-        units = idx[1:]
-        inv = np.asarray(f.inv_table)[units]
-        assert (mul[units, inv] == 1).all()
+        assert ((mul[1:] == 1).sum(axis=1) == 1).all()
         assert (add[add, :] == add[:, add]).all()
         assert (mul[mul, :] == mul[:, mul]).all()
         assert (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all()

@@ -227,6 +227,19 @@ PINNED = {   # op: (argv, sha256 of stdout); a last argument {name} is that plan
     "anova-potp-3-4": (["anova", "--target", "A3", "--adjust", "A1,A2", "--trials", "50",
                         "--plan", "{potp_3_4}"],
                        "4154a2968e184e6f6d8ea4bc70663cb6838deab870151161ce2fe27073961d57"),
+    # prime-power fields and Paley at q = 27 and q = 127, before the builders read tables
+    "potp-h4-s27": (["construct", "--family", "potp", "--h", "4", "--s", "27"],
+                    "6e80da2fadc7fbc8925f2c90152c3ff620a800014108c9dfa50b592b7d7a1216"),
+    "asym-27": (["construct", "--family", "asym", "--s", "27"],
+                "a760e928abde5009523f54f1e0143e7b21adb15bb66f7c03f5b9ffdce8bcebfd"),
+    "oa-s9": (["construct", "--family", "oa", "--s", "9"],
+              "2696a76f139cc4f73248fb0bcfc2c58c5062672bff33aaeb1d4437bdd011093d"),
+    "qarray-s27": (["construct", "--family", "qarray", "--s", "27"],
+                   "0a6b918b3dc8c50c543b3d7abf54c1022ac79203ebe2109cf1d68f8e90726e97"),
+    "hadamard-28": (["construct", "--family", "hadamard", "--order", "28"],
+                    "aa683c1e31b217442c3c310a385c7bdd5d5abcc2725731e8c261703aa396db1a"),
+    "hadamard-128": (["construct", "--family", "hadamard", "--order", "128"],
+                     "37a9d500e88bc42b091aa658efa8ef6e0f03a2011d05dff8b37811479f674a4f"),
 }
 
 
@@ -235,7 +248,8 @@ def test_stdout_beyond_the_benchmark_digests_is_pinned(capsys, tmp_path, op):
     """Outputs the benchmark does not pin: irrational C-matrix entries
     (asym 19), coupling components that are not stars (ico_2_6), pairs
     through a factor pair on the unrelabelled potp h=8 s=7 plan, the claim
-    list of every built family and seed, and the anova reports."""
+    list of every built family and seed, the anova reports, and the
+    outputs built over prime-power fields and by the Paley construction."""
     argv, digest = PINNED[op]
     if argv[-1].startswith("{"):
         name = argv[-1].strip("{}")

@@ -132,6 +132,12 @@ def test_c0_expand():
     assert c0_expand(arr % 3, f3).tolist() == (arr % 3).tolist()
 
 
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_c0_expand_refuses_non_labels(bad):
+    with pytest.raises(SymbolMismatch):
+        c0_expand(np.array([[0, bad]]), field_new(7))
+
+
 # ---------------------------------------------------------------------------
 # signed seed arrays
 

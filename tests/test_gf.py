@@ -8,7 +8,6 @@ from orthoplan.errors import (
     EvenCharacteristic,
     NotAPrimePower,
     UnsupportedOrder,
-    ZeroInverse,
 )
 from orthoplan.gf import prime_power
 
@@ -34,23 +33,12 @@ def test_field_axioms_exhaustive(order):
     assert (mul[0] == 0).all()
     # inverses
     assert (add[idx, f.neg_table[idx]] == 0).all()
-    units = idx[1:]
-    assert (mul[units, f.inv_table[units]] == 1).all()
+    assert ((mul[1:] == 1).sum(axis=1) == 1).all()     # one inverse per unit
     # associativity: t[t[a,b],c] == t[a,t[b,c]] over all triples
     for t in (add, mul):
         assert (t[t, :] == t[:, t]).all()
     # distributivity: a(b+c) == ab + ac
     assert (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all()
-
-
-@pytest.mark.parametrize("order", [2, 3, 4, 5, 7, 8, 9])
-def test_scalar_api_matches_tables(order):
-    f = field_new(order)
-    for a in f.elements:
-        for b in f.elements:
-            assert f.add(a, b) == int(f.add_table[a, b])
-            assert f.mul(a, b) == int(f.mul_table[a, b])
-            assert f.sub(a, b) == f.add(a, f.neg(b))
 
 
 def test_characteristic_and_degree():
@@ -64,20 +52,11 @@ def test_characteristic_and_degree():
 
 def test_extension_field_products_pinned():
     # GF(4): x * x = x + 1
-    assert field_new(4).mul(2, 2) == 3
+    assert field_new(4).mul_table[2, 2] == 3
     # GF(8): x * x^2 = x^3 = x + 1
-    assert field_new(8).mul(2, 4) == 3
+    assert field_new(8).mul_table[2, 4] == 3
     # GF(9): x * x = x + 1
-    assert field_new(9).mul(3, 3) == 4
-
-
-def test_pow():
-    f = field_new(9)
-    for a in f.units:
-        assert f.pow(a, f.order - 1) == 1
-        assert f.mul(f.pow(a, -1), a) == 1
-    assert f.pow(0, 1) == 0
-    assert f.pow(5, 0) == 1
+    assert field_new(9).mul_table[3, 3] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +72,6 @@ def test_not_a_prime_power(order):
 def test_order_above_limit(order):
     with pytest.raises(UnsupportedOrder):
         field_new(order)
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroInverse):
-        field_new(5).inv(0)
-
-
-def test_label_out_of_range():
-    with pytest.raises(ValueError):
-        field_new(5).add(5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +98,11 @@ def test_square_class_structure(order):
     assert len(sq.c0) == len(sq.c1) == (order - 1) // 2
     for a in sq.c1[:3]:
         for b in sq.c1[:3]:
-            assert f.mul(a, b) in sq.c0
+            assert f.mul_table[a, b] in sq.c0
     if order % 4 == 3:
-        assert f.neg(1) in sq.c1
+        assert f.neg_table[1] in sq.c1
     else:
-        assert f.neg(1) in sq.c0
+        assert f.neg_table[1] in sq.c0
 
 
 @pytest.mark.parametrize("order", [2, 4, 8, 16])

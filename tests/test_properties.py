@@ -8,7 +8,8 @@ connectedness verdicts against their one-stage definitions, the contrast
 C-matrix and its printed entries, spectrum and scalar form against its
 Fraction congruence, the adjusted sum of squares against the dense
 projection Y' P_V Y, the pair verdicts against relabelled plans, report
-equality across repeated runs, and the JSON round trip."""
+equality across repeated runs, the JSON round trip, and translation over
+GF(s) and the C0 expansion against their symbol-by-symbol definitions."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -19,11 +20,12 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (contrast_oracle, fit_scalar_plus_j, helmert_raw, information_reversed,
-                     one_stage_schur, projector, schur_reversed, ss_adjusted_per_call)
+                     one_stage_schur, projector, schur_reversed, ss_adjusted_per_call,
+                     translate_oracle)
 
-from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, contrast_c_matrix,
-                       is_potb, is_potp, orth_through, orthogonality, ratmat,
-                       ss_adjusted, universal_ledger)
+from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, c0_expand,
+                       contrast_c_matrix, field_new, is_potb, is_potp, orbit, orth_through,
+                       orthogonality, ratmat, ss_adjusted, translate, universal_ledger)
 from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
                                      adjusted_information, c_matrix_factor, pair_checks)
 from orthoplan.plan import (_dumps, design_matrix, gram, incidence, levels_of, plan_loads,
@@ -264,15 +266,16 @@ def test_pair_residuals_are_blocks_of_the_stacked_information(plan, which):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(plans())
 def test_repeated_reports_compare_equal(plan):
-    """Two ``is_potb`` runs on one blocked plan give equal pairs, and
-    comparing the reports raises nothing: the integer information each
-    pair holds is left out of the comparison, and the C-matrix compares
-    by identity."""
+    """Two ``is_potb`` runs on one blocked plan give equal reports: the
+    integer information each pair holds is left out of the comparison,
+    and the C-matrix compares by value, whichever (num, d) pair holds it."""
     assume(plan.blocked)
     first, second = is_potb(plan), is_potb(plan)
-    assert first.pairs == second.pairs
-    assert first != second                  # the C-matrix compares by identity
-    assert replace(first, c_matrix=None) == replace(second, c_matrix=None)
+    assert first == second
+    c = first.c_matrix
+    assert replace(c, num=2 * c.num, d=2 * c.d) == c
+    shifted = replace(c, num=c.num + c.d * np.eye(c.dim, dtype=object))    # C + I
+    assert replace(first, c_matrix=shifted) != first
 
 
 def test_informational_residuals_are_blocks_of_the_stacked_information(asym7):
@@ -349,3 +352,34 @@ def test_pair_verdicts_are_invariant_under_relabelling(plan, data):
 @given(plans())
 def test_plan_json_round_trip(plan):
     assert plan_loads(_dumps(plan_to_json(plan))) == plan
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 9, 25, 27]), st.data())
+def test_translate_and_orbit_match_the_digit_oracle(s, data):
+    """Random plans whose factors have s or s + 1 levels, translated by
+    random vectors and by the whole orbit: every symbol is the oracle's
+    base-p digit sum, the top label of an (s+1)-level factor stays put."""
+    levels = data.draw(st.lists(st.sampled_from([s, s + 1]), min_size=1, max_size=4))
+    runs = data.draw(st.lists(st.tuples(*[st.integers(0, v - 1) for v in levels]),
+                              min_size=1, max_size=6))
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(0, s - 1) for _ in levels]),
+                                 min_size=1, max_size=4))
+    plan = Plan("random", tuple(Factor(f"F{i}", v) for i, v in enumerate(levels)), tuple(runs))
+    field = field_new(s)
+    assert translate(plan, vectors, field).runs == translate_oracle(plan, vectors, s)
+    constant = [(u,) * plan.m for u in range(s)]
+    assert orbit(plan, field).runs == translate_oracle(plan, constant, s)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([3, 5, 7, 11, 13, 127]), st.data())
+def test_c0_expand_matches_products_mod_p(p, data):
+    """Over a prime field, the copy for each nonzero square c (ascending)
+    is c * x mod p, entry by entry."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    array = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(rows, cols)
+    squares = sorted({x * x % p for x in range(1, p)})
+    want = np.hstack([c * array % p for c in squares])
+    assert (c0_expand(array, field_new(p)) == want).all()
