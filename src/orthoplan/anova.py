@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
-from .errors import LengthMismatch, OverlappingSets, require
+from .errors import require
 from .orthogonality import _information
 from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram, levels_of
 
@@ -65,7 +65,7 @@ def _response(plan, y):
     denominator s for every entry (binary floats are rationals)."""
     rows, s = ratmat._scaled_ints([[v] for v in y])
     if len(rows) != plan.n:
-        raise LengthMismatch(f"response length {len(rows)} != {plan.n} runs")
+        raise ValueError(f"response length {len(rows)} != {plan.n} runs")
     return ratmat._object(rows, 1), s
 
 
@@ -117,7 +117,7 @@ def _ss_form(plan, target, adjust_for=()):
     if not target:
         raise ValueError("empty target set")
     if set(target) & set(adjust):
-        raise OverlappingSets(f"target {target} meets adjusting set {adjust}")
+        raise ValueError(f"target {target} meets adjusting set {adjust}")
     x = np.hstack([design_matrix(plan, u) for u in adjust + target])
     g = gram(plan, adjust + target)
     t = sum(levels_of(plan, u) for u in adjust)
@@ -210,7 +210,7 @@ def estssq_equivalence(plan, a, adjust_for, *, trials, seed):
         raise ValueError(f"seed must be non-negative, got {seed}")
     adjust = _as_tuple(adjust_for)
     if a in adjust:
-        raise OverlappingSets(f"{a!r} cannot be adjusted for itself")
+        raise ValueError(f"{a!r} cannot be adjusted for itself")
     plan.factor(a)
     others = [f for f in plan.factor_names if f != a and f not in adjust]
     if GENERAL not in adjust:

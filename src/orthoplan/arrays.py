@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderTooSmall, UnsupportedOrder, require
+from .errors import require
 from .gf import MAX_ORDER, field_new, prime_power, square_classes
 from .plan import MAX_GRAM_SIZE
 
@@ -141,12 +141,12 @@ def hadamard(order):
     Orders above ``MAX_HADAMARD_ORDER`` are refused before anything is built.
     """
     if order < 1 or (order > 2 and order % 4 != 0):
-        raise UnsupportedOrder(f"no Hadamard matrix of order {order}")
+        raise ValueError(f"no Hadamard matrix of order {order}")
     if order > MAX_HADAMARD_ORDER:
-        raise UnsupportedOrder(f"Hadamard order {order} exceeds the limit {MAX_HADAMARD_ORDER}")
+        raise ValueError(f"Hadamard order {order} exceeds the limit {MAX_HADAMARD_ORDER}")
     h = _build_hadamard(order)
     if h is None:
-        raise UnsupportedOrder(f"order {order} not reachable by the built-in constructions")
+        raise ValueError(f"order {order} not reachable by the built-in constructions")
     h = h * h[0]  # flip columns so the first row is all +1
     gram = h @ h.T
     require((gram == order * np.eye(order, dtype=np.int64)).all(),
@@ -163,7 +163,7 @@ def hadamard_to_oa(h):
     h = np.asarray(h)
     order = h.shape[0]
     if order < 2:
-        raise OrderTooSmall("need order >= 2; order 1 leaves no row")
+        raise ValueError("need order >= 2; order 1 leaves no row")
     if h.shape != (order, order) or not (h[0] == 1).all():
         raise ValueError("expected a normalized square Hadamard matrix")
     grid = ((1 - h[1:]) // 2).astype(np.int64)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import UnknownFactor, VerificationFailed
+from .errors import VerificationFailed
 from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
 from .plan import GENERAL, _dumps, plan_loads, plan_to_csv, plan_to_json
 
@@ -176,7 +176,7 @@ def _cmd_construct(args):
 
         name, plans = _require(args, "name"), seed_plans()
         if name not in plans:
-            raise UnknownFactor(f"unknown seed plan {name!r}; have {sorted(plans)}")
+            raise ValueError(f"unknown seed plan {name!r}; have {sorted(plans)}")
         plan = plans[name]
         rep, claims = _pair_claims(name, plan)
     else:

@@ -16,13 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .arrays import OrthogonalArray, hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
-from .errors import (
-    BadCongruence,
-    DimensionMismatch,
-    SymbolMismatch,
-    UnsupportedOrder,
-    require,
-)
+from .errors import require
 from .gf import field_new, square_classes
 from .optimality import bibd_check
 from .orthogonality import _incidences, is_potb, is_potp
@@ -133,14 +127,14 @@ def translate(plan, vectors, field, name=None):
     s = field.order
     for f in plan.factors:
         if f.levels not in (s, s + 1):
-            raise SymbolMismatch(
+            raise ValueError(
                 f"factor with {f.levels} levels incompatible with field of order {s}")
     vectors = [tuple(int(x) for x in v) for v in vectors]
     for v in vectors:
         if len(v) != plan.m:
-            raise DimensionMismatch(f"vector {v} has {len(v)} coordinates, plan has {plan.m}")
+            raise ValueError(f"vector {v} has {len(v)} coordinates, plan has {plan.m}")
         if any(not 0 <= x < s for x in v):
-            raise SymbolMismatch(f"translation amounts must be field labels: {v}")
+            raise ValueError(f"translation amounts must be field labels: {v}")
     # the extra row [s, ..., s] keeps the top label of an (s+1)-level
     # factor, the absorbing point at infinity, where it is
     padded = np.vstack([field.add_table, np.full(s, s, dtype=field.add_table.dtype)])
@@ -162,7 +156,7 @@ def c0_expand(array, field):
     copy keeping the original column order."""
     array = np.asarray(array)
     if array.min() < 0 or array.max() >= field.order:
-        raise SymbolMismatch(f"entries must be labels of the field of order {field.order}")
+        raise ValueError(f"entries must be labels of the field of order {field.order}")
     return np.hstack([field.mul_table[c][array] for c in square_classes(field).c0])
 
 
@@ -229,10 +223,10 @@ def construct_potp(h, s):
 
 
 def _refuse_gram_size(what, size):
-    """UnsupportedOrder for a family whose gram size (levels + blocks + 1)
+    """ValueError for a family whose gram size (levels + blocks + 1)
     exceeds ``MAX_GRAM_SIZE``, raised before anything is built."""
     if size > MAX_GRAM_SIZE:
-        raise UnsupportedOrder(f"{what}: gram size {size} exceeds the limit {MAX_GRAM_SIZE}")
+        raise ValueError(f"{what}: gram size {size} exceeds the limit {MAX_GRAM_SIZE}")
 
 
 def _potp(h, s):
@@ -241,9 +235,9 @@ def _potp(h, s):
     _refuse_gram_size(f"potp h={h} s={s}", 2 * h * s + 1)
     field = field_new(s)
     if s % 4 != 3:
-        raise BadCongruence(f"s = {s} fails s = 3 (mod 4)")
+        raise ValueError(f"s = {s} fails s = 3 (mod 4)")
     if h % 4 != 0:
-        raise UnsupportedOrder(f"seed needs a Hadamard order divisible by 4, got {h}")
+        raise ValueError(f"seed needs a Hadamard order divisible by 4, got {h}")
     seed = _signed_seed(h)
     validate_signed_seed(seed)
     labels = np.where(seed >= 0, seed, field.neg_table[1])
@@ -303,7 +297,7 @@ def diamond(q, plan0, name=None):
     field = field_new(q.symbols)
     for f in plan0.factors:
         if f.levels != field.order:
-            raise SymbolMismatch(f"factor {f.name} has {f.levels} levels, field wants {field.order}")
+            raise ValueError(f"factor {f.name} has {f.levels} levels, field wants {field.order}")
     pw = power_plan(plan0, q.rows)
     vectors = np.repeat(q.grid.T, plan0.m, axis=1)
     return translate(pw, vectors, field,
@@ -377,7 +371,7 @@ def construct_asym(s):
 def _asym(s):
     """``construct_asym(s)`` and its verified ``asym_report``, as (plan, report)."""
     field = field_new(s)
-    sq = square_classes(field)       # raises EvenCharacteristic for 2^k
+    sq = square_classes(field)       # refuses GF(2^k)
     if s % 4 == 1:
         warnings.warn(f"s = {s}: orthogonality claims for this family are "
                       "only established for s = 3 (mod 4)")

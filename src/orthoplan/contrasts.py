@@ -33,7 +33,6 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import ratmat
-from .errors import ShapeMismatch
 
 __all__ = ["helmert_norms", "ContrastMatrix"]
 
@@ -58,7 +57,7 @@ class ContrastMatrix:
     def __post_init__(self):
         v = len(self.norms)
         if self.num.shape != (v, v):
-            raise ShapeMismatch("num / norms sizes disagree")
+            raise ValueError("num / norms sizes disagree")
 
     def __eq__(self, other):
         """Equal when both hold the same matrix: equal norms and

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenCharacteristic, NotAPrimePower, UnsupportedOrder, require
+from .errors import require
 
 MAX_ORDER = 128
 
@@ -119,12 +119,14 @@ def _tables_prime_power(p, k, modulus):
 
 
 def field_new(order):
-    """Build GF(order).  Raises NotAPrimePower / UnsupportedOrder."""
+    """Build GF(order).  Raises ValueError for an order that exceeds
+    ``MAX_ORDER`` or is not a prime power; the bound is checked first, so a
+    huge order is never factored."""
+    if order > MAX_ORDER:
+        raise ValueError(f"field order {order} exceeds {MAX_ORDER}")
     pk = prime_power(order)
     if pk is None:
-        raise NotAPrimePower(f"{order} is not a prime power")
-    if order > MAX_ORDER:
-        raise UnsupportedOrder(f"field order {order} exceeds {MAX_ORDER}")
+        raise ValueError(f"{order} is not a prime power")
     p, k = pk
     if k == 1:
         add, mul = _tables_prime(p)
@@ -162,7 +164,7 @@ def square_classes(field):
     square and the partition collapses.
     """
     if field.char == 2:
-        raise EvenCharacteristic("square classes need odd characteristic")
+        raise ValueError("square classes need odd characteristic")
     sq = set(field.mul_table.diagonal()[1:].tolist())
     c0 = tuple(sorted(sq))
     c1 = tuple(a for a in range(1, field.order) if a not in sq)

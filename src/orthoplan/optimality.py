@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
-from .errors import NoBlocks, ShapeMismatch
 from .orthogonality import (_columns, _contrast, _factor_information, _fully_adjusted,
                             _incidences, contrast_c_matrix)
 from .plan import BLOCK
@@ -115,7 +114,7 @@ def universal_ledger(plan):
     identity, and the contrast spectrum, all read off one matrix
     X'(I - P_block)X."""
     if not plan.blocked:
-        raise NoBlocks("the per-factor conditions are about blocked plans")
+        raise ValueError("the per-factor conditions are about blocked plans")
     info = _factor_information(plan)
     return _ledger(plan, info, _contrast(plan, info))
 
@@ -172,7 +171,7 @@ def bibd_check(l_mat, v, b, r, k, lam):
     counting identities v r = b k and lambda (v - 1) = r (k - 1)."""
     l_mat = np.atleast_2d(np.asarray(l_mat, dtype=object))
     if l_mat.shape != (v, b):
-        raise ShapeMismatch(f"incidence is {l_mat.shape}, expected {(v, b)}")
+        raise ValueError(f"incidence is {l_mat.shape}, expected {(v, b)}")
     if v * r != b * k or lam * (v - 1) != r * (k - 1):
         return False
     rows, scale = ratmat._scaled_ints(l_mat)

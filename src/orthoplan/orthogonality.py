@@ -38,7 +38,6 @@ import numpy as np
 
 from . import ratmat
 from .contrasts import ContrastMatrix, helmert_norms
-from .errors import NoBlocks, OverlappingSets
 from .plan import BLOCK, GENERAL, _as_tuple, gram, levels_of
 
 __all__ = [
@@ -168,7 +167,7 @@ def orth_through(plan, a, b, through):
     """Single-pair check; returns a PairCheck with the exact residual."""
     through = _as_tuple(through)
     if a == b or a in through or b in through:
-        raise OverlappingSets(f"{a!r}, {b!r} must be distinct and outside {through!r}")
+        raise ValueError(f"{a!r}, {b!r} must be distinct and outside {through!r}")
     num, d = _information(plan, a, b, through)
     return PairCheck(a=a, b=b, through=through, passed=ratmat.is_zero(num),
                      _information=(num, d))
@@ -193,7 +192,7 @@ def is_potb(plan):
     """Check every unordered treatment pair for orthogonality through the
     block factor; PFC status through {G} is recorded per pair as well."""
     if not plan.blocked:
-        raise NoBlocks(f"plan {plan.name!r} has no blocks")
+        raise ValueError(f"plan {plan.name!r} has no blocks")
     names = plan.factor_names
     checks, info = pair_checks(plan, names, (BLOCK,))
     pfc, _ = pair_checks(plan, names, (GENERAL,))

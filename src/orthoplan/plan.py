@@ -25,15 +25,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    BlockSizeMismatch,
-    LevelOutOfRange,
-    NoBlocks,
-    NotAnInteger,
-    SchemaViolation,
-    UnknownFactor,
-)
-
 GENERAL = "G"
 BLOCK = "block"
 RESERVED = (GENERAL, BLOCK)
@@ -56,7 +47,7 @@ def _ints(values, what):
             raise TypeError("a bool is not an integer")
         return tuple(map(operator.index, values))
     except TypeError as exc:
-        raise NotAnInteger(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,13 +89,13 @@ class Plan:
                 raise ValueError(f"run {i} has {len(run)} coordinates, expected {m}")
             for f, x in zip(self.factors, run):
                 if not 0 <= x < f.levels:
-                    raise LevelOutOfRange(
+                    raise ValueError(
                         f"run {i}, factor {f.name}: symbol {x} outside 0..{f.levels - 1}")
         if self.block_sizes is not None:
             if any(k < 1 for k in self.block_sizes):
-                raise BlockSizeMismatch("block sizes must be positive")
+                raise ValueError("block sizes must be positive")
             if sum(self.block_sizes) != len(self.runs):
-                raise BlockSizeMismatch(
+                raise ValueError(
                     f"block sizes sum to {sum(self.block_sizes)}, plan has {len(self.runs)} runs")
 
     @property
@@ -131,7 +122,7 @@ class Plan:
         for f in self.factors:
             if f.name == name:
                 return f
-        raise UnknownFactor(f"no factor named {name!r} in plan {self.name!r}")
+        raise ValueError(f"no factor named {name!r} in plan {self.name!r}")
 
     def column(self, name):
         """Symbols of one factor across runs, in run order."""
@@ -141,7 +132,7 @@ class Plan:
     def block_labels(self):
         """Block index of every run (requires blocking)."""
         if not self.blocked:
-            raise NoBlocks(f"plan {self.name!r} has no blocks")
+            raise ValueError(f"plan {self.name!r} has no blocks")
         return tuple(j for j, k in enumerate(self.block_sizes) for _ in range(k))
 
 
@@ -160,7 +151,7 @@ def levels_of(plan, name):
         return 1
     if name == BLOCK:
         if not plan.blocked:
-            raise NoBlocks(f"plan {plan.name!r} has no blocks")
+            raise ValueError(f"plan {plan.name!r} has no blocks")
         return plan.b
     return plan.factor(name).levels
 
@@ -226,49 +217,49 @@ def _dumps(doc):
 
 def _expect(doc, key, typ, path):
     if key not in doc:
-        raise SchemaViolation(f"{path}.{key}", "missing")
+        raise ValueError(f"{path}.{key}: missing")
     val = doc[key]
     if typ is int and isinstance(val, bool):
-        raise SchemaViolation(f"{path}.{key}", "expected an integer")
+        raise ValueError(f"{path}.{key}: expected an integer")
     if not isinstance(val, typ):
-        raise SchemaViolation(f"{path}.{key}", f"expected {typ.__name__}")
+        raise ValueError(f"{path}.{key}: expected {typ.__name__}")
     return val
 
 
 def plan_from_json(doc):
     if not isinstance(doc, dict):
-        raise SchemaViolation("$", "expected an object")
+        raise ValueError("$: expected an object")
     name = _expect(doc, "name", str, "$")
     raw_factors = _expect(doc, "factors", list, "$")
     factors = []
     for i, fd in enumerate(raw_factors):
         if not isinstance(fd, dict):
-            raise SchemaViolation(f"$.factors[{i}]", "expected an object")
+            raise ValueError(f"$.factors[{i}]: expected an object")
         fname = _expect(fd, "name", str, f"$.factors[{i}]")
         levels = _expect(fd, "levels", int, f"$.factors[{i}]")
         try:
             factors.append(Factor(fname, levels))
         except ValueError as exc:
-            raise SchemaViolation(f"$.factors[{i}]", str(exc)) from exc
+            raise ValueError(f"$.factors[{i}]: {exc}") from exc
     block_sizes = None
     if "block_sizes" in doc:
         raw_blocks = _expect(doc, "block_sizes", list, "$")
         for i, k in enumerate(raw_blocks):
             if isinstance(k, bool) or not isinstance(k, int):
-                raise SchemaViolation(f"$.block_sizes[{i}]", "expected an integer")
+                raise ValueError(f"$.block_sizes[{i}]: expected an integer")
         block_sizes = tuple(raw_blocks)
     size = sum(f.levels for f in factors) + len(block_sizes or ()) + 1
     if size > MAX_GRAM_SIZE:
-        raise SchemaViolation("$", f"gram size {size} (levels + blocks + 1) exceeds "
-                                   f"the limit {MAX_GRAM_SIZE}")
+        raise ValueError(f"$: gram size {size} (levels + blocks + 1) exceeds "
+                         f"the limit {MAX_GRAM_SIZE}")
     raw_runs = _expect(doc, "runs", list, "$")
     runs = []
     for i, run in enumerate(raw_runs):
         if not isinstance(run, list):
-            raise SchemaViolation(f"$.runs[{i}]", "expected a list")
+            raise ValueError(f"$.runs[{i}]: expected a list")
         for j, x in enumerate(run):
             if isinstance(x, bool) or not isinstance(x, int):
-                raise SchemaViolation(f"$.runs[{i}][{j}]", "expected an integer")
+                raise ValueError(f"$.runs[{i}][{j}]: expected an integer")
         runs.append(tuple(run))
     return Plan(name=name, factors=tuple(factors), runs=tuple(runs), block_sizes=block_sizes)
 
@@ -277,9 +268,9 @@ def plan_loads(text):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaViolation("$", f"not valid JSON ({exc.msg})") from exc
+        raise ValueError(f"$: not valid JSON ({exc.msg})") from exc
     except RecursionError as exc:
-        raise SchemaViolation("$", "nested too deeply") from exc
+        raise ValueError("$: nested too deeply") from exc
     return plan_from_json(doc)
 
 

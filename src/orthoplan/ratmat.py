@@ -177,20 +177,16 @@ def _g_inverse(m):
     """A generalized inverse of the integer object matrix M as (G_int, d),
     G = G_int / d, with M G_int M = d M verified over ints.
 
-    Found from a full-rank submatrix: elimination picks r independent rows
-    I and columns J, and G carries (M[I,J])^-1 on the (J, I) positions,
-    zero elsewhere.  The g-inverse of the index-reversed M, reversed back,
-    is a second, generally different, one.
+    Found from a full-rank submatrix in one elimination of [M | I]: it
+    picks r independent rows I and columns J of M, and back substitution
+    with the free variables zero solves M[I,J] Z = d I[I,:].  So G carries
+    (M[I,J])^-1 on the (J, I) positions, zero elsewhere.  The g-inverse of
+    the index-reversed M, reversed back, is a second, generally different,
+    one.
     """
     nrow, ncol = m.shape
-    _, piv, _ = _eliminate(m.tolist(), ncol)
-    g = _object([[0] * nrow for _ in range(ncol)], nrow)
-    d = 1
-    if piv:
-        rows = [p[0] for p in piv]
-        cols = [p[1] for p in piv]
-        inv, d = _solve_scaled(m[np.ix_(rows, cols)], np.eye(len(piv), dtype=object))
-        g[np.ix_(cols, rows)] = inv
+    rows, piv, d = _eliminate(np.hstack([m, np.eye(nrow, dtype=object)]).tolist(), ncol)
+    g = _object(_back_substitute(rows, piv, d, ncol, nrow), nrow)
     require((m @ g @ m == d * m).all(), "M G M = M")
     return g, d
 

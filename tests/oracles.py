@@ -29,7 +29,7 @@ import numpy as np
 from orthoplan import ratmat
 from orthoplan.anova import SSResult
 from orthoplan.contrasts import helmert_norms
-from orthoplan.errors import LengthMismatch, OverlappingSets, require
+from orthoplan.errors import require
 from orthoplan.gf import prime_power
 from orthoplan.plan import _as_tuple, design_matrix, gram, levels_of
 
@@ -126,10 +126,10 @@ def ss_adjusted_per_call(plan, y, target, adjust_for=()):
     if not target:
         raise ValueError("empty target set")
     if set(target) & set(adjust):
-        raise OverlappingSets(f"target {target} meets adjusting set {adjust}")
+        raise ValueError(f"target {target} meets adjusting set {adjust}")
     rows, s = ratmat._scaled_ints([[v] for v in y])
     if len(rows) != plan.n:
-        raise LengthMismatch(f"response length {len(rows)} != {plan.n} runs")
+        raise ValueError(f"response length {len(rows)} != {plan.n} runs")
     y_col = ratmat._object(rows, 1)    # Y = y_col / s
     x = np.hstack([design_matrix(plan, u) for u in adjust + target])
     g, xy = gram(plan, adjust + target), x.T @ y_col

@@ -599,6 +599,18 @@ def test_failed_self_check_exits_one(capsys, tmp_path, monkeypatch):
     assert code == 1 and err == "claim failed: M Z = d RHS does not hold\n"
 
 
+@pytest.mark.parametrize("family", ["oa", "qarray", "asym"])
+def test_a_huge_field_order_fails_fast(src_env, family):
+    """The field-size bound is checked before the order is factored, so an
+    order of nineteen digits is refused at once, not after a trial division."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "orthoplan.cli", "construct", "--family", family,
+         "--s", "1000000000000000003"],
+        capture_output=True, text=True, env=src_env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: field order 1000000000000000003 exceeds 128\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_construction_check_exits_one_under_any_flags(src_env, flags):
     """The asym family's claims fail for s = 1 (mod 4); the construction's
@@ -613,7 +625,9 @@ def test_failed_construction_check_exits_one_under_any_flags(src_env, flags):
 
 
 def test_unknown_verb(capsys):
-    assert run(capsys, "frobnicate")[0] == 2
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (2, "") and err.startswith("usage: orthoplan")
+    assert "error: argument verb: invalid choice: 'frobnicate'" in err
 
 
 def test_unknown_family(capsys):
@@ -622,3 +636,150 @@ def test_unknown_family(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# input errors: exit 2, nothing on stdout, one line on stderr
+
+UNBLOCKED = {"name": "p", "factors": [{"name": "A", "levels": 2}, {"name": "B", "levels": 2}],
+             "runs": [[0, 0], [1, 1]]}
+BLOCKED = dict(UNBLOCKED, block_sizes=[1, 1])
+VERIFY = ["verify", "--check", "potb", "--plan", "{plan}"]
+ANOVA = ["anova", "--plan", "{plan}", "--target", "A"]
+
+
+def with_factor(**fields):
+    return dict(BLOCKED, factors=[dict(UNBLOCKED["factors"][0], **fields),
+                                  UNBLOCKED["factors"][1]])
+
+
+INPUT_ERRORS = {   # id: (argv, plan document or raw text, the message after "error: ")
+    # the plan-file schema, every "path: message" kind
+    "json-invalid": (VERIFY, "{nope",
+                     "$: not valid JSON (Expecting property name enclosed in double quotes)"),
+    "json-too-deep": (VERIFY, "[" * 200_000, "$: nested too deeply"),
+    "doc-not-object": (VERIFY, [], "$: expected an object"),
+    "name-missing": (VERIFY, {}, "$.name: missing"),
+    "name-not-str": (VERIFY, {"name": 3}, "$.name: expected str"),
+    "factors-missing": (VERIFY, {"name": "p"}, "$.factors: missing"),
+    "factors-not-list": (VERIFY, {"name": "p", "factors": {}}, "$.factors: expected list"),
+    "factor-not-object": (VERIFY, dict(BLOCKED, factors=[3]),
+                          "$.factors[0]: expected an object"),
+    "factor-name-missing": (VERIFY, dict(BLOCKED, factors=[{"levels": 2}]),
+                            "$.factors[0].name: missing"),
+    "levels-missing": (VERIFY, dict(BLOCKED, factors=[{"name": "A"}]),
+                       "$.factors[0].levels: missing"),
+    "levels-bool": (VERIFY, with_factor(levels=True), "$.factors[0].levels: expected an integer"),
+    "levels-float": (VERIFY, with_factor(levels=2.0), "$.factors[0].levels: expected int"),
+    "factor-reserved-name": (VERIFY, with_factor(name="G"),
+                             "$.factors[0]: invalid factor name 'G'"),
+    "factor-one-level": (VERIFY, with_factor(levels=1),
+                         "$.factors[0]: factor A: needs >= 2 levels"),
+    "blocks-not-list": (VERIFY, dict(BLOCKED, block_sizes=2), "$.block_sizes: expected list"),
+    "block-not-int": (VERIFY, dict(BLOCKED, block_sizes=[1, "1"]),
+                      "$.block_sizes[1]: expected an integer"),
+    "gram-too-large": (VERIFY, with_factor(levels=8383),
+                       "$: gram size 8388 (levels + blocks + 1) exceeds the limit 8384"),
+    "runs-missing": (VERIFY, {k: v for k, v in BLOCKED.items() if k != "runs"},
+                     "$.runs: missing"),
+    "run-not-list": (VERIFY, dict(BLOCKED, runs=[[0, 0], 1]), "$.runs[1]: expected a list"),
+    "symbol-not-int": (VERIFY, dict(BLOCKED, runs=[[0, False], [1, 1]]),
+                       "$.runs[0][1]: expected an integer"),
+    # plan values the schema lets through
+    "names-repeat": (VERIFY, with_factor(name="B"), "factor names must be unique"),
+    "no-factors": (VERIFY, dict(BLOCKED, factors=[]),
+                   "plan needs at least one factor, factors is empty"),
+    "no-runs": (VERIFY, dict(BLOCKED, runs=[]), "plan needs at least one run"),
+    "run-length": (VERIFY, dict(BLOCKED, runs=[[0, 0], [1]]),
+                   "run 1 has 1 coordinates, expected 2"),
+    "symbol-range": (VERIFY, dict(BLOCKED, runs=[[0, 2], [1, 1]]),
+                     "run 0, factor B: symbol 2 outside 0..1"),
+    "block-size-zero": (VERIFY, dict(BLOCKED, block_sizes=[2, 0]), "block sizes must be positive"),
+    "block-sizes-sum": (VERIFY, dict(BLOCKED, block_sizes=[1, 2]),
+                        "block sizes sum to 3, plan has 2 runs"),
+    # construct options
+    "potp-needs-h": (["construct", "--family", "potp", "--s", "3"],
+                     None, "--h is required for family 'potp'"),
+    "asym-needs-s": (["construct", "--family", "asym"], None, "--s is required for family 'asym'"),
+    "seed-needs-name": (["construct", "--family", "seed"],
+                        None, "--name is required for family 'seed'"),
+    "hadamard-needs-order": (["construct", "--family", "hadamard"],
+                             None, "--order is required for family 'hadamard'"),
+    "oa-needs-s": (["construct", "--family", "oa"], None, "--s is required for family 'oa'"),
+    "option-unread": (["construct", "--family", "potb3", "--h", "5"],
+                      None, "--h does not apply to --family potb3"),
+    "seed-unknown": (["construct", "--family", "seed", "--name", "nope"], None,
+                     "unknown seed plan 'nope'; have ['ico_2_6', 'potb_2_7', 'potb_3_3', "
+                     "'potp_3_4']"),
+    # field and Hadamard limits
+    "field-composite": (["construct", "--family", "oa", "--s", "6"],
+                        None, "6 is not a prime power"),
+    "field-one": (["construct", "--family", "qarray", "--s", "1"],
+                  None, "1 is not a prime power"),
+    "field-too-large": (["construct", "--family", "oa", "--s", "256"],
+                        None, "field order 256 exceeds 128"),
+    "field-large-composite": (["construct", "--family", "asym", "--s", "1000"],
+                              None, "field order 1000 exceeds 128"),
+    "field-even": (["construct", "--family", "asym", "--s", "8"],
+                   None, "square classes need odd characteristic"),
+    "hadamard-order-6": (["construct", "--family", "hadamard", "--order", "6"],
+                         None, "no Hadamard matrix of order 6"),
+    "hadamard-order-0": (["construct", "--family", "hadamard", "--order", "0"],
+                         None, "no Hadamard matrix of order 0"),
+    "hadamard-unreachable": (["construct", "--family", "hadamard", "--order", "92"],
+                             None, "order 92 not reachable by the built-in constructions"),
+    "hadamard-too-large": (["construct", "--family", "oa", "--order", "1400"],
+                           None, "Hadamard order 1400 exceeds the limit 1397"),
+    "oa-order-1": (["construct", "--family", "oa", "--order", "1"],
+                   None, "need order >= 2; order 1 leaves no row"),
+    "potb2-h6": (["construct", "--family", "potb2", "--h", "6"],
+                 None, "no Hadamard matrix of order 6"),
+    "potb2-gram": (["construct", "--family", "potb2", "--h", "524"],
+                   None, "potb2 h=524: gram size 8385 exceeds the limit 8384"),
+    "potp-gram": (["construct", "--family", "potp", "--h", "1400", "--s", "3"],
+                  None, "potp h=1400 s=3: gram size 8401 exceeds the limit 8384"),
+    "potp-h2": (["construct", "--family", "potp", "--h", "2", "--s", "3"],
+                None, "seed needs a Hadamard order divisible by 4, got 2"),
+    "potp-congruence": (["construct", "--family", "potp", "--h", "4", "--s", "5"],
+                        None, "s = 5 fails s = 3 (mod 4)"),
+    # verify, optimality and anova on a plan that cannot answer the question
+    "potb-no-blocks": (VERIFY, UNBLOCKED, "plan 'p' has no blocks"),
+    "through-block-no-blocks": (["verify", "--check", "potp", "--through", "block",
+                                 "--plan", "{plan}"], UNBLOCKED, "plan 'p' has no blocks"),
+    "optimality-no-blocks": (["optimality", "--plan", "{plan}"], UNBLOCKED,
+                             "the per-factor conditions are about blocked plans"),
+    "anova-no-blocks": (ANOVA + ["--adjust", "block"], UNBLOCKED, "plan 'p' has no blocks"),
+    "through-unknown": (["verify", "--check", "potp", "--through", "Z", "--plan", "{plan}"],
+                        BLOCKED, "no factor named 'Z' in plan 'p'"),
+    "through-missing": (["verify", "--check", "potp", "--plan", "{plan}"], BLOCKED,
+                        "--through is required for --check potp"),
+    "through-not-potp": (["verify", "--check", "pfc", "--through", "A", "--plan", "{plan}"],
+                         BLOCKED, "--through applies only to --check potp"),
+    "through-twice": (["verify", "--check", "potp", "--through", "A,A", "--plan", "{plan}"],
+                      BLOCKED, "--through names 'A' twice"),
+    "target-unknown": (["anova", "--plan", "{plan}", "--target", "Z9", "--adjust", "block"],
+                       BLOCKED, "no factor named 'Z9' in plan 'p'"),
+    "adjust-unknown": (ANOVA + ["--adjust", "Z"], BLOCKED, "no factor named 'Z' in plan 'p'"),
+    "adjust-target": (ANOVA + ["--adjust", "A"], BLOCKED, "'A' cannot be adjusted for itself"),
+    "adjust-twice": (ANOVA + ["--adjust", "B,B"], BLOCKED, "--adjust names 'B' twice"),
+    "anova-trials": (ANOVA + ["--adjust", "block", "--trials", "0"], BLOCKED,
+                     "trials must be at least 1, got 0"),
+    "anova-seed": (ANOVA + ["--adjust", "block", "--seed", "-1"], BLOCKED,
+                   "seed must be non-negative, got -1"),
+    "plan-file-missing": (["optimality", "--plan", "{tmp}/missing.json"], None,
+                          "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_every_input_error_prints_one_line_and_exits_two(capsys, tmp_path, case):
+    """Each bad input or usage exits 2 with its own message on stderr,
+    byte for byte, and nothing on stdout."""
+    argv, plan, message = INPUT_ERRORS[case]
+    if plan is not None:
+        path = tmp_path / "plan.json"
+        path.write_text(plan if isinstance(plan, str) else json.dumps(plan))
+        argv = [a.replace("{plan}", str(path)) for a in argv]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    message = message.replace("{tmp}", str(tmp_path))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

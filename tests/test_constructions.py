@@ -34,14 +34,7 @@ from orthoplan.constructions import (
     construct_potp,
     _signed_seed,
 )
-from orthoplan.errors import (
-    BadCongruence,
-    DimensionMismatch,
-    EvenCharacteristic,
-    SymbolMismatch,
-    UnsupportedOrder,
-    VerificationFailed,
-)
+from orthoplan.errors import VerificationFailed
 from orthoplan.plan import BLOCK, incidence
 
 
@@ -95,9 +88,9 @@ def test_translate_shifts_elementwise(potb33):
 
 def test_translate_errors(potb33):
     f3 = field_new(3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"vector \(0, 0\) has 2 coordinates, plan has 3"):
         translate(potb33, [(0, 0)], f3)
-    with pytest.raises(SymbolMismatch):
+    with pytest.raises(ValueError, match="translation amounts must be field labels"):
         translate(potb33, [(0, 0, 3)], f3)
 
 
@@ -111,7 +104,7 @@ def test_translate_absorbing_level():
 def test_translate_incompatible_levels():
     f3 = field_new(3)
     p = Plan("bad", (Factor("w", 5),), ((0,), (4,)))
-    with pytest.raises(SymbolMismatch):
+    with pytest.raises(ValueError, match="factor with 5 levels incompatible with field of order"):
         translate(p, [(1,)], f3)
 
 
@@ -134,7 +127,7 @@ def test_c0_expand():
 
 @pytest.mark.parametrize("bad", [-1, 7])
 def test_c0_expand_refuses_non_labels(bad):
-    with pytest.raises(SymbolMismatch):
+    with pytest.raises(ValueError, match="entries must be labels of the field of order 7"):
         c0_expand(np.array([[0, bad]]), field_new(7))
 
 
@@ -192,11 +185,11 @@ def test_potp_seven_levels(potp47):
 
 
 def test_potp_errors():
-    with pytest.raises(BadCongruence):
+    with pytest.raises(ValueError, match=r"s = 5 fails s = 3 \(mod 4\)"):
         construct_potp(4, 5)
-    with pytest.raises(BadCongruence):
+    with pytest.raises(ValueError, match=r"s = 4 fails s = 3 \(mod 4\)"):
         construct_potp(4, 4)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError, match="seed needs a Hadamard order divisible by 4, got 6"):
         construct_potp(6, 3)
 
 
@@ -213,7 +206,7 @@ def test_power_plan(potb33):
     assert p2.factor_names == ("A1_1", "A2_1", "A3_1", "A1_2", "A2_2", "A3_2")
     assert p2.runs[0] == potb33.runs[0] * 2
     assert p2.block_sizes == potb33.block_sizes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="power needs t >= 1"):
         power_plan(potb33, 0)
 
 
@@ -227,7 +220,7 @@ def test_diamond_errors(potb27, potb33):
     with pytest.raises(ValueError, match="zero-row"):
         diamond(plain, potb27)
     q = OrthogonalArray(grid=np.array([[0, 0], [0, 1]]), symbols=2)
-    with pytest.raises(SymbolMismatch):
+    with pytest.raises(ValueError, match="factor A1 has 3 levels, field wants 2"):
         diamond(q, potb33)
 
 
@@ -288,7 +281,7 @@ def test_asym_requires_the_report_it_hands_over(monkeypatch):
 
 
 def test_potb2_bad_order():
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError, match="no Hadamard matrix of order 3"):
         construct_potb2(3)
 
 
@@ -347,9 +340,9 @@ def test_asym_report_seven(asym7):
 
 
 def test_asym_errors():
-    with pytest.raises(EvenCharacteristic):
+    with pytest.raises(ValueError, match="square classes need odd characteristic"):
         construct_asym(2)
-    with pytest.raises(EvenCharacteristic):
+    with pytest.raises(ValueError, match="square classes need odd characteristic"):
         construct_asym(4)
 
 

@@ -9,7 +9,6 @@ from oracles import helmert_raw, orthonormal_contrasts
 
 from orthoplan import ContrastMatrix, is_potb, ratmat
 from orthoplan.contrasts import helmert_norms
-from orthoplan.errors import ShapeMismatch
 from orthoplan.orthogonality import _helmert
 
 
@@ -108,7 +107,7 @@ def test_scaled():
 
 
 def test_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="num / norms sizes disagree"):
         ContrastMatrix(np.array([[1, 0], [0, 1]], dtype=object), 1, (2,))
 
 

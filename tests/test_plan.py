@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -19,14 +20,6 @@ from orthoplan import (
     plan_to_json,
     universal_ledger,
 )
-from orthoplan.errors import (
-    BlockSizeMismatch,
-    LevelOutOfRange,
-    NoBlocks,
-    NotAnInteger,
-    SchemaViolation,
-    UnknownFactor,
-)
 from orthoplan.plan import MAX_GRAM_SIZE, _dumps, levels_of, plan_loads
 
 
@@ -43,15 +36,15 @@ def tiny(blocked=False):
 # validation
 
 def test_factor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid factor name ''"):
         Factor("", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid factor name 'G'"):
         Factor("G", 2)      # reserved
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invalid factor name 'block'"):
         Factor("block", 2)  # reserved
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor A: needs >= 2 levels"):
         Factor("A", 1)
-    with pytest.raises(NotAnInteger, match="factor A levels"):
+    with pytest.raises(ValueError, match="factor A levels: "):
         Factor("A", 2.5)
     assert type(Factor("A", np.int64(3)).levels) is int
 
@@ -63,15 +56,15 @@ def test_plan_validation():
         Plan("p", (Factor("A", 2),), ())
     with pytest.raises(ValueError, match="coordinates"):
         Plan("p", (Factor("A", 2),), ((0, 1),))
-    with pytest.raises(LevelOutOfRange, match="run 1, factor A: symbol 2"):
+    with pytest.raises(ValueError, match="run 1, factor A: symbol 2"):
         Plan("p", (Factor("A", 2),), ((0,), (2,)))
 
 
 def test_non_integer_runs_and_block_sizes_are_refused_not_truncated():
     factors = (Factor("A", 2), Factor("B", 2))
-    with pytest.raises(NotAnInteger, match="run 0"):
+    with pytest.raises(ValueError, match="run 0: "):
         Plan("p", factors, ((0.9, 1.99), (1, 0)), block_sizes=(1.7, 1))
-    with pytest.raises(NotAnInteger, match="block sizes"):
+    with pytest.raises(ValueError, match="block sizes: "):
         Plan("p", factors, ((0, 1), (1, 0)), block_sizes=(1.7, 1))
     p = Plan("p", factors, ((np.int64(0), np.int32(1)), (1, 0)), block_sizes=(np.int64(1), 1))
     assert p.runs == ((0, 1), (1, 0)) and p.block_sizes == (1, 1)
@@ -80,18 +73,18 @@ def test_non_integer_runs_and_block_sizes_are_refused_not_truncated():
 
 def test_bool_symbols_levels_and_block_sizes_are_refused():
     """``plan_from_json`` refuses a bool, and so does the data model."""
-    with pytest.raises(NotAnInteger, match="run 0"):
+    with pytest.raises(ValueError, match="run 0: a bool is not an integer"):
         Plan("p", (Factor("A", 2),), ((True,), (False,)))
-    with pytest.raises(NotAnInteger, match="factor A levels"):
+    with pytest.raises(ValueError, match="factor A levels: a bool is not an integer"):
         Factor("A", True)
-    with pytest.raises(NotAnInteger, match="block sizes"):
+    with pytest.raises(ValueError, match="block sizes: a bool is not an integer"):
         Plan("p", (Factor("A", 2),), ((1,), (0,)), block_sizes=(True, True))
 
 
 def test_block_size_validation():
-    with pytest.raises(BlockSizeMismatch):
+    with pytest.raises(ValueError, match="block sizes sum to 1, plan has 2 runs"):
         Plan("p", (Factor("A", 2),), ((0,), (1,)), block_sizes=(1,))
-    with pytest.raises(BlockSizeMismatch):
+    with pytest.raises(ValueError, match="block sizes must be positive"):
         Plan("p", (Factor("A", 2),), ((0,), (1,)), block_sizes=(2, 0))
 
 
@@ -101,7 +94,7 @@ def test_basic_accessors():
     assert p.factor_names == ("A", "B")
     assert p.column("B") == (0, 1, 2, 0)
     assert p.factor("A").levels == 2
-    with pytest.raises(UnknownFactor):
+    with pytest.raises(ValueError, match="no factor named 'C' in plan 'tiny'"):
         p.factor("C")
     assert p.block_labels() == (0, 0, 1, 1)
 
@@ -109,11 +102,11 @@ def test_basic_accessors():
 def test_unblocked_guards():
     p = tiny()
     assert not p.blocked and p.b == 0
-    with pytest.raises(NoBlocks):
+    with pytest.raises(ValueError, match="plan 'tiny' has no blocks"):
         p.block_labels()
-    with pytest.raises(NoBlocks):
+    with pytest.raises(ValueError, match="plan 'tiny' has no blocks"):
         incidence(p, "A", BLOCK)
-    with pytest.raises(NoBlocks):
+    with pytest.raises(ValueError, match="plan 'tiny' has no blocks"):
         levels_of(p, BLOCK)
 
 
@@ -191,13 +184,12 @@ def test_json_round_trip_via_text():
       "block_sizes": [True]}, "$.block_sizes[0]"),
 ])
 def test_schema_violations_carry_paths(doc, path):
-    with pytest.raises(SchemaViolation) as err:
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: "):
         plan_from_json(doc)
-    assert err.value.path == path
 
 
 def test_loads_rejects_bad_json():
-    with pytest.raises(SchemaViolation, match=r"\$: not valid JSON"):
+    with pytest.raises(ValueError, match=r"^\$: not valid JSON"):
         plan_loads("{nope")
 
 
@@ -238,7 +230,7 @@ def test_gram_size_limit_at_the_boundary(levels, blocks):
     plan = plan_loads(sized_doc(levels, blocks))
     assert sum(f.levels for f in plan.factors) + plan.b + 1 == MAX_GRAM_SIZE
     over = [*levels[:-1], levels[-1] + 1]
-    with pytest.raises(SchemaViolation, match=f"gram size {MAX_GRAM_SIZE + 1} "
+    with pytest.raises(ValueError, match=f"gram size {MAX_GRAM_SIZE + 1} "
                                               r"\(levels \+ blocks \+ 1\) exceeds the limit"):
         plan_loads(sized_doc(over, blocks))
 
@@ -246,6 +238,5 @@ def test_gram_size_limit_at_the_boundary(levels, blocks):
 def test_gram_size_limit_checks_before_the_runs():
     doc = json.loads(sized_doc([10 ** 12]))
     doc["runs"] = "not even a list"
-    with pytest.raises(SchemaViolation) as err:
+    with pytest.raises(ValueError, match=r"^\$: gram size \d+ .* exceeds the limit 8384$"):
         plan_from_json(doc)
-    assert err.value.path == "$" and "exceeds the limit 8384" in str(err.value)

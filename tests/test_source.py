@@ -29,9 +29,13 @@
   attribute, ``obj.field``, outside ``__post_init__``, by the package,
   ``bench/`` or ``demos/``.  The match is by attribute name, so a field
   that shares its name with an attribute read elsewhere passes.
+* No exception type that nothing tells apart: every exception class the
+  package defines is named by an ``except`` clause of the package, so a
+  raise site that only needs a message raises a built-in type.
 """
 
 import ast
+import builtins
 import importlib
 import json
 import subprocess
@@ -445,3 +449,87 @@ def test_the_field_check_sees_each_kind(tmp_path):
     path.write_text(BAD_FIELDS)
     assert unread_fields([path], [path]) == ["bad.Kept.checked", "bad.Kept.written",
                                              "bad.Kept.unread"]
+
+
+def class_name(node):
+    """``x`` for a class written ``x`` or ``mod.x``, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def uncaught_exceptions(paths):
+    """'module.Class' for every exception class defined in the files
+    ``paths`` (a subclass of a built-in exception, directly or through other
+    classes defined there) that no ``except`` clause in those files names."""
+    bases, where, caught = {}, {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [class_name(b) for b in node.bases]
+                where[node.name] = path.stem
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(class_name(t) for t in types)
+
+    def is_exception(name, seen=()):
+        builtin = getattr(builtins, name or "", None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return True
+        return name in bases and name not in seen and any(
+            is_exception(b, (*seen, name)) for b in bases[name])
+
+    return sorted(f"{where[name]}.{name}" for name in bases
+                  if name not in caught and any(is_exception(b) for b in bases[name]))
+
+
+def test_every_exception_class_is_caught():
+    """Each exception type of the package is told apart by some handler:
+    ``cli.main`` maps ``VerificationFailed`` to exit 1."""
+    assert uncaught_exceptions(SOURCES) == []
+
+
+BAD_EXCEPTIONS = '''
+import builtins
+
+
+class Named(ArithmeticError):
+    pass
+
+
+class Unnamed(ValueError):
+    pass
+
+
+class Deeper(Unnamed):
+    pass
+
+
+class Qualified(builtins.LookupError):
+    pass
+
+
+class Caught(Exception):
+    pass
+
+
+class Plain:
+    pass
+
+
+class Mixin(Plain):
+    pass
+
+
+def run(mod, f):
+    try:
+        f()
+    except (Named, KeyError):
+        pass
+    except mod.Caught:
+        pass
+'''
+
+
+def test_the_exception_check_sees_each_kind(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text(BAD_EXCEPTIONS)
+    assert uncaught_exceptions([path]) == ["bad.Deeper", "bad.Qualified", "bad.Unnamed"]
