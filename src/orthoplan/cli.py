@@ -115,15 +115,15 @@ def _refuse_unread_options(args):
 
 def _built(family, h=None, s=None):
     """A built family's (plan, report its builder verified, potb contrast
-    scalar or None); the one place the CLI names the builders."""
+    scalar it verified or None); the one place the CLI names the builders."""
     from .constructions import _asym, _potb2, _potb3, _potp
 
     if family == "potp":
         return (*_potp(h, s), None)
     if family == "potb2":
-        return (*_potb2(h), 4 * h)
+        return _potb2(h)
     if family == "potb3":
-        return (*_potb3(), 27)
+        return _potb3()
     return (*_asym(s), None)
 
 

@@ -315,7 +315,7 @@ def construct_potb2(h):
 
 
 def _potb2(h):
-    """``construct_potb2(h)`` and its verified ``is_potb`` report, as (plan, report)."""
+    """``construct_potb2(h)`` as (plan, verified report, contrast scalar 4h)."""
     _refuse_gram_size(f"potb2 h={h}", 16 * h + 1)
     return _product(seed_potb_27(), q_extend(hadamard_to_oa(hadamard(h))), f"potb2 h={h}", 4 * h)
 
@@ -331,14 +331,14 @@ def construct_potb3():
 
 
 def _potb3():
-    """``construct_potb3()`` and its verified ``is_potb`` report, as (plan, report)."""
+    """``construct_potb3()`` as (plan, verified report, contrast scalar 27)."""
     return _product(seed_potb_33(), q_extend(oa_rao_hamming(field_new(3))), "potb3", 27)
 
 
 def _product(seed, q, what, scalar):
-    """``diamond(q, seed)`` and the ``is_potb`` report that verified it, as
-    (plan, report): the shape its inputs give, every pair orthogonal through
-    the block factor, and the contrast C-matrix ``scalar * I``."""
+    """``diamond(q, seed)``, the ``is_potb`` report that verified it and
+    ``scalar`` as (plan, report, scalar): the shape its inputs give, every
+    pair orthogonal through the block factor, and the C-matrix ``scalar * I``."""
     m, block_sizes = seed.m * q.rows, seed.block_sizes * q.columns
     plan = diamond(q, seed, name=f"potb_{q.symbols}_{m}")
     require(plan.m == m and plan.block_sizes == block_sizes,
@@ -347,7 +347,7 @@ def _product(seed, q, what, scalar):
     require(report.passed, f"{what}: pairs orthogonal through block")
     require(report.c_matrix.scalar_identity() == (True, scalar),
             f"{what}: contrast C-matrix = {scalar} I")
-    return plan, report
+    return plan, report, scalar
 
 
 # ---------------------------------------------------------------------------

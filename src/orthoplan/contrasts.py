@@ -10,13 +10,13 @@ so every orthonormal entry is an integer divided by sqrt(j(j+1)).  A
 congruence O M O' therefore has entries  num[i,j] / (d sqrt(n_i n_j)),
 num an integer matrix over one denominator d > 0 (the integer pair of
 ``ratmat``) and n_i the squared row norms.  ``ContrastMatrix`` carries
-(num, d) and the norms, so the identity check and the printed rational
-entries stay on integers; a Fraction is made only for the scalar a of
-``scalar_identity``.  It converts to floating point, num / d entry by
-entry (correctly rounded), only for eigenvalues and irrational entries,
-and forms the float matrix and its spectrum once, on first use, and
-keeps them.  ``orthogonality._helmert`` applies the integer rows by
-prefix sums; the explicit rows are a test oracle.
+(num, d) and the norms, so the identity check stays on integers and a
+rational entry is printed from its integer pair; a Fraction is made only
+for the scalar a of ``scalar_identity``.  It converts to floating
+point, num / d entry by entry (correctly rounded), only for eigenvalues
+and irrational entries, and forms the float matrix and its spectrum
+once, on first use, and keeps them.  ``orthogonality._helmert`` applies
+the integer rows by prefix sums; the explicit rows are a test oracle.
 
 Note on scaling: some authors use contrast rows of squared norm 2 (for
 two levels, the row (1, -1)).  Every C-matrix produced under that
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -70,18 +70,6 @@ class ContrastMatrix:
     def dim(self):
         return len(self.norms)
 
-    def _exact(self, i, j):
-        """The (i, j) entry as a reduced pair (p, q), q > 0, or None when it is irrational."""
-        x = self.num[i, j]
-        if not x:
-            return 0, 1
-        nn = self.norms[i] * self.norms[j]
-        r = isqrt(nn)
-        if r * r != nn:
-            return None
-        g = gcd(x, self.d * r)
-        return x // g, self.d * r // g
-
     @cached_property
     def _float(self):
         """The symmetrized float matrix, formed once per instance."""
@@ -108,14 +96,14 @@ class ContrastMatrix:
         return list(self._spectrum)
 
     def entries_json(self):
-        """Entries as strings: exact 'p/q' when rational (the text of
-        ``str(Fraction)``, from the reduced pair), decimal otherwise."""
+        """Entries as strings: the ``Fraction`` text of each rational entry
+        (x = 0 or n_i n_j a square), the float decimal of each other one."""
         out = []
-        for i in range(self.dim):
+        for x_row, f_row, n_i in zip(self.num.tolist(), self._float.tolist(), self.norms):
             row = []
-            for j in range(self.dim):
-                e = self._exact(i, j)
-                row.append(repr(float(self._float[i, j])) if e is None
-                           else str(e[0]) if e[1] == 1 else f"{e[0]}/{e[1]}")
+            for x, f, n_j in zip(x_row, f_row, self.norms):
+                r = isqrt(n_i * n_j)
+                row.append(ratmat._text(x, self.d * r) if not x or r * r == n_i * n_j
+                           else repr(f))
             out.append(row)
         return out

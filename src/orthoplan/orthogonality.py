@@ -13,9 +13,9 @@ small-matrix identity
 
 which never materializes an n x n projector.  Its result is one integer
 matrix over one denominator, (num, d); every report reads slices of num.
-A pair check keeps its integer slice and d, and makes Fractions only when
-its residual is read: for a failed pair, when the report is printed.  The
-classical special cases are such slices:
+A pair check keeps its integer slice and d, from which a failed pair's
+residual is printed; Fractions are made only when ``residual`` is read.
+The classical special cases are such slices:
 
 * T = {G}: the proportional frequency condition n N_AB = r_A r_B';
 * T = {block}: the defining condition of a plan orthogonal through the
@@ -30,7 +30,6 @@ coupling graph, every factor's fully adjusted information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd, lcm
 
@@ -125,7 +124,8 @@ class PairCheck:
         if self.informational:
             doc["informational"] = True
         if not self.passed:
-            doc["residual"] = [[str(Fraction(x)) for x in row] for row in self.residual]
+            num, d = self._information
+            doc["residual"] = [[ratmat._text(x, d) for x in row] for row in num.tolist()]
         return doc
 
 

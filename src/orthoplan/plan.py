@@ -8,10 +8,11 @@ pseudo-factors are addressable wherever a factor identifier is accepted:
 indicator, only for blocked plans).
 
 Every identifier reads as one symbol per run, so the gram matrix X'X of
-any stack of identifiers is counted in one pass over the runs, and
-incidence matrices are its slices.  Nothing is cached: each call builds
-a fresh exact integer matrix.  ``plan_from_json`` refuses a document
-whose gram size exceeds ``MAX_GRAM_SIZE`` before it builds anything.
+any stack of identifiers is one int64 ``np.bincount`` of the column-index
+pairs each run hits, and incidence matrices are its slices.  Nothing is
+cached: each call builds a fresh exact integer matrix.
+``plan_from_json`` refuses a document over ``MAX_GRAM_SIZE`` or
+``MAX_RUNS`` before it builds anything.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ GENERAL = "G"
 BLOCK = "block"
 RESERVED = (GENERAL, BLOCK)
 
-# The largest gram matrix a plan document may ask for.  Its size, the sum
-# of the factors' levels plus the blocks plus one (for G), bounds every
-# exact system the package forms for the plan, and ``gram`` allocates its
-# square.  8,384 is the size of ``construct_asym(127)``, the asymmetric
-# family over the largest supported field.
+# The largest gram matrix and the most runs a plan document may ask for.
+# The gram size, levels + blocks + 1 (for G), bounds every exact system
+# the package forms for the plan, and ``gram`` allocates its square;
+# 8,384 is that of ``construct_asym(127)``.  The run limit is the most a
+# builder writes within it: ``construct_potp(32, 127)``, as potp has
+# h s (s-1) runs at gram size 2 h s + 1, the most at s = 127, h = 32.
 MAX_GRAM_SIZE = 8_384
+MAX_RUNS = 32 * 127 * 126
 
 
 def _ints(values, what):
@@ -174,20 +177,20 @@ def design_matrix(plan, name):
 
 
 def gram(plan, idents):
-    """X' X for the stacked design matrices X = [X_u1 X_u2 ...] of
-    ``idents``, counted in one pass over the runs: each run adds 1 at
-    every pair of its column indices.  Exact Python ints; a repeated
-    identifier gives repeated blocks."""
+    """X' X of the stacked design matrices [X_u1 X_u2 ...] of ``idents``:
+    an int64 ``np.bincount`` of codes size * i + j over the column pairs
+    each run hits, in chunks of no more codes than the size x size result.
+    Exact Python ints; a repeated identifier gives repeated blocks."""
     idents = _as_tuple(idents)
     *offsets, size = accumulate((levels_of(plan, u) for u in idents), initial=0)
-    counts = [[0] * size for _ in range(size)]
-    for symbols in zip(*(_symbols(plan, u) for u in idents)):
-        hit = [o + x for o, x in zip(offsets, symbols)]
-        for i in hit:
-            row = counts[i]
-            for j in hit:
-                row[j] += 1
-    return np.array(counts, dtype=object).reshape(size, size)
+    hit = np.array([np.add(_symbols(plan, u), o) for u, o in zip(idents, offsets)],
+                   dtype=np.int64).reshape(-1, plan.n).T          # n x k column indices
+    step = size * size // len(idents) ** 2 if idents else plan.n
+    counts = np.zeros(size * size, dtype=np.int64)
+    for part in np.split(hit, range(step, plan.n, step)):
+        counts += np.bincount((size * part[:, :, None] + part[:, None, :]).ravel(),
+                              minlength=size * size)
+    return counts.reshape(size, size).astype(object)
 
 
 def incidence(plan, a, b):
@@ -253,6 +256,8 @@ def plan_from_json(doc):
         raise ValueError(f"$: gram size {size} (levels + blocks + 1) exceeds "
                          f"the limit {MAX_GRAM_SIZE}")
     raw_runs = _expect(doc, "runs", list, "$")
+    if len(raw_runs) > MAX_RUNS:
+        raise ValueError(f"$.runs: {len(raw_runs)} runs exceed the limit {MAX_RUNS}")
     runs = []
     for i, run in enumerate(raw_runs):
         if not isinstance(run, list):

@@ -8,9 +8,9 @@ diagonal), and verify their results over ints with checks that
 ``python -O`` keeps.  It has one pivot order; a second is the same
 elimination on the index-reversed matrix.  ``Fraction`` input is accepted
 only by ``rank`` and ``g_inverse``, which scale it to ints once; ``Fraction``
-entries are made only by ``_over``, where a matrix leaves through the
-public API.  Floating point enters only in ``checked_eigenvalues``, the one
-eigenvalue routine.
+entries are made only by ``_over``, where a matrix leaves through the public
+API, and a report prints an entry x / d with ``_text``.  Floating point
+enters only in ``checked_eigenvalues``, the one eigenvalue routine.
 """
 
 from __future__ import annotations
@@ -118,6 +118,12 @@ def _over(num, d):
     for idx, x in np.ndenumerate(num):
         out[idx] = Fraction(x, d)
     return out
+
+
+def _text(x, d):
+    """``str(Fraction(x, d))`` for ints x and d > 0, without the Fraction."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def rank(m):

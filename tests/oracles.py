@@ -12,6 +12,9 @@ scalar-plus-J fit reads a Fraction matrix, as the ledger did before it
 fitted the integer pair.  The explicit Helmert rows and their orthonormal
 float form check the prefix sums and norms the package applies instead.
 
+The gram oracle counts X'X run by run, one pair of column indices at a
+time, as ``plan.gram`` did before it was one bincount.
+
 The translation oracle adds GF(p^k) labels digit by digit in base p,
 symbol by symbol, as ``constructions.translate`` did before it read one
 padded addition table; it never reads a field table.
@@ -22,6 +25,7 @@ elimination on the index-reversed system, with the result reversed back.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -31,12 +35,27 @@ from orthoplan.anova import SSResult
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import require
 from orthoplan.gf import prime_power
-from orthoplan.plan import _as_tuple, design_matrix, gram, levels_of
+from orthoplan.plan import _as_tuple, _symbols, design_matrix, gram, levels_of
 
 
 def to_float(m):
     """A matrix of ints or Fractions as float64, entry by entry."""
     return np.array([[float(x) for x in row] for row in m], dtype=np.float64)
+
+
+def gram_oracle(plan, idents):
+    """X'X of the stacked design matrices of ``idents``, counted in one pass
+    over the runs: each run adds 1 at every pair of its column indices."""
+    idents = _as_tuple(idents)
+    *offsets, size = accumulate((levels_of(plan, u) for u in idents), initial=0)
+    counts = [[0] * size for _ in range(size)]
+    for symbols in zip(*(_symbols(plan, u) for u in idents)):
+        hit = [o + x for o, x in zip(offsets, symbols)]
+        for i in hit:
+            row = counts[i]
+            for j in hit:
+                row[j] += 1
+    return np.array(counts, dtype=object).reshape(size, size)
 
 
 def helmert_raw(s):

@@ -193,13 +193,17 @@ def test_stdout_matches_the_benchmark_reference_digest(capsys, op, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == reference["digests"][op]
 
 
-PINNED = {   # op: (argv, sha256 of stdout); a last argument {name} is that plan's file
+PINNED = {   # op: (argv, sha256 of stdout[, exit code when not 0]); a last argument {name}
+             # is that plan's file
     "asym-19": (["construct", "--family", "asym", "--s", "19"],
                 "2863babc831e68924e892b162f9784a12542d56e6aa90531ba10507dde89e255"),
     "ico-2-6": (["construct", "--family", "seed", "--name", "ico_2_6"],
                 "e26d4043d6b4984e716e31bef8f8593ab426b2b000a6c6b3d936883cf031fc4f"),
     "potp-h8-s7": (["verify", "--check", "potp", "--through", "A1,A2", "--plan", "{potp_h8_s7}"],
                    "83e28cf316e1ce122ad4ec86b7cc23b1372de549b1b8485e879f5b8f79a53749"),
+    # the residuals of the failing pairs, printed from integer pairs
+    "pfc-potp-h8-s7": (["verify", "--check", "pfc", "--plan", "{potp_h8_s7}"],
+                       "a72658466db31f649b36c804785dade1305f1b00374ffee3505aa2c4bfe67239", 1),
     # every claim path of construct, recorded before the claims had one writer
     "asym-3": (["construct", "--family", "asym", "--s", "3"],
                "bd73b8807bd3ae4efba887886604a9683dfefc98e055dfae33bc6cf355554f3f"),
@@ -247,16 +251,17 @@ PINNED = {   # op: (argv, sha256 of stdout); a last argument {name} is that plan
 def test_stdout_beyond_the_benchmark_digests_is_pinned(capsys, tmp_path, op):
     """Outputs the benchmark does not pin: irrational C-matrix entries
     (asym 19), coupling components that are not stars (ico_2_6), pairs
-    through a factor pair on the unrelabelled potp h=8 s=7 plan, the claim
-    list of every built family and seed, the anova reports, and the
-    outputs built over prime-power fields and by the Paley construction."""
-    argv, digest = PINNED[op]
+    through a factor pair on the unrelabelled potp h=8 s=7 plan and the
+    residuals of its failing pfc pairs, the claim list of every built
+    family and seed, the anova reports, and the outputs built over
+    prime-power fields and by the Paley construction."""
+    argv, digest, exit_code = (*PINNED[op], 0)[:3]
     if argv[-1].startswith("{"):
         name = argv[-1].strip("{}")
         plan = construct_potp(8, 7) if name == "potp_h8_s7" else seed_plans()[name]
         argv = argv[:-1] + [write_plan(tmp_path, plan)]
     code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
+    assert (code, err) == (exit_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -301,8 +306,6 @@ def test_verify_potp(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--check", "potp", "--plan", path,
                        "--through", "A1,A2")
     assert code == 0 and json.loads(out)["pass"] is True
-    code, _, err = run(capsys, "verify", "--check", "potp", "--plan", path)
-    assert code == 2 and "--through is required" in err
 
 
 def test_verify_potp_prints_the_c_matrix_adjusted_for_the_mean(capsys, tmp_path):
@@ -535,9 +538,9 @@ def test_catalog_contrast_scalar_claim_checks_the_value(capsys, tmp_path, monkey
     real_potb2 = constructions._potb2
 
     def wrong_scalar(h):
-        plan, rep = real_potb2(h)
+        plan, rep, scalar = real_potb2(h)
         cm = rep.c_matrix    # the same matrix times 9/8
-        return plan, replace(rep, c_matrix=replace(cm, num=cm.num * 9, d=cm.d * 8))
+        return plan, replace(rep, c_matrix=replace(cm, num=cm.num * 9, d=cm.d * 8)), scalar
 
     monkeypatch.setattr(constructions, "_potb2", wrong_scalar)
     out_file = tmp_path / "catalog.json"
@@ -697,6 +700,12 @@ INPUT_ERRORS = {   # id: (argv, plan document or raw text, the message after "er
     "block-size-zero": (VERIFY, dict(BLOCKED, block_sizes=[2, 0]), "block sizes must be positive"),
     "block-sizes-sum": (VERIFY, dict(BLOCKED, block_sizes=[1, 2]),
                         "block sizes sum to 3, plan has 2 runs"),
+    # the run count of construct_potp(32, 127) passes the limit, one more run does not
+    "runs-at-limit": (VERIFY, dict(BLOCKED, runs=[[0, 0]] * plan_module.MAX_RUNS),
+                      f"block sizes sum to 2, plan has {plan_module.MAX_RUNS} runs"),
+    "runs-too-many": (VERIFY, dict(BLOCKED, runs=[[0, 0]] * (plan_module.MAX_RUNS + 1)),
+                      f"$.runs: {plan_module.MAX_RUNS + 1} runs exceed "
+                      f"the limit {plan_module.MAX_RUNS}"),
     # construct options
     "potp-needs-h": (["construct", "--family", "potp", "--s", "3"],
                      None, "--h is required for family 'potp'"),

@@ -7,12 +7,14 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import gram_oracle
 
 from orthoplan import (
     BLOCK,
     GENERAL,
     Factor,
     Plan,
+    construct_potp,
     design_matrix,
     incidence,
     plan_from_json,
@@ -20,7 +22,9 @@ from orthoplan import (
     plan_to_json,
     universal_ledger,
 )
-from orthoplan.plan import MAX_GRAM_SIZE, _dumps, levels_of, plan_loads
+from orthoplan.arrays import MAX_HADAMARD_ORDER
+from orthoplan.gf import supported_orders
+from orthoplan.plan import MAX_GRAM_SIZE, MAX_RUNS, _dumps, gram, levels_of, plan_loads
 
 
 def tiny(blocked=False):
@@ -153,6 +157,22 @@ def test_incidence_matches_definition():
     assert incidence(p, BLOCK, BLOCK).tolist() == [[2, 0], [0, 2]]
 
 
+def test_gram_counts_chunks_of_runs_no_larger_than_its_result(record_calls):
+    """potp h=8 s=7 has 336 runs on 16 seven-level factors: each stack
+    below spans several chunks, and no array of codes handed to
+    ``np.bincount`` exceeds the size x size result."""
+    plan = construct_potp(8, 7)
+    names = plan.factor_names
+    counted = record_calls(np, "bincount")
+    for idents in [(GENERAL,) + names, names, names + names[:2] + (GENERAL, GENERAL)]:
+        counted.clear()
+        g = gram(plan, idents)
+        codes = [args[0].size for args in counted]
+        assert g.dtype == object and (g == gram_oracle(plan, idents)).all()
+        assert len(codes) > 1 and max(codes) <= g.size
+        assert sum(codes) == plan.n * len(idents) ** 2
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -233,6 +253,30 @@ def test_gram_size_limit_at_the_boundary(levels, blocks):
     with pytest.raises(ValueError, match=f"gram size {MAX_GRAM_SIZE + 1} "
                                               r"\(levels \+ blocks \+ 1\) exceeds the limit"):
         plan_loads(sized_doc(over, blocks))
+
+
+def test_run_limit_is_the_most_runs_a_builder_writes(potp43, asym7, potb2_28, potb3_15):
+    """Every family a builder writes within MAX_GRAM_SIZE, by its run-count
+    formula (checked on small builds): the most runs, and so the run limit,
+    are those of potp h=32 s=127, so every built plan file reads back."""
+    assert (potp43.n, asym7.n, potb2_28.n, potb3_15.n) == (4 * 3 * 2, 7 * 8, 10 * 4, 90)
+    odd = [s for s in supported_orders() if s % 2]
+    runs = [h * s * (s - 1) for s in odd if s % 4 == 3
+            for h in range(4, MAX_HADAMARD_ORDER + 1, 4) if 2 * h * s + 1 <= MAX_GRAM_SIZE]
+    runs += [s * (s + 1) for s in odd]      # asym: gram size at most that of s = 127
+    runs += [10 * h for h in range(1, MAX_HADAMARD_ORDER + 1) if 16 * h + 1 <= MAX_GRAM_SIZE]
+    assert max(runs) == MAX_RUNS == 32 * 127 * 126 == 512_064
+
+
+def test_run_limit_checks_before_any_run():
+    doc = json.loads(sized_doc([2]))
+    doc["runs"] = ["not a run"] * (MAX_RUNS + 1)
+    with pytest.raises(ValueError,
+                       match=rf"^\$\.runs: {MAX_RUNS + 1} runs exceed the limit {MAX_RUNS}$"):
+        plan_from_json(doc)
+    doc["runs"] = doc["runs"][1:]
+    with pytest.raises(ValueError, match=r"^\$\.runs\[0\]: expected a list$"):
+        plan_from_json(doc)
 
 
 def test_gram_size_limit_checks_before_the_runs():

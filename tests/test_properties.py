@@ -2,14 +2,16 @@
 and its canonical integer pair (num, d) against the dense projector oracle
 and the single-pair check, every report's pair residuals against the
 blocks of the stacked information, the counted gram against the dense
-X'X, the C_A read along the coupling graph (also on random star,
-two-component, chain and triangle couplings), the ledger and the
-connectedness verdicts against their one-stage definitions, the contrast
-C-matrix and its printed entries, spectrum and scalar form against its
-Fraction congruence, the adjusted sum of squares against the dense
-projection Y' P_V Y, the pair verdicts against relabelled plans, report
-equality across repeated runs, the JSON round trip, and translation over
-GF(s) and the C0 expansion against their symbol-by-symbol definitions."""
+X'X and the run-by-run count (over stacks that span several chunks of
+runs), the text of an integer pair against that of its Fraction, the C_A
+read along the coupling graph (also on random star, two-component, chain
+and triangle couplings), the ledger and the connectedness verdicts
+against their one-stage definitions, the contrast C-matrix and its
+printed entries, spectrum and scalar form against its Fraction
+congruence, the adjusted sum of squares against the dense projection
+Y' P_V Y, the pair verdicts against relabelled plans, report equality
+across repeated runs, the JSON round trip, and translation over GF(s) and
+the C0 expansion against their symbol-by-symbol definitions."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -19,9 +21,9 @@ from math import gcd, lcm
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import (contrast_oracle, fit_scalar_plus_j, helmert_raw, information_reversed,
-                     one_stage_schur, projector, schur_reversed, ss_adjusted_per_call,
-                     translate_oracle)
+from oracles import (contrast_oracle, fit_scalar_plus_j, gram_oracle, helmert_raw,
+                     information_reversed, one_stage_schur, projector, schur_reversed,
+                     ss_adjusted_per_call, translate_oracle)
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, c0_expand,
                        contrast_c_matrix, field_new, is_potb, is_potp, orbit, orth_through,
@@ -153,6 +155,50 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
 
 
 # Coupling graphs over factors 0..k-1: (edges, whether C_A needs the split).
+@st.composite
+def stacks(draw):
+    """(plan, idents): a random plan and up to 24 of its identifiers, with
+    G, the block and repeats among them, or none."""
+    plan = draw(plans())
+    pseudo = (GENERAL, BLOCK) if plan.blocked else (GENERAL,)
+    return plan, tuple(draw(st.lists(st.sampled_from(plan.factor_names + pseudo),
+                                     max_size=24)))
+
+
+def chunks(plan, idents):
+    """How many chunks of runs ``gram`` counts: size^2 // k^2 runs each."""
+    size = sum(levels_of(plan, u) for u in idents)
+    return -(-plan.n // (size * size // len(idents) ** 2)) if idents else 1
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(stacks())
+def test_gram_matches_the_run_by_run_count(stack):
+    plan, idents = stack
+    got, want = gram(plan, idents), gram_oracle(plan, idents)
+    assert got.shape == want.shape and (got == want).all()
+    assert {type(x) for x in got.flat} <= {int}
+
+
+def test_the_random_stacks_span_several_chunks():
+    """The stacks drawn for the test above reach past one chunk of runs."""
+    seen = []
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(stacks())
+    def count(stack):
+        seen.append(chunks(*stack))
+
+    count()
+    assert sum(c > 1 for c in seen) >= 20 and 1 in seen
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(-10 ** 30, 10 ** 30) | st.just(0), st.integers(1, 10 ** 12) | st.just(1))
+def test_text_is_the_text_of_the_fraction(x, d):
+    assert ratmat._text(x, d) == str(Fraction(x, d))
+
+
 COUPLINGS = {
     "star": ([(0, 1), (0, 2), (0, 3)], False),
     "two components": ([(0, 1), (0, 2), (3, 4)], False),
