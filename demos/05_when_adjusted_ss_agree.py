@@ -36,4 +36,4 @@ print("  biconditional observed:", rep.biconditional_observed)
 # ss_adjusted is also a user-facing primitive; responses may be exact.
 y = list(range(1, 11))
 print("\nSS(A1 adjusted for block) on %s with y = 1..10: %s"
-      % ("potb_2_7", ss_adjusted(plans["potb_2_7"], y, "A1", (BLOCK,)).value))
+      % ("potb_2_7", ss_adjusted(plans["potb_2_7"], y, "A1", (BLOCK,))))

@@ -22,7 +22,7 @@ _EXPORTS = {
                       "seed_plans", "translate", "validate_signed_seed"),
     "optimality": ("FactorConditions", "OptimalityLedger", "a_value", "bibd_check",
                    "e_value", "universal_ledger"),
-    "anova": ("EquivalenceReport", "SSResult", "estssq_equivalence", "ss_adjusted"),
+    "anova": ("EquivalenceReport", "estssq_equivalence", "ss_adjusted"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -33,31 +33,10 @@ from .orthogonality import _information
 from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram, levels_of
 
 __all__ = [
-    "SSResult",
     "EquivalenceReport",
     "ss_adjusted",
     "estssq_equivalence",
 ]
-
-
-@dataclass(frozen=True)
-class SSResult:
-    """An adjusted sum of squares, exact."""
-
-    target: tuple
-    adjust_for: tuple
-    value: Fraction
-
-    def __float__(self):
-        return float(self.value)
-
-    def to_json(self):
-        return {
-            "target": list(self.target),
-            "adjust_for": list(self.adjust_for),
-            "value": str(self.value),
-            "value_float": float(self.value),
-        }
 
 
 def _response(plan, y):
@@ -139,9 +118,9 @@ def ss_adjusted(plan, y, target, adjust_for=()):
     The g-inverse form Q' C^- Q is evaluated with two g-inverses of C and
     required equal, making invariance to the g-inverse choice part of the
     result; the form's L is checked against C once, when it is built.
+    Returns the exact ``Fraction``.
     """
-    form = _ss_form(plan, target, adjust_for)
-    return SSResult(target=form.target, adjust_for=form.adjust, value=form.ss(*_response(plan, y)))
+    return _ss_form(plan, target, adjust_for).ss(*_response(plan, y))
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,12 @@ def _paley(q):
 
 
 def _build_hadamard(order):
-    """Recursive builder; returns an un-normalized matrix or None."""
+    """Recursive builder; returns an un-normalized matrix or None.
+
+    Order q + 1 comes from Paley's construction when q = 3 (mod 4) is a
+    prime power, and any other order from the Kronecker product of the
+    first factor pair d x order/d that both build, d ascending; d = 2 is
+    Sylvester's doubling, kron(H2, H) = [[H, H], [H, -H]]."""
     if order == 1:
         return np.array([[1]], dtype=np.int64)
     if order == 2:
@@ -118,9 +123,6 @@ def _build_hadamard(order):
     pk = prime_power(q)
     if pk is not None and q % 4 == 3 and q <= MAX_ORDER:
         return _paley(q)
-    half = _build_hadamard(order // 2)
-    if half is not None:
-        return np.block([[half, half], [half, -half]])
     d = 2
     while d * d <= order:
         if order % d == 0:
@@ -136,7 +138,7 @@ def hadamard(order):
     """Hadamard matrix of the given order, first row normalized to +1.
 
     Orders covered: 1, 2, and multiples of 4 reachable by the quadratic
-    character construction, column doubling, and Kronecker products.
+    character construction and Kronecker products.
     The H H' = order * I identity is checked exactly before returning.
     Orders above ``MAX_HADAMARD_ORDER`` are refused before anything is built.
     """

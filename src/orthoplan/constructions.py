@@ -10,7 +10,6 @@ a claimed property that is not recomputed on the concrete output.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -372,9 +371,6 @@ def _asym(s):
     """``construct_asym(s)`` and its verified ``asym_report``, as (plan, report)."""
     field = field_new(s)
     sq = square_classes(field)       # refuses GF(2^k)
-    if s % 4 == 1:
-        warnings.warn(f"s = {s}: orthogonality claims for this family are "
-                      "only established for s = 3 (mod 4)")
     t = (s - 1) // 2
     c0 = np.array(sq.c0)
     alpha = min(sq.c1)

@@ -1,10 +1,11 @@
 """Finite field arithmetic tables for GF(p^k), orders up to 128.
 
-Elements are labelled 0 .. s-1.  For prime s the label is the residue
-itself; for s = p^k the label encodes the coefficient vector of the
-element (as a polynomial over GF(p)) in base p, constant term least
-significant.  With the modulus polynomials pinned below, the label of a
-given field element is stable across runs and platforms.
+Elements are labelled 0 .. s-1.  The base-p digits of a label, constant
+term least significant, are the coefficients of the element as a
+polynomial over GF(p) reduced modulo the monic polynomial pinned below;
+a prime field is the case k = 1, where the label is the residue itself.
+With the modulus polynomials pinned, the label of a given field element
+is stable across runs and platforms.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ def prime_power(n):
                 m //= p
                 k += 1
             return (p, k) if m == 1 else None
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,50 +71,20 @@ class GaloisField:
     neg_table: np.ndarray
 
 
-def _digits(n, p, k):
-    """Base-p digit matrix of 0..n-1, least significant digit first."""
-    idx = np.arange(n)
-    return np.stack([(idx // p**i) % p for i in range(k)], axis=1)
-
-
-def _encode(vec, p):
-    """Inverse of _digits along the last axis."""
-    weights = p ** np.arange(vec.shape[-1])
-    return (vec * weights).sum(axis=-1)
-
-
-def _tables_prime(p):
-    idx = np.arange(p)
-    add = (idx[:, None] + idx[None, :]) % p
-    mul = (idx[:, None] * idx[None, :]) % p
-    return add, mul
-
-
-def _tables_prime_power(p, k, modulus):
-    s = p**k
-    vecs = _digits(s, p, k)
-    add = _encode((vecs[:, None, :] + vecs[None, :, :]) % p, p)
-
-    # x^k = -(low-order modulus coefficients); extend to x^(2k-2).
-    mod = np.array(modulus[:-1])
-    reduction = np.zeros((k - 1, k), dtype=np.int64)
-    reduction[0] = (-mod) % p
-    for t in range(1, k - 1):
-        shifted = np.concatenate(([0], reduction[t - 1][:-1]))
-        shifted = (shifted + reduction[t - 1][-1] * reduction[0]) % p
-        reduction[t] = shifted
-
-    # Raw polynomial product of every pair, degree up to 2k-2.
-    prod = np.zeros((s, s, 2 * k - 1), dtype=np.int64)
+def _tables(p, k, modulus):
+    """Addition and multiplication tables of GF(p)[x] / (modulus), for a
+    monic modulus of degree k given by its ascending coefficients.  The
+    digits of a label are its coefficients: a sum adds them mod p, and a
+    product is the polynomial product reduced from its top degree down."""
+    weights = p ** np.arange(k)
+    digits = np.arange(p**k)[:, None] // weights % p
+    add = ((digits[:, None] + digits[None, :]) % p) @ weights
+    prod = np.zeros((p**k, p**k, 2 * k - 1), dtype=np.int64)
     for i in range(k):
-        for j in range(k):
-            prod[:, :, i + j] += vecs[:, None, i] * vecs[None, :, j]
-    prod %= p
-    for d in range(2 * k - 2, k - 1, -1):
-        coef = prod[:, :, d]
-        prod[:, :, :k] = (prod[:, :, :k] + coef[:, :, None] * reduction[d - k]) % p
-        prod[:, :, d] = 0
-    mul = _encode(prod[:, :, :k], p)
+        prod[:, :, i:i + k] += digits[:, None, i, None] * digits[None, :, :]
+    for d in range(2 * k - 2, k - 1, -1):     # clear degree d by x^(d-k) * modulus
+        prod[:, :, d - k:d + 1] -= prod[:, :, d, None] * np.array(modulus)
+    mul = (prod[:, :, :k] % p) @ weights
     return add, mul
 
 
@@ -128,10 +98,7 @@ def field_new(order):
     if pk is None:
         raise ValueError(f"{order} is not a prime power")
     p, k = pk
-    if k == 1:
-        add, mul = _tables_prime(p)
-    else:
-        add, mul = _tables_prime_power(p, k, _MODULUS[order])
+    add, mul = _tables(p, k, _MODULUS.get(order, (0, 1)))    # GF(p) is GF(p)[x] / (x)
 
     neg = (add == 0).argmax(axis=1)
     # One structural self-check: every unit must actually have an inverse

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -250,12 +250,6 @@ def _factor_information(plan):
     return _information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
 
 
-def _reduced(num, d):
-    """The canonical pair of num / d for d > 0: gcd(d, *num) = 1."""
-    g = gcd(d, *num.flat)
-    return num // g, d // g
-
-
 def _fully_adjusted(plan, info, names=None):
     """{A: C_A} over ``names`` (all factors by default), each fully adjusted
     information C_A a reduced pair (num, d), from ``info`` = M over ``names``
@@ -291,7 +285,7 @@ def _fully_adjusted(plan, info, names=None):
                 k, r = _pick(cols, keep), _pick(cols, drop)
                 c_num, c_d = ratmat.schur_complement(num[np.ix_(k, k)], num[np.ix_(k, r)],
                                                      num[np.ix_(r, r)], num[np.ix_(r, k)])
-                out.update(_fully_adjusted(plan, _reduced(c_num, c_d * d), keep))
+                out.update(_fully_adjusted(plan, ratmat._reduced(c_num, c_d * d), keep))
             continue
         h, leaves = cols[hub], [(i, cols[i]) for i in part if i != hub]
         # each -term_i reduced on its own, then over the lcm of their denominators
@@ -300,11 +294,11 @@ def _fully_adjusted(plan, info, names=None):
         den = lcm(*(t_d for _, t_d in negs))
         negs = [t_num * (den // t_d) for t_num, t_d in negs]
         s_num = den * num[h, h] + sum(negs)          # S = s_num / den
-        out[hub] = _reduced(s_num, den * d)
+        out[hub] = ratmat._reduced(s_num, den * d)
         for (j, c), t_num in zip(leaves, negs):
             c_num, c_d = ratmat.schur_complement(num[c, c], num[c, h], s_num - t_num,
                                                  den * num[h, c])
-            out[j] = _reduced(c_num, c_d * d)
+            out[j] = ratmat._reduced(c_num, c_d * d)
     return {a: out[a] for a in names}
 
 

@@ -174,7 +174,11 @@ def schur_complement(corner, left, m, right):
     if not set(map(type, chain(corner.flat, left.flat, m.flat, right.flat))) <= {int}:
         raise TypeError("schur_complement takes integer matrices; scale Fractions first")
     z, d = _solve_scaled(m, right)
-    num = d * corner - left @ z
+    return _reduced(d * corner - left @ z, d)
+
+
+def _reduced(num, d):
+    """The canonical pair of num / d: d > 0 and gcd(d, *num) = 1."""
     g = gcd(d, *num.flat) * (1 if d > 0 else -1)
     return num // g, d // g
 

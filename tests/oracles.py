@@ -31,7 +31,6 @@ from math import isqrt
 import numpy as np
 
 from orthoplan import ratmat
-from orthoplan.anova import SSResult
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import require
 from orthoplan.gf import prime_power
@@ -167,7 +166,7 @@ def ss_adjusted_per_call(plan, y, target, adjust_for=()):
     ss_g = _form(q, c, d * s * s)
     ss_g2 = _form(q, c, d * s * s, reverse=True)
     require(ss_proj == ss_g == ss_g2 >= 0, f"SS of {target} adjusted for {adjust}: routes agree")
-    return SSResult(target=target, adjust_for=adjust, value=ss_proj)
+    return ss_proj
 
 
 class PerCallForm:
@@ -179,7 +178,7 @@ class PerCallForm:
 
     def ss(self, y, s):
         ys = [Fraction(v, s) for v in y.flat]
-        return ss_adjusted_per_call(self.plan, ys, self.target, self.adjust_for).value
+        return ss_adjusted_per_call(self.plan, ys, self.target, self.adjust_for)
 
 
 def one_stage_schur(m, keep, drop):

@@ -36,7 +36,7 @@ def test_ss_unadjusted_matches_hand_formula(potb27):
     col = potb27.column("A1")
     totals = [sum(yy for yy, c in zip(y, col) if c == lvl) for lvl in (0, 1)]
     reps = [col.count(0), col.count(1)]
-    assert got.value == sum(t * t / Fraction(r) for t, r in zip(totals, reps))
+    assert got == sum(t * t / Fraction(r) for t, r in zip(totals, reps))
 
 
 def test_ss_general_adjustment(potb27):
@@ -46,22 +46,21 @@ def test_ss_general_adjustment(potb27):
     totals = [sum(yy for yy, c in zip(y, col) if c == lvl) for lvl in (0, 1)]
     reps = [col.count(0), col.count(1)]
     raw = sum(t * t / Fraction(r) for t, r in zip(totals, reps))
-    assert got.value == raw - Fraction(sum(y)) ** 2 / 10
-    assert got.value == Fraction(80, 3)
+    assert got == raw - Fraction(sum(y)) ** 2 / 10
+    assert got == Fraction(80, 3)
 
 
 def test_ss_zero_when_response_in_conditioning_span(potb27):
     y = [3 if b == 0 else -2 for b in potb27.block_labels()]
     got = ss_adjusted(potb27, y, "A1", (BLOCK, GENERAL))
-    assert got.value == 0
+    assert got == 0
 
 
 def test_ss_result_conversions(potb27):
+    """The SS is returned as an exact ``Fraction``, with no wrapper around it."""
     y = [Fraction(v) for v in range(1, 11)]
     got = ss_adjusted(potb27, y, "A1", (GENERAL,))
-    assert float(got) == pytest.approx(80 / 3)
-    doc = got.to_json()
-    assert doc["value"] == "80/3" and doc["target"] == ["A1"]
+    assert type(got) is Fraction and str(got) == "80/3"
 
 
 def test_ss_validation(potb27):
@@ -85,7 +84,7 @@ def test_ss_multi_factor_target(potp34):
     v = x_u - projector(x_t.astype(object)) @ x_u
     y_col = np.array([[x] for x in y], dtype=object)
     want = (y_col.T @ projector(v) @ y_col)[0, 0]
-    assert got.value == want
+    assert got == want
 
 
 @pytest.mark.parametrize("fixture", ["potp34", "potp43"])
@@ -100,8 +99,8 @@ def test_ss_through_a_pair_matches_the_per_call_oracle(request, fixture):
     for target in plan.factor_names[2:]:
         for through in (("A1", "A2"), ("A1", "A2", GENERAL)):
             for y in responses:
-                want = ss_adjusted_per_call(plan, y, target, through).value
-                assert ss_adjusted(plan, y, target, through).value == want
+                want = ss_adjusted_per_call(plan, y, target, through)
+                assert ss_adjusted(plan, y, target, through) == want
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -118,14 +117,14 @@ def test_ss_invariant_across_runs(potb33, seed):
                      design_matrix(potb33, "A2")])
     v = x_u - projector(x_t.astype(object)) @ x_u
     y_col = np.array([[x] for x in y], dtype=object)
-    assert got.value == (y_col.T @ projector(v) @ y_col)[0, 0]
+    assert got == (y_col.T @ projector(v) @ y_col)[0, 0]
 
 
 def test_ss_numpy_integer_response_is_exact(potb27):
     """int64 entries become Python ints, so no product wraps around."""
-    small = ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,)).value
+    small = ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,))
     y = np.arange(1, 11, dtype=np.int64) * 2**40
-    assert ss_adjusted(potb27, y, "A1", (BLOCK,)).value == 2**80 * small != 0
+    assert ss_adjusted(potb27, y, "A1", (BLOCK,)) == 2**80 * small != 0
 
 
 def test_routes_agree_check_fires(potb27, monkeypatch):
@@ -187,7 +186,7 @@ def test_q_outside_the_column_space_of_c_is_refused(potb27):
     form = anova._ss_form(potb27, "A1", (BLOCK,))
     unadjusted = replace(form, l=form.d * design_matrix(potb27, "A1").T)
     y, s = anova._response(potb27, range(1, 11))
-    assert form.ss(y, s) == ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,)).value
+    assert form.ss(y, s) == ss_adjusted(potb27, range(1, 11), "A1", (BLOCK,))
     with pytest.raises(VerificationFailed, match="column space of C"):
         unadjusted.ss(y, s)
 

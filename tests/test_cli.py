@@ -617,9 +617,10 @@ def test_a_huge_field_order_fails_fast(src_env, family):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_failed_construction_check_exits_one_under_any_flags(src_env, flags):
     """The asym family's claims fail for s = 1 (mod 4); the construction's
-    self-check says which one, and ``python -O`` does not switch it off."""
+    self-check says which one in the only line on stderr, and ``python -O``
+    does not switch it off."""
     proc = subprocess.run(
-        [sys.executable, *flags, "-W", "ignore", "-m", "orthoplan.cli",
+        [sys.executable, *flags, "-m", "orthoplan.cli",
          "construct", "--family", "asym", "--s", "5"],
         capture_output=True, text=True, env=src_env, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""

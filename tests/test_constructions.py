@@ -348,7 +348,6 @@ def test_asym_errors():
 
 def test_asym_warns_then_fails_off_congruence():
     """For s = 1 (mod 4) the family's claims genuinely do not hold: the
-    constructor warns and its self-verification fails."""
-    with pytest.warns(UserWarning, match="only established"):
-        with pytest.raises(VerificationFailed):
-            construct_asym(5)
+    constructor's self-verification fails."""
+    with pytest.raises(VerificationFailed):
+        construct_asym(5)

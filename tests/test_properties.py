@@ -354,8 +354,8 @@ def test_ss_adjusted_matches_dense_projection(plan, width, data):
         for y in responses:
             y_col = np.array([[Fraction(x)] for x in y], dtype=object)
             oracle = (y_col.T @ p_v @ y_col)[0, 0]
-            got = ss_adjusted(plan, y, target, through).value
-            assert got == oracle == ss_adjusted_per_call(plan, y, target, through).value
+            got = ss_adjusted(plan, y, target, through)
+            assert got == oracle == ss_adjusted_per_call(plan, y, target, through)
 
 
 def pair_verdicts(plan):

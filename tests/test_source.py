@@ -1,6 +1,8 @@
 """Source invariants of the package, checked on its syntax trees.
 
 * No ``assert`` statement: a check that ``python -O`` strips is no check.
+* No ``warnings`` import: a claim that does not hold fails the family's
+  own check, and a warning beside that failure only adds a second message.
 * No ``functools.cache`` / ``lru_cache``: caches exist only where a
   measurement justifies them; the one today is per instance, the float
   matrix and spectrum of a ``ContrastMatrix``.
@@ -100,6 +102,9 @@ def violations(path):
     for node in ast.walk(module):
         if isinstance(node, ast.Assert):
             found.append((node.lineno, "assert statement"))
+        if (isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "warnings"):
+            found.append((node.lineno, "warnings import"))
         if isinstance(node, DEFINITIONS):
             found.extend((line, f"@{name} decorator")
                          for line, name in decorator_names(node) if name in CACHES)
@@ -124,6 +129,8 @@ def test_source_invariants(path):
 
 BAD = '''
 from functools import lru_cache
+import warnings
+from warnings import warn
 import functools
 from . import ratmat
 from .ratmat import g_inverse as gi
@@ -151,7 +158,8 @@ def test_the_checker_sees_each_kind(tmp_path):
     assert sorted(what for _, what in violations(path)) == [
         "@cache decorator", "@lru_cache decorator", "__all__ lists gi, not defined here",
         "__all__ lists missing, not defined here", "assert statement", "elim call", "gi call",
-        "ratmat._solve_scaled call", "ratmat.g_inverse call"]
+        "ratmat._solve_scaled call", "ratmat.g_inverse call", "warnings import",
+        "warnings import"]
 
 
 CLI_LAYERS = {".errors", ".orthogonality", ".plan"}
@@ -254,7 +262,7 @@ def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
 def test_every_export_resolves_to_its_module_object():
     names = {}
     exec("from orthoplan import *", names)
-    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 51
+    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 50
     for name in orthoplan.__all__:
         module = importlib.import_module(f"orthoplan.{orthoplan._MODULE_OF[name]}")
         assert getattr(orthoplan, name) is getattr(module, name) is names[name]
