@@ -34,7 +34,7 @@ oa = hadamard_to_oa(hadamard(8))          # 7 two-level rows, 8 columns
 rao = oa_rao_hamming(field_new(3))        # 4 three-level rows, 9 columns
 print("from H(8):       %d rows x %d columns" % (oa.rows, oa.columns))
 print("Rao-Hamming GF3: %d rows x %d columns" % (rao.rows, rao.columns))
-print("with zero row:   %d rows" % q_extend(rao).rows)
+print("with zero row:   %d rows" % len(q_extend(rao)))
 
 # The rational kit: information adjusted for the general effect and a
 # second factor is the same matrix whichever order the conditioning

@@ -1,7 +1,8 @@
 """Hadamard matrices and strength-2 orthogonal arrays.
 
 Arrays follow the rows-are-factors convention: an OA(N, m, s, 2) is stored
-as an m x N integer grid whose columns are the runs.
+as an m x N integer grid whose columns are the runs.  No array carries the
+product's all-zero row; ``q_extend`` puts it above the grid.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ MAX_HADAMARD_ORDER = (MAX_GRAM_SIZE - 1) // 6
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalArray:
-    """An orthogonal array of strength 2, or its zero-row extension.
-
-    Only the extension starts with an all-zero row (every other row is
-    balanced over s >= 2 symbols); its strength-2 claim is among the rest.
-    """
+    """An orthogonal array of strength 2, verified when it is made."""
 
     grid: np.ndarray
     symbols: int
@@ -53,10 +50,6 @@ class OrthogonalArray:
         verify_strength2(self)
 
     @property
-    def zero_row(self):
-        return not self.grid[0].any()
-
-    @property
     def rows(self):
         return self.grid.shape[0]
 
@@ -68,13 +61,12 @@ class OrthogonalArray:
 def verify_strength2(oa):
     """Exhaustively count ordered symbol pairs over every pair of rows.
 
-    Each of the s^2 pairs must appear N/s^2 times.  For a zero-row
-    extension the all-zero first row is exempt.
+    Each of the s^2 pairs must appear N/s^2 times, and each row must be
+    balanced; no row is exempt, so a constant row is refused.
     """
-    g = oa.grid[1:] if oa.zero_row else oa.grid
-    s, n = oa.symbols, oa.grid.shape[1]
+    g, s, n = oa.grid, oa.symbols, oa.columns
     if len(g) >= 2:
-        # the pair condition only bites once two effective rows exist
+        # the pair condition only bites once two rows exist
         if n % (s * s) != 0:
             raise ValueError("column count not divisible by s^2")
         want = n // (s * s)
@@ -150,8 +142,10 @@ def hadamard(order):
     if h is None:
         raise ValueError(f"order {order} not reachable by the built-in constructions")
     h = h * h[0]  # flip columns so the first row is all +1
-    gram = h @ h.T
-    require((gram == order * np.eye(order, dtype=np.int64)).all(),
+    # each partial sum in H H' adds terms +-1, an integer of size <= order
+    # <= 1397 < 2^53, so the float64 product, run through BLAS, is exact
+    hf = h.astype(np.float64)
+    require((hf @ hf.T == order * np.eye(order)).all(),
             f"hadamard({order}): H H' = {order} I")
     return h
 
@@ -182,9 +176,6 @@ def oa_rao_hamming(field):
 
 
 def q_extend(oa):
-    """Prepend an all-zero row, producing the translation array used by the
-    block-multiplying construction."""
-    if oa.zero_row:
-        raise ValueError("array already carries a zero row")
-    grid = np.vstack([np.zeros(oa.columns, dtype=np.int64), oa.grid])
-    return OrthogonalArray(grid=grid, symbols=oa.symbols)
+    """The (rows + 1) x N int64 grid of ``oa`` under an all-zero row: the
+    product's translations, the zero row its untranslated copy."""
+    return np.vstack([np.zeros(oa.columns, dtype=np.int64), oa.grid])

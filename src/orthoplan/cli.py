@@ -139,10 +139,9 @@ def _matrix(args):
         oa = hadamard_to_oa(hadamard(args.order))
     else:
         oa = oa_rao_hamming(field_new(_require(args, "s")))
-    if args.family == "qarray":
-        oa = q_extend(oa)
-    return {"kind": args.family, "rows": oa.rows, "columns": oa.columns,
-            "symbols": oa.symbols, "zero_row": oa.zero_row, "grid": oa.grid.tolist()}
+    grid = q_extend(oa) if args.family == "qarray" else oa.grid
+    return {"kind": args.family, "rows": len(grid), "columns": oa.columns, "symbols": oa.symbols,
+            "zero_row": args.family == "qarray", "grid": grid.tolist()}
 
 
 def _documents(plan, rep):

@@ -1,6 +1,7 @@
 """Plan constructions: seed plans, orbit translation, the signed-seed
 expansion for plans orthogonal through a factor pair, and the
-block-multiplying product of a plan with a zero-row orthogonal array.
+block-multiplying product of a plan with a strength-2 orthogonal array,
+which keeps one untranslated copy of the plan.
 
 Every built family's private ``_family(...)`` re-verifies its output
 with the exact checkers and returns (plan, report); the public
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arrays import OrthogonalArray, hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
+from .arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
 from .errors import require
 from .gf import field_new, square_classes
 from .optimality import bibd_check
@@ -266,7 +267,7 @@ def _potp(h, s):
 
 
 # ---------------------------------------------------------------------------
-# block-multiplying product with a zero-row orthogonal array
+# block-multiplying product with a strength-2 orthogonal array
 
 def power_plan(plan, t):
     """Juxtapose each run with itself t times: m*t factors named
@@ -284,21 +285,19 @@ def power_plan(plan, t):
 
 
 def diamond(q, plan0, name=None):
-    """Product of a zero-row array Q (m rows, N columns, s symbols) with a
-    plan over GF(s): the m-th power of the plan, translated by one vector per
-    column of Q, the vector repeating q[i, col] across the i-th copy's factors.
+    """Product of an array Q (m rows, N columns, s symbols) with a plan over
+    GF(s): the (m+1)-th power of the plan, translated by one vector per
+    column of ``q_extend(Q)``, repeating its i-th entry over the i-th copy.
 
-    The copy aligned with the zero row is never translated, so the result
+    The first copy, under the zero row, is never translated, so the result
     contains the power plan itself; blocks multiply to b * N.
     """
-    if not isinstance(q, OrthogonalArray) or not q.zero_row:
-        raise ValueError("diamond needs a zero-row orthogonal array")
     field = field_new(q.symbols)
     for f in plan0.factors:
         if f.levels != field.order:
             raise ValueError(f"factor {f.name} has {f.levels} levels, field wants {field.order}")
-    pw = power_plan(plan0, q.rows)
-    vectors = np.repeat(q.grid.T, plan0.m, axis=1)
+    pw = power_plan(plan0, q.rows + 1)
+    vectors = np.repeat(q_extend(q).T, plan0.m, axis=1)
     return translate(pw, vectors, field,
                      name=name or f"{plan0.name}_x{q.columns}")
 
@@ -307,8 +306,8 @@ def construct_potb2(h):
     """Plan for 7h two-level factors in 2h blocks of five, orthogonal
     through the block factor, with contrast C-matrix 4h * I.
 
-    The two-level seed plan is multiplied by the h-row zero-row array
-    derived from a Hadamard matrix of order h (h = 2 or a multiple of 4).
+    The two-level seed plan is multiplied by the (h-1)-row array derived
+    from a Hadamard matrix of order h (h = 2 or a multiple of 4).
     """
     return _potb2(h)[0]
 
@@ -316,29 +315,29 @@ def construct_potb2(h):
 def _potb2(h):
     """``construct_potb2(h)`` as (plan, verified report, contrast scalar 4h)."""
     _refuse_gram_size(f"potb2 h={h}", 16 * h + 1)
-    return _product(seed_potb_27(), q_extend(hadamard_to_oa(hadamard(h))), f"potb2 h={h}", 4 * h)
+    return _product(seed_potb_27(), hadamard_to_oa(hadamard(h)), f"potb2 h={h}", 4 * h)
 
 
 def construct_potb3():
     """Plan for 15 three-level factors in 27 blocks (sizes 4,4,2 repeated),
     orthogonal through the block factor, contrast C-matrix 3 * 9 * I.
 
-    Uses the nine-column strength-2 array over GF(3) extended by a zero
-    row (five rows total), so the seed is translated nine times.
+    Uses the four-row, nine-column strength-2 array over GF(3), so five
+    copies of the seed, one untranslated, are translated nine times.
     """
     return _potb3()[0]
 
 
 def _potb3():
     """``construct_potb3()`` as (plan, verified report, contrast scalar 27)."""
-    return _product(seed_potb_33(), q_extend(oa_rao_hamming(field_new(3))), "potb3", 27)
+    return _product(seed_potb_33(), oa_rao_hamming(field_new(3)), "potb3", 27)
 
 
 def _product(seed, q, what, scalar):
     """``diamond(q, seed)``, the ``is_potb`` report that verified it and
     ``scalar`` as (plan, report, scalar): the shape its inputs give, every
     pair orthogonal through the block factor, and the C-matrix ``scalar * I``."""
-    m, block_sizes = seed.m * q.rows, seed.block_sizes * q.columns
+    m, block_sizes = seed.m * (q.rows + 1), seed.block_sizes * q.columns
     plan = diamond(q, seed, name=f"potb_{q.symbols}_{m}")
     require(plan.m == m and plan.block_sizes == block_sizes,
             f"{what}: {m} factors in {len(block_sizes)} blocks")

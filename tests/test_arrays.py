@@ -15,6 +15,7 @@ from orthoplan import (
     oa_rao_hamming,
     q_extend,
 )
+from orthoplan.errors import VerificationFailed
 
 
 def count_pairs(grid, i, j, s):
@@ -143,14 +144,27 @@ HADAMARD_DIGESTS = {   # order: sha256 of hadamard(order) as int8
 
 
 def test_hadamard_matrices_pinned():
-    """The builder's output, normalized as ``hadamard`` returns it; its exact
-    H H' check takes seconds at the largest orders and is covered above."""
+    """``hadamard`` at every order the builder reaches, its exact H H'
+    check included."""
     got = {}
     for order in range(1, arrays.MAX_HADAMARD_ORDER + 1):
-        h = arrays._build_hadamard(order)
-        if h is not None:
-            got[order] = hashlib.sha256((h * h[0]).astype("i1").tobytes()).hexdigest()
+        if arrays._build_hadamard(order) is not None:
+            got[order] = hashlib.sha256(hadamard(order).astype("i1").tobytes()).hexdigest()
     assert got == HADAMARD_DIGESTS
+
+
+@pytest.mark.parametrize("order", [12, 16])     # Paley and Kronecker
+def test_hadamard_refuses_a_matrix_that_fails_the_identity(monkeypatch, order):
+    build = arrays._build_hadamard
+
+    def one_entry_flipped(n):
+        h = build(n).copy()
+        h[1, 1] *= -1
+        return h
+
+    monkeypatch.setattr(arrays, "_build_hadamard", one_entry_flipped)
+    with pytest.raises(VerificationFailed, match=f"hadamard\\({order}\\): H H' = {order} I"):
+        hadamard(order)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,7 @@ def test_hadamard_matrices_pinned():
 def test_hadamard_to_oa_strength2(order):
     oa = hadamard_to_oa(hadamard(order))
     assert oa.rows == order - 1 and oa.columns == order
-    assert oa.symbols == 2 and not oa.zero_row
+    assert oa.symbols == 2
     want = order // 4
     for i in range(oa.rows):
         for j in range(i + 1, oa.rows):
@@ -190,26 +204,44 @@ def test_rao_hamming_exhaustive(s):
 
 
 # ---------------------------------------------------------------------------
-# zero-row extension
+# the product's zero row, above an array's grid
 
 def test_q_extend():
     oa = oa_rao_hamming(field_new(3))
     q = q_extend(oa)
-    assert q.zero_row and q.rows == 5 and q.columns == 9
-    assert not q.grid[0].any()
-    assert (q.grid[1:] == oa.grid).all()
-    with pytest.raises(ValueError):
-        q_extend(q)
+    assert isinstance(q, np.ndarray) and q.dtype == np.int64 and q.shape == (5, 9)
+    assert not q[0].any()
+    assert (q[1:] == oa.grid).all()
 
 
 def test_zero_row_single_effective_row():
-    # with one effective row only the per-row balance condition applies
-    q = OrthogonalArray(grid=np.array([[0, 0], [0, 1]]), symbols=2)
-    assert q.zero_row and q.rows == 2 and q.columns == 2
+    # the grid potb2 translates by at h = 2 is no array: its zero row is
+    # unbalanced like any other constant row
+    with pytest.raises(ValueError, match=r"column count not divisible by s\^2"):
+        OrthogonalArray(grid=q_extend(hadamard_to_oa(hadamard(2))), symbols=2)
+    with pytest.raises(ValueError, match="rows 0,1: pair counts"):
+        OrthogonalArray(grid=q_extend(oa_rao_hamming(field_new(3))), symbols=3)
 
 
 # ---------------------------------------------------------------------------
 # validation on construction
+
+def test_rejects_a_grid_that_is_not_two_dimensional():
+    with pytest.raises(ValueError, match="grid must be two-dimensional"):
+        OrthogonalArray(grid=np.array([0, 1]), symbols=2)
+
+
+def test_rejects_a_column_count_not_divisible_by_s_squared():
+    with pytest.raises(ValueError, match=r"column count not divisible by s\^2"):
+        OrthogonalArray(grid=np.array([[0, 1, 0, 1, 2, 2], [0, 1, 2, 2, 0, 1]]), symbols=3)
+
+
+def test_rejects_an_unbalanced_single_row():
+    # one row has no pair to count, so only its balance is checked
+    assert OrthogonalArray(grid=np.array([[0, 1]]), symbols=2).rows == 1
+    with pytest.raises(ValueError, match="row 0 not symbol-balanced"):
+        OrthogonalArray(grid=np.array([[0, 0]]), symbols=2)
+
 
 def test_rejects_symbol_out_of_range():
     with pytest.raises(ValueError):

@@ -168,7 +168,7 @@ def test_construct_qarray(capsys):
 
 @pytest.mark.parametrize("family,rows,zero_row,grid", [
     ("oa", 1, False, [[0, 1]]),
-    ("qarray", 2, True, [[0, 0], [0, 1]]),     # the array of potb2 at h = 2
+    ("qarray", 2, True, [[0, 0], [0, 1]]),     # the translations of potb2 at h = 2
 ])
 def test_construct_arrays_of_order_2(capsys, family, rows, zero_row, grid):
     code, out, _ = run(capsys, "construct", "--family", family, "--order", "2")
@@ -244,6 +244,12 @@ PINNED = {   # op: (argv, sha256 of stdout[, exit code when not 0]); a last argu
                     "aa683c1e31b217442c3c310a385c7bdd5d5abcc2725731e8c261703aa396db1a"),
     "hadamard-128": (["construct", "--family", "hadamard", "--order", "128"],
                      "37a9d500e88bc42b091aa658efa8ef6e0f03a2011d05dff8b37811479f674a4f"),
+    # a Kronecker-built Hadamard matrix of order 16 through the product and
+    # the zero-row array, recorded before the product prepended its own copy
+    "potb2-h16": (["construct", "--family", "potb2", "--h", "16"],
+                  "ddba8fb910a21f8da4489471535afabe18ca34804d10da2ff98b96ac3d7828b3"),
+    "qarray-order16": (["construct", "--family", "qarray", "--order", "16"],
+                       "b7d9ce718293c8c3a4ba09f196fc2bab4bb7aaac3e5b9b563b31eabd96863ac3"),
 }
 
 
@@ -567,6 +573,19 @@ def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, dec
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert (len(pairs), len(eigh)) == (checks, decompositions)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "potb2", "--h", "4"],
+    ["construct", "--family", "potb3"],
+    ["construct", "--family", "qarray", "--s", "9"],
+], ids=["potb2", "potb3", "qarray"])
+def test_each_array_is_verified_once(capsys, record_calls, argv):
+    """Each verb builds one strength-2 array, verified when it is made; the
+    zero row ``q_extend`` puts above its grid makes no second array."""
+    checks = record_calls(arrays, "verify_strength2")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(checks) == 1
 
 
 @pytest.mark.parametrize("argv,most_solves,widest,grams", [

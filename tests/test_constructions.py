@@ -215,11 +215,16 @@ def test_diamond_contains_untranslated_copy(potb27, potb2_14):
     assert [r[:7] for r in potb2_14.runs[:10]] == list(potb27.runs)
 
 
-def test_diamond_errors(potb27, potb33):
-    plain = OrthogonalArray(grid=np.array([[0, 0, 1, 1], [0, 1, 0, 1]]), symbols=2)
-    with pytest.raises(ValueError, match="zero-row"):
-        diamond(plain, potb27)
-    q = OrthogonalArray(grid=np.array([[0, 0], [0, 1]]), symbols=2)
+def test_diamond_of_any_array_keeps_an_untranslated_copy(potb27):
+    # two rows give three copies of the seed, the first one untranslated
+    q = OrthogonalArray(grid=np.array([[0, 0, 1, 1], [0, 1, 0, 1]]), symbols=2)
+    plan = diamond(q, potb27)
+    assert (plan.m, plan.block_sizes) == (21, potb27.block_sizes * 4)
+    assert [r[:7] for r in plan.runs[:10]] == list(potb27.runs)
+
+
+def test_diamond_errors(potb33):
+    q = OrthogonalArray(grid=np.array([[0, 1]]), symbols=2)
     with pytest.raises(ValueError, match="factor A1 has 3 levels, field wants 2"):
         diamond(q, potb33)
 
