@@ -42,10 +42,10 @@ __all__ = [
 def _response(plan, y):
     """The response Y as (y, s): an integer column y with Y = y / s, one
     denominator s for every entry (binary floats are rationals)."""
-    rows, s = ratmat._scaled_ints([[v] for v in y])
-    if len(rows) != plan.n:
-        raise ValueError(f"response length {len(rows)} != {plan.n} runs")
-    return ratmat._object(rows, 1), s
+    y_col, s = ratmat._scaled_ints(np.array(y, dtype=object).reshape(len(y), 1))
+    if len(y_col) != plan.n:
+        raise ValueError(f"response length {len(y_col)} != {plan.n} runs")
+    return y_col, s
 
 
 def _quad(x, g, scale):

@@ -12,6 +12,7 @@ a claimed property that is not recomputed on the concrete output.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
@@ -179,19 +180,17 @@ def validate_signed_seed(p):
         raise ValueError("first seed row must be zero")
     if not np.isin(p, (-1, 0, 1)).all():
         raise ValueError("seed entries must lie in {0, 1, -1}")
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            diff = p[j] - p[i]
-            if np.abs(diff).max() > 1:
-                raise ValueError(f"rows {i},{j}: difference leaves {{0,1,-1}}")
-            want = n // 2 if {i, j} == {0, 1} else n // 4
-            for k in (1, -1):
-                got = int((diff == k).sum())
-                if got != want:
-                    raise ValueError(
-                        f"rows {i},{j}: difference {k} occurs {got} times, expected {want}")
+    # (j, i) is the check of (i, j) with k = 1 and k = -1 swapped
+    for i, j in combinations(range(m), 2):
+        diff = p[j] - p[i]
+        if np.abs(diff).max() > 1:
+            raise ValueError(f"rows {i},{j}: difference leaves {{0,1,-1}}")
+        want = n // 2 if (i, j) == (0, 1) else n // 4
+        for k in (1, -1):
+            got = int((diff == k).sum())
+            if got != want:
+                raise ValueError(
+                    f"rows {i},{j}: difference {k} occurs {got} times, expected {want}")
     return True
 
 

@@ -174,8 +174,7 @@ def bibd_check(l_mat, v, b, r, k, lam):
         raise ValueError(f"incidence is {l_mat.shape}, expected {(v, b)}")
     if v * r != b * k or lam * (v - 1) != r * (k - 1):
         return False
-    rows, scale = ratmat._scaled_ints(l_mat)
-    ints = ratmat._object(rows, b)
+    ints, scale = ratmat._scaled_ints(l_mat)
     want = (r - lam) * np.eye(v, dtype=object) + lam
     return bool(scale == 1 and (ints.sum(axis=1) == r).all() and (ints.sum(axis=0) == k).all()
                 and (ints @ ints.T == want).all())

@@ -5,12 +5,15 @@ one positive int ``d``, standing for num / d.  Rank, the g-inverse and the
 Schur complement all run on one fraction-free (Bareiss) elimination over
 Python ints, which a square diagonal system skips (d is the lcm of its
 diagonal), and verify their results over ints with checks that
-``python -O`` keeps.  It has one pivot order; a second is the same
-elimination on the index-reversed matrix.  ``Fraction`` input is accepted
-only by ``rank`` and ``g_inverse``, which scale it to ints once; ``Fraction``
-entries are made only by ``_over``, where a matrix leaves through the public
-API, and a report prints an entry x / d with ``_text``.  Floating point
-enters only in ``checked_eigenvalues``, the one eigenvalue routine.
+``python -O`` keeps.  The kernel has that one matrix form from input to
+result: a pivot updates every free row in one array expression, and back
+substitution is one row product per pivot.  It has one pivot order; a
+second is the same elimination on the index-reversed matrix.  ``Fraction``
+input is accepted only by ``rank`` and ``g_inverse``, which scale it to
+ints once; ``Fraction`` entries are made only by ``_over``, where a matrix
+leaves through the public API, and a report prints an entry x / d with
+``_text``.  Floating point enters only in ``checked_eigenvalues``, the one
+eigenvalue routine.
 """
 
 from __future__ import annotations
@@ -38,21 +41,22 @@ _EIGEN_TOL = 1e-9
 
 
 def is_zero(m):
-    return bool(all(x == 0 for x in m.flat))
+    return not any(m.flat)
 
 
 def _scaled_ints(m):
-    """The rows of the matrix ``m`` as lists of Python ints (numpy integers
-    too), every entry multiplied by the least common denominator s of its
-    entries; returns (rows, s)."""
-    rows = [[int(x) if isinstance(x, Integral) else Fraction(x) for x in row] for row in m]
-    scale = lcm(1, *(x.denominator for row in rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+    """The matrix ``m`` (integer entries, numpy integers too, or rational
+    ones) as an object matrix of Python ints, every entry multiplied by the
+    least common denominator s of its entries; returns (ints, s)."""
+    exact = np.frompyfunc(lambda x: int(x) if isinstance(x, Integral) else Fraction(x), 1, 1)(
+        np.asarray(m, dtype=object))
+    scale = lcm(1, *(x.denominator for x in exact.flat))
+    return np.frompyfunc(lambda x: x.numerator * (scale // x.denominator), 1, 1)(exact), scale
 
 
-def _eliminate(rows, ncol):
+def _eliminate(a, ncol):
     """The one exact elimination: a fraction-free (Bareiss 1968) forward
-    pass over a copy of the integer ``rows``.
+    pass over an object copy of the integer matrix ``a``.
 
     Pivots come from the first ``ncol`` columns; later columns (right-hand
     sides) ride along.  The scan is deterministic: columns left to right
@@ -62,62 +66,39 @@ def _eliminate(rows, ncol):
     elimination would give, so the pivots are the ones that elimination
     picks.
 
-    Returns (eliminated rows, (original_row, column) pivots in order, d),
+    Returns (eliminated matrix, (original_row, column) pivots in order, d),
     d being the last pivot: the determinant of the pivot submatrix, up to
     sign, and 1 when there is no pivot.
     """
-    rows = [row[:] for row in rows]
-    free = list(range(len(rows)))
+    a = np.array(a, dtype=object)
+    free = list(range(a.shape[0]))
     pivots = []
     prev = 1
     for c in range(ncol):
-        pr = next((r for r in free if rows[r][c] != 0), None)
+        pr = next((r for r in free if a[r, c]), None)
         if pr is None:
             continue
         pivots.append((pr, c))
         free.remove(pr)
-        p = rows[pr][c]
-        prow = rows[pr]
-        for r in free:
-            f = rows[r][c]
-            row = rows[r]
-            if f:
-                rows[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-            else:
-                rows[r] = [p * a // prev for a in row]
+        p = a[pr, c]
+        a[free] = (p * a[free] - a[free, c, None] * a[pr]) // prev
         prev = p
-    return rows, pivots, prev
+    return a, pivots, prev
 
 
-def _back_substitute(rows, pivots, d, ncol, t):
-    """Integer Z with M Z = d RHS from eliminated rows [M | RHS], free
+def _back_substitute(a, pivots, d, ncol):
+    """Integer Z with M Z = d RHS from the eliminated [M | RHS], free
     variables zero.  Each division is exact: d is the determinant of the
     pivot submatrix, so d Z is integral by Cramer's rule."""
-    z = [[0] * t for _ in range(ncol)]
-    solved = []
+    z = np.zeros((ncol, a.shape[1] - ncol), dtype=object)
     for pr, c in reversed(pivots):
-        row = rows[pr]
-        p = row[c]
-        for j in range(t):
-            acc = d * row[ncol + j]
-            for c2 in solved:
-                if row[c2]:
-                    acc -= row[c2] * z[c2][j]
-            z[c][j] = acc // p
-        solved.append(c)
+        z[c] = (d * a[pr, ncol:] - a[pr, :ncol] @ z) // a[pr, c]
     return z
-
-
-def _object(rows, ncol):
-    return np.array(rows, dtype=object).reshape(len(rows), ncol)
 
 
 def _over(num, d):
     """The matrix num / d with Fraction entries."""
-    out = np.empty(num.shape, dtype=object)
-    for idx, x in np.ndenumerate(num):
-        out[idx] = Fraction(x, d)
-    return out
+    return np.frompyfunc(Fraction, 2, 1)(num, d)
 
 
 def _text(x, d):
@@ -137,7 +118,7 @@ def _solve_scaled(m, rhs):
     ValueError (from ``np.hstack``).  A square, non-empty, diagonal M needs
     no elimination: d is the lcm of its nonzero diagonal entries and
     Z_int[i] = (d / m_ii) RHS[i]; a zero m_ii needs RHS[i] = 0 (Z_int[i] = 0)."""
-    ncol, t = m.shape[1], rhs.shape[1]
+    ncol = m.shape[1]
     diag = m.diagonal()
     if 0 < ncol == m.shape[0] == rhs.shape[0] and np.count_nonzero(m) == np.count_nonzero(diag):
         if any(rhs[i].any() for i in np.flatnonzero(diag == 0)):
@@ -145,15 +126,12 @@ def _solve_scaled(m, rhs):
         d = lcm(*(x for x in diag if x))
         z = np.array([d // x if x else 0 for x in diag], dtype=object)[:, None] * rhs
     else:
-        rows, pivots, d = _eliminate(np.hstack([m, rhs]).tolist(), ncol)
-        used = {pr for pr, _ in pivots}
-        for r, row in enumerate(rows):
-            if r in used:
-                continue
-            require(not any(row[:ncol]), "free rows of the elimination are zero")
-            if any(row[ncol:]):
-                raise ArithmeticError("system is inconsistent")
-        z = _object(_back_substitute(rows, pivots, d, ncol, t), t)
+        a, pivots, d = _eliminate(np.hstack([m, rhs]), ncol)
+        rest = np.delete(a, [pr for pr, _ in pivots], axis=0)
+        require(is_zero(rest[:, :ncol]), "free rows of the elimination are zero")
+        if not is_zero(rest[:, ncol:]):
+            raise ArithmeticError("system is inconsistent")
+        z = _back_substitute(a, pivots, d, ncol)
     require((m @ z == d * rhs).all(), "M Z = d RHS")
     return z, d
 
@@ -195,8 +173,8 @@ def _g_inverse(m):
     one.
     """
     nrow, ncol = m.shape
-    rows, piv, d = _eliminate(np.hstack([m, np.eye(nrow, dtype=object)]).tolist(), ncol)
-    g = _object(_back_substitute(rows, piv, d, ncol, nrow), nrow)
+    a, pivots, d = _eliminate(np.hstack([m, np.eye(nrow, dtype=object)]), ncol)
+    g = _back_substitute(a, pivots, d, ncol)
     require((m @ g @ m == d * m).all(), "M G M = M")
     return g, d
 
@@ -205,7 +183,7 @@ def g_inverse(m):
     """A generalized inverse G with M G M = M, exact: ``_g_inverse`` of M
     scaled to ints (see there for the choice of G)."""
     system, scale = _scaled_ints(m)
-    g, d = _g_inverse(_object(system, m.shape[1]))
+    g, d = _g_inverse(system)
     # M = M_int / scale and G_int checks against M_int, so G = scale G_int / d
     return _over(scale * g, d)
 

@@ -19,6 +19,10 @@ The translation oracle adds GF(p^k) labels digit by digit in base p,
 symbol by symbol, as ``constructions.translate`` did before it read one
 padded addition table; it never reads a field table.
 
+The Gaussian-elimination oracle runs ordinary elimination over Fractions,
+row by row, with the pivot rule of the package's fraction-free kernel, so
+the two must pick the same pivots.
+
 The package's elimination has one pivot order.  The ``*_reversed``
 helpers give the invariance tests their second order: the same
 elimination on the index-reversed system, with the result reversed back.
@@ -73,6 +77,26 @@ def orthonormal_contrasts(s):
 def flip(m):
     """M with the order of its rows and of its columns reversed."""
     return m[::-1, ::-1]
+
+
+def gauss_pivots(m):
+    """The (original_row, column) pivots, in order, of ordinary Gaussian
+    elimination of the matrix ``m`` over Fractions: columns left to right
+    and, within a column, the first still-unused row from the top with a
+    nonzero entry."""
+    rows = [[Fraction(int(x)) for x in row] for row in m]
+    free = list(range(len(rows)))
+    pivots = []
+    for c in range(m.shape[1]):
+        pr = next((r for r in free if rows[r][c]), None)
+        if pr is None:
+            continue
+        pivots.append((pr, c))
+        free.remove(pr)
+        for r in free:
+            f = rows[r][c] / rows[pr][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+    return pivots
 
 
 def g_inverse_reversed(m):
@@ -145,10 +169,9 @@ def ss_adjusted_per_call(plan, y, target, adjust_for=()):
         raise ValueError("empty target set")
     if set(target) & set(adjust):
         raise ValueError(f"target {target} meets adjusting set {adjust}")
-    rows, s = ratmat._scaled_ints([[v] for v in y])
-    if len(rows) != plan.n:
-        raise ValueError(f"response length {len(rows)} != {plan.n} runs")
-    y_col = ratmat._object(rows, 1)    # Y = y_col / s
+    y_col, s = ratmat._scaled_ints(np.array(y, dtype=object).reshape(len(y), 1))  # Y = y_col / s
+    if len(y_col) != plan.n:
+        raise ValueError(f"response length {len(y_col)} != {plan.n} runs")
     x = np.hstack([design_matrix(plan, u) for u in adjust + target])
     g, xy = gram(plan, adjust + target), x.T @ y_col
     t = sum(levels_of(plan, u) for u in adjust)

@@ -1,6 +1,7 @@
 """Exact linear algebra over integers: ranks, the solve kernel and its
-inverses, generalized inverses, projectors, and the eigenvalue bridge to
-floats."""
+inverses, generalized inverses, the kernel against ordinary Gaussian
+elimination over Fractions on random matrices, projectors, and the
+eigenvalue bridge to floats."""
 
 import subprocess
 import sys
@@ -8,7 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import g_inverse_reversed, is_idempotent, projector, projector_decompose, to_float
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (gauss_pivots, g_inverse_reversed, is_idempotent, projector,
+                     projector_decompose, to_float)
 
 from orthoplan import ratmat
 from orthoplan.errors import VerificationFailed
@@ -62,8 +66,8 @@ def test_inverse_exact():
     block: the 3x3 Hilbert matrix, scaled to ints, has an integral inverse."""
     hilbert = np.array([[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)],
                        dtype=object)
-    rows, s = ratmat._scaled_ints(hilbert)        # hilbert = rows / s
-    z, d = ratmat._solve_scaled(ints(rows), np.eye(3, dtype=object))
+    system, s = ratmat._scaled_ints(hilbert)      # hilbert = system / s
+    z, d = ratmat._solve_scaled(system, np.eye(3, dtype=object))
     inv = s * z / d                                # Fraction entries
     assert (hilbert @ inv == np.eye(3, dtype=object)).all()
     assert inv[0, 0] == 9 and inv[2, 2] == 180
@@ -165,12 +169,87 @@ def test_solve_consistent_fractional_entries():
     m = np.array([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 9)]],
                  dtype=object)
     rhs = m @ np.array([[Fraction(5, 7)], [Fraction(-2, 3)]], dtype=object)
-    rows, s = ratmat._scaled_ints(np.hstack([m, rhs]))   # [M | RHS] = rows / s
-    system = ints(rows)
+    system, s = ratmat._scaled_ints(np.hstack([m, rhs]))   # [M | RHS] = system / s
     z, d = ratmat._solve_scaled(system[:, :2], system[:, 2:])
     assert ratmat.rank(m) == 1 and d != 1
     for g_inverse in (ratmat.g_inverse, g_inverse_reversed):
         assert (m @ z == d * (m @ g_inverse(m) @ rhs)).all()
+
+
+# ---------------------------------------------------------------------------
+# the kernel against ordinary Gaussian elimination over Fractions
+
+def fractions(num, d):
+    """num / d entry by entry, as Fractions."""
+    return np.array([Fraction(x, d) for x in num.flat], dtype=object).reshape(num.shape)
+
+
+def python_ints(*matrices):
+    return all(type(x) is int for m in matrices for x in m.flat)
+
+
+def assert_kernel_matches_oracle(m, rhs):
+    """Pivots, rank, Z / d and G / d of the integer matrix ``m`` (and of
+    the system M Z = RHS) against the Fraction elimination."""
+    pivots = gauss_pivots(m)
+    a, got, d = ratmat._eliminate(m, m.shape[1])
+    assert got == pivots and ratmat.rank(m) == len(pivots)
+    assert python_ints(a) and type(d) is int
+    system, scale = ratmat._scaled_ints(m)
+    assert scale == 1 and python_ints(system) and (system == m).all()
+    consistent = len(gauss_pivots(np.hstack([system, rhs]))) == len(pivots)
+    try:
+        z, d = ratmat._solve_scaled(system, rhs)
+    except ArithmeticError:
+        assert not consistent
+    else:
+        assert consistent and python_ints(z) and type(d) is int
+        assert (system @ fractions(z, d) == rhs).all()
+    g, d = ratmat._g_inverse(system)
+    assert python_ints(g) and type(d) is int
+    assert (system @ fractions(g, d) @ system == system).all()
+
+
+@st.composite
+def systems(draw):
+    """An integer matrix of 0-6 rows and 0-6 columns, of any rank up to
+    full (a product of random factors), with entries up to 10^30 in size or
+    small ones, and a right-hand side of 0-2 columns that is M X for an
+    integer X or drawn at random (mostly inconsistent when M is singular)."""
+    nrow, ncol, t = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 2))
+    k = draw(st.integers(0, min(nrow, ncol)))
+    entries = st.integers(-10 ** 30, 10 ** 30) | st.integers(-3, 3)
+
+    def matrix(r, c):
+        return np.array(draw(st.lists(entries, min_size=r * c, max_size=r * c)),
+                        dtype=object).reshape(r, c)
+
+    m = matrix(nrow, k) @ matrix(k, ncol) if nrow and ncol else matrix(nrow, ncol)
+    rhs = m @ matrix(ncol, t) if draw(st.booleans()) else matrix(nrow, t)
+    return m, rhs
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(systems())
+def test_kernel_matches_gaussian_elimination(case):
+    assert_kernel_matches_oracle(*case)
+
+
+NEAR_LIMIT = (st.integers(2 ** 62 - 2 ** 10, 2 ** 62) | st.integers(-2 ** 62, -2 ** 62 + 2 ** 10)
+              | st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(NEAR_LIMIT, min_size=c, max_size=c), min_size=1, max_size=4)))
+@example([[2 ** 62, 1], [1, 2 ** 62]])
+def test_kernel_takes_int64_near_the_limit_exactly(rows):
+    """int64 input whose Bareiss intermediates pass 2^63 is eliminated over
+    Python ints, not in wrapping int64."""
+    m = np.array(rows, dtype=np.int64)
+    assert_kernel_matches_oracle(m, m @ np.ones((m.shape[1], 1), dtype=object))
+    if rows == [[2 ** 62, 1], [1, 2 ** 62]]:
+        assert ratmat._eliminate(m, 2)[0][1, 1] == 2 ** 124 - 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@
 * No call of the elimination kernel (``ratmat._eliminate``,
   ``_back_substitute``, ``_solve_scaled``) outside ``ratmat``: the other
   layers reach it through ``schur_complement``, ``_g_inverse`` and ``rank``.
+* No ``.tolist()`` call in ``ratmat``: the exact kernel keeps one matrix
+  form, the integer object array, from its input to its result.
 * Start-up: ``__init__`` imports no submodule (its exports resolve on first
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
@@ -108,6 +110,9 @@ def violations(path):
         if isinstance(node, DEFINITIONS):
             found.extend((line, f"@{name} decorator")
                          for line, name in decorator_names(node) if name in CACHES)
+        if (isinstance(node, ast.Call) and path.stem == "ratmat"
+                and isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"):
+            found.append((node.lineno, ".tolist() call in the kernel"))
         if isinstance(node, ast.Call) and path.stem != "ratmat":
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr in PRIVATE
@@ -160,6 +165,9 @@ def test_the_checker_sees_each_kind(tmp_path):
         "__all__ lists missing, not defined here", "assert statement", "elim call", "gi call",
         "ratmat._solve_scaled call", "ratmat.g_inverse call", "warnings import",
         "warnings import"]
+    kernel = tmp_path / "ratmat.py"
+    kernel.write_text("def rank(m):\n    return len(_eliminate(m.tolist(), m.shape[1])[1])\n")
+    assert violations(kernel) == [(2, ".tolist() call in the kernel")]
 
 
 CLI_LAYERS = {".errors", ".orthogonality", ".plan"}
