@@ -113,18 +113,12 @@ def _refuse_unread_options(args):
             raise ValueError(f"--{opt} does not apply to --family {fam}{which}")
 
 
-def _built(family, h=None, s=None):
+def _built(family, **options):
     """A built family's (plan, report its builder verified, potb contrast
     scalar it verified or None); the one place the CLI names the builders."""
     from .constructions import _asym, _potb2, _potb3, _potp
 
-    if family == "potp":
-        return (*_potp(h, s), None)
-    if family == "potb2":
-        return _potb2(h)
-    if family == "potb3":
-        return _potb3()
-    return (*_asym(s), None)
+    return {"potp": _potp, "potb2": _potb2, "potb3": _potb3, "asym": _asym}[family](**options)
 
 
 def _matrix(args):
@@ -249,10 +243,10 @@ def _cmd_catalog(args):
     def verified():
         for name, plan in sorted(seed_plans().items()):
             yield (plan, *_pair_claims(name, plan))
-        for family, h, s in [("potp", 4, 3), ("potb2", 2, None), ("potb3", None, None),
-                             ("asym", None, 3), ("asym", None, 7)]:
-            plan, rep, scalar = _built(family, h, s)
-            # the catalog digest pins shorter labels for these plans (ROADMAP item 4)
+        for family, options in [("potp", {"h": 4, "s": 3}), ("potb2", {"h": 2}), ("potb3", {}),
+                                ("asym", {"s": 3}), ("asym", {"s": 7})]:
+            plan, rep, scalar = _built(family, **options)
+            # the catalog digest pins shorter labels for these plans (ROADMAP item 8)
             yield plan, rep, [dict(c, label=c["label"].removesuffix(f"-{scalar}"))
                               for c in _claims(plan.name, rep, scalar)
                               if not c["label"].endswith("-blocked-identity")]

@@ -4,9 +4,10 @@ block-multiplying product of a plan with a strength-2 orthogonal array,
 which keeps one untranslated copy of the plan.
 
 Every built family's private ``_family(...)`` re-verifies its output
-with the exact checkers and returns (plan, report); the public
-``construct_family(...)`` is ``_family(...)[0]``.  Nothing below relies on
-a claimed property that is not recomputed on the concrete output.
+with the exact checkers and returns (plan, report, potb contrast scalar
+or None); the public ``construct_family(...)`` is ``_family(...)[0]``.
+Nothing below relies on a claimed property that is not recomputed on the
+concrete output.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def _refuse_gram_size(what, size):
 
 def _potp(h, s):
     """``construct_potp(h, s)`` and its verified ``is_potp`` report through
-    the first two factors, as (plan, report)."""
+    the first two factors, as (plan, report, None)."""
     _refuse_gram_size(f"potp h={h} s={s}", 2 * h * s + 1)
     field = field_new(s)
     if s % 4 != 3:
@@ -262,7 +263,7 @@ def _potp(h, s):
                     f"{what}: incidence pattern at {names[i]},{names[j]}")
     report = is_potp(plan, (names[0], names[1]))
     require(report.passed, f"{what}: pairs orthogonal through {names[0]},{names[1]}")
-    return plan, report
+    return plan, report, None
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +367,7 @@ def construct_asym(s):
 
 
 def _asym(s):
-    """``construct_asym(s)`` and its verified ``asym_report``, as (plan, report)."""
+    """``construct_asym(s)`` and its verified ``asym_report``, as (plan, report, None)."""
     field = field_new(s)
     sq = square_classes(field)       # refuses GF(2^k)
     t = (s - 1) // 2
@@ -391,7 +392,7 @@ def _asym(s):
     _verify_asym(plan, field, sq, t)
     report = asym_report(plan)
     require(report.passed, f"asym s={s}: s-level pairs orthogonal through block")
-    return plan, report
+    return plan, report, None
 
 
 def asym_report(plan):

@@ -15,8 +15,9 @@ rational entry is printed from its integer pair; a Fraction is made only
 for the scalar a of ``scalar_identity``.  It converts to floating
 point, num / d entry by entry (correctly rounded), only for eigenvalues
 and irrational entries, and forms the float matrix and its spectrum
-once, on first use, and keeps them.  ``orthogonality._helmert`` applies
-the integer rows by prefix sums; the explicit rows are a test oracle.
+once, on first use, and keeps them.  ``congruence`` applies the integer
+rows by prefix sums (the explicit rows are a test oracle), and
+``checked_eigenvalues`` is the package's one eigenvalue routine.
 
 Note on scaling: some authors use contrast rows of squared norm 2 (for
 two levels, the row (1, -1)).  Every C-matrix produced under that
@@ -33,13 +34,46 @@ from math import isqrt
 import numpy as np
 
 from . import ratmat
+from .errors import VerificationFailed
 
-__all__ = ["helmert_norms", "ContrastMatrix"]
+__all__ = ["helmert_norms", "congruence", "checked_eigenvalues", "ContrastMatrix"]
+
+# The one float tolerance: the relative eigenpair residual bound, and the
+# eigenvalue at or below which ``optimality.a_value`` calls a spectrum singular
+_EIGEN_TOL = 1e-9
 
 
 def helmert_norms(s):
     """Squared row norms j(j+1), j = 1..s-1, of the integer Helmert rows."""
     return tuple(j * (j + 1) for j in range(1, s))
+
+
+def _helmert(x):
+    """H x for the s rows of x, H the (s-1) x s integer Helmert rows
+    (1, ..., 1, -j, 0, ..., 0), by prefix sums."""
+    return np.cumsum(x, axis=0)[:-1] - np.arange(1, len(x), dtype=object)[:, None] * x[1:]
+
+
+def congruence(num, d, cols):
+    """The contrast C-matrix H M H' of M = num / d over the factors whose
+    columns are the slices ``cols``, H their block-diagonal Helmert rows:
+    the integer congruence H num H' over the same d."""
+    rows = np.vstack([_helmert(num[c, :]) for c in cols])
+    con = np.hstack([_helmert(rows[:, c].T).T for c in cols])
+    return ContrastMatrix(num=con, d=d,
+                          norms=tuple(n for c in cols for n in helmert_norms(c.stop - c.start)))
+
+
+def checked_eigenvalues(f):
+    """Ascending eigenvalues of a symmetric float matrix by ``eigh``; each
+    eigenpair residual must satisfy |F v - lam v| <= _EIGEN_TOL max(1, |F|)
+    (max-abs norm), else VerificationFailed."""
+    w, v = np.linalg.eigh(f)
+    bound = _EIGEN_TOL * max(1.0, np.abs(f).max())
+    resid = np.abs(f @ v - v * w).max()
+    if resid > bound:
+        raise VerificationFailed(f"eigen residual {resid} exceeds {bound}")
+    return [float(x) for x in w]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +114,7 @@ class ContrastMatrix:
     @cached_property
     def _spectrum(self):
         """The eigenvalues, decomposed once per instance."""
-        return tuple(ratmat.checked_eigenvalues(self._float))
+        return tuple(checked_eigenvalues(self._float))
 
     def scalar_identity(self):
         """(True, a) when the matrix is exactly a * I, else (False, None)."""
@@ -92,7 +126,7 @@ class ContrastMatrix:
 
     def eigenvalues(self):
         """Ascending eigenvalues (floating point), residual-checked by
-        ``ratmat.checked_eigenvalues``."""
+        ``checked_eigenvalues``."""
         return list(self._spectrum)
 
     def entries_json(self):
@@ -107,3 +141,7 @@ class ContrastMatrix:
                            else repr(f))
             out.append(row)
         return out
+
+    def to_json(self):
+        """The report's ``c_matrix`` block: entries and eigenvalues."""
+        return {"entries": self.entries_json(), "eigenvalues": self.eigenvalues()}

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
+from .contrasts import _EIGEN_TOL
 from .orthogonality import (_columns, _contrast, _factor_information, _fully_adjusted,
                             _incidences, contrast_c_matrix)
 from .plan import BLOCK
@@ -157,9 +158,9 @@ def e_value(plan):
 def a_value(plan):
     """Sum of reciprocal eigenvalues of the contrast C-matrix; smaller is
     better.  Raises on a singular spectrum (disconnected plan): one with an
-    eigenvalue at or below ``ratmat._EIGEN_TOL``."""
+    eigenvalue at or below ``contrasts._EIGEN_TOL``."""
     spectrum = contrast_c_matrix(plan).eigenvalues()
-    if min(spectrum) <= ratmat._EIGEN_TOL:
+    if min(spectrum) <= _EIGEN_TOL:
         raise ValueError("contrast information is singular; no A-value")
     return float(sum(1.0 / x for x in spectrum))
 

@@ -36,7 +36,7 @@ from math import lcm
 import numpy as np
 
 from . import ratmat
-from .contrasts import ContrastMatrix, helmert_norms
+from .contrasts import ContrastMatrix, congruence
 from .plan import BLOCK, GENERAL, _as_tuple, gram, levels_of
 
 __all__ = [
@@ -156,10 +156,7 @@ class OrthReport:
             "pairs": [p.to_json() for p in self.pairs],
         }
         if self.c_matrix is not None:
-            doc["c_matrix"] = {
-                "entries": self.c_matrix.entries_json(),
-                "eigenvalues": self.c_matrix.eigenvalues(),
-            }
+            doc["c_matrix"] = self.c_matrix.to_json()
         return doc
 
 
@@ -205,33 +202,16 @@ def is_potp(plan, through):
     """Check every unordered factor pair outside ``through`` for
     orthogonality through that pair (or any factor set)."""
     through = _as_tuple(through)
-    for t in through:
-        levels_of(plan, t)
     rest = [f for f in plan.factor_names if f not in through]
     checks, _ = pair_checks(plan, rest, through)
     return OrthReport(plan_name=plan.name, check="potp", pairs=checks,
                       c_matrix=contrast_c_matrix(plan))
 
 
-def _helmert(x):
-    """H x for the s rows of x, H the (s-1) x s integer Helmert rows
-    (1, ..., 1, -j, 0, ..., 0), by prefix sums."""
-    return np.cumsum(x, axis=0)[:-1] - np.arange(1, len(x), dtype=object)[:, None] * x[1:]
-
-
 def _contrast(plan, info):
-    """The contrast C-matrix H M H' of the stacked information M = num / d,
-    ``info`` = (num, d), over all factors, H the block-diagonal Helmert rows:
-    the integer congruence H num H' over the same d."""
-    names = plan.factor_names
-    num, d = info
-    norms = []
-    for f in names:
-        norms.extend(helmert_norms(plan.factor(f).levels))
-    cols = _columns(plan, names)
-    rows = np.vstack([_helmert(num[cols[f], :]) for f in names])
-    con = np.hstack([_helmert(rows[:, cols[f]].T).T for f in names])
-    return ContrastMatrix(num=con, d=d, norms=tuple(norms))
+    """The contrast C-matrix of the stacked information ``info`` = (num, d)
+    over all factors (``contrasts.congruence``)."""
+    return congruence(*info, _columns(plan, plan.factor_names).values())
 
 
 def contrast_c_matrix(plan):

@@ -12,8 +12,8 @@ second is the same elimination on the index-reversed matrix.  ``Fraction``
 input is accepted only by ``rank`` and ``g_inverse``, which scale it to
 ints once; ``Fraction`` entries are made only by ``_over``, where a matrix
 leaves through the public API, and a report prints an entry x / d with
-``_text``.  Floating point enters only in ``checked_eigenvalues``, the one
-eigenvalue routine.
+``_text``.  No floating point enters: the one eigenvalue routine is
+``contrasts.checked_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -25,19 +25,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import VerificationFailed, require
+from .errors import require
 
 __all__ = [
     "is_zero",
     "rank",
     "g_inverse",
     "schur_complement",
-    "checked_eigenvalues",
 ]
-
-# The one float tolerance: the relative eigenpair residual bound, and the
-# eigenvalue at or below which ``optimality.a_value`` calls a spectrum singular
-_EIGEN_TOL = 1e-9
 
 
 def is_zero(m):
@@ -121,16 +116,15 @@ def _solve_scaled(m, rhs):
     ncol = m.shape[1]
     diag = m.diagonal()
     if 0 < ncol == m.shape[0] == rhs.shape[0] and np.count_nonzero(m) == np.count_nonzero(diag):
-        if any(rhs[i].any() for i in np.flatnonzero(diag == 0)):
-            raise ArithmeticError("system is inconsistent")
+        require(not any(rhs[i].any() for i in np.flatnonzero(diag == 0)),
+                "no inconsistent equation")
         d = lcm(*(x for x in diag if x))
         z = np.array([d // x if x else 0 for x in diag], dtype=object)[:, None] * rhs
     else:
         a, pivots, d = _eliminate(np.hstack([m, rhs]), ncol)
         rest = np.delete(a, [pr for pr, _ in pivots], axis=0)
         require(is_zero(rest[:, :ncol]), "free rows of the elimination are zero")
-        if not is_zero(rest[:, ncol:]):
-            raise ArithmeticError("system is inconsistent")
+        require(is_zero(rest[:, ncol:]), "no inconsistent equation")
         z = _back_substitute(a, pivots, d, ncol)
     require((m @ z == d * rhs).all(), "M Z = d RHS")
     return z, d
@@ -186,17 +180,3 @@ def g_inverse(m):
     g, d = _g_inverse(system)
     # M = M_int / scale and G_int checks against M_int, so G = scale G_int / d
     return _over(scale * g, d)
-
-
-def checked_eigenvalues(f):
-    """Ascending eigenvalues of a symmetric float matrix by ``eigh``.
-
-    Each eigenpair residual must satisfy |F v - lam v| <= _EIGEN_TOL *
-    max(1, |F|) (max-abs norm), else VerificationFailed.
-    """
-    w, v = np.linalg.eigh(f)
-    bound = _EIGEN_TOL * max(1.0, np.abs(f).max())
-    resid = np.abs(f @ v - v * w).max()
-    if resid > bound:
-        raise VerificationFailed(f"eigen residual {resid} exceeds {bound}")
-    return [float(x) for x in w]

@@ -34,7 +34,7 @@ from math import isqrt
 
 import numpy as np
 
-from orthoplan import ratmat
+from orthoplan import contrasts, ratmat
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import require
 from orthoplan.gf import prime_power
@@ -242,7 +242,7 @@ def contrast_oracle(raw, norms):
     diag = [Fraction(raw[i, i], norms[i]) for i in range(v)]
     off_zero = all(raw[i, j] == 0 for i in range(v) for j in range(v) if i != j)
     identity = (True, diag[0]) if off_zero and len(set(diag)) == 1 else (False, None)
-    return entries, ratmat.checked_eigenvalues(f), identity
+    return entries, contrasts.checked_eigenvalues(f), identity
 
 
 def translate_symbol(x, u, s):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoplan import arrays, cli, constructions, orthogonality, ratmat
+from orthoplan import arrays, cli, constructions, contrasts, orthogonality, ratmat
 from orthoplan.cli import main
 from orthoplan.errors import VerificationFailed
 from orthoplan import plan as plan_module
@@ -569,7 +569,7 @@ def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, dec
     seeds are checked by the verb.  Each contrast C-matrix is decomposed
     once, for its report and its ledger together."""
     pairs = record_calls(orthogonality, "pair_checks")
-    eigh = record_calls(ratmat, "checked_eigenvalues")
+    eigh = record_calls(contrasts, "checked_eigenvalues")
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert (len(pairs), len(eigh)) == (checks, decompositions)

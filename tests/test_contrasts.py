@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from oracles import helmert_raw, orthonormal_contrasts
 
-from orthoplan import ContrastMatrix, is_potb, ratmat
-from orthoplan.contrasts import helmert_norms
-from orthoplan.orthogonality import _helmert
+from orthoplan import ContrastMatrix, contrasts, is_potb, ratmat
+from orthoplan.contrasts import _helmert, helmert_norms
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 7])
@@ -87,7 +86,7 @@ def test_as_float_and_eigenvalues():
 
 def test_one_decomposition_per_instance(record_calls):
     """The spectrum is formed once per instance; a copy is handed out."""
-    calls = record_calls(ratmat, "checked_eigenvalues")
+    calls = record_calls(contrasts, "checked_eigenvalues")
     cm = pair_cm([[2, 1], [1, 2]], 1, (2, 2))
     first = cm.eigenvalues()
     first.append(0.0)

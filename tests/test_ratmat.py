@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import (gauss_pivots, g_inverse_reversed, is_idempotent, projector,
                      projector_decompose, to_float)
 
-from orthoplan import ratmat
+from orthoplan import contrasts, ratmat
 from orthoplan.errors import VerificationFailed
 
 
@@ -156,6 +156,14 @@ def test_diagonal_system_with_a_nonzero_rhs_on_a_zero_pivot_is_inconsistent(reco
     assert calls == []
 
 
+@pytest.mark.parametrize("m", [[[1, 1], [1, 1]], [[1, 0], [0, 0]]], ids=["eliminated", "diagonal"])
+def test_an_inconsistent_system_is_a_failed_self_check(m):
+    """Both routes refuse an inconsistent system through ``require``, so the
+    CLI reports it as a failed claim (exit 1), not as a traceback."""
+    with pytest.raises(VerificationFailed, match="^no inconsistent equation does not hold$"):
+        ratmat._solve_scaled(ints(m), ints([[0], [1]]))
+
+
 def test_empty_system_takes_the_general_path(record_calls):
     calls = record_calls(ratmat, "_eliminate")
     z, d = ratmat._solve_scaled(ints([], 0), ints([], 2))
@@ -286,8 +294,8 @@ def test_projector_decompose():
 
 def test_sym_eigenvalues():
     """``checked_eigenvalues``, the one eigenvalue routine, on symmetric floats."""
-    assert ratmat.checked_eigenvalues(np.diag([2.0, 5.0])) == [2.0, 5.0]
-    w = ratmat.checked_eigenvalues(np.ones((3, 3)))
+    assert contrasts.checked_eigenvalues(np.diag([2.0, 5.0])) == [2.0, 5.0]
+    w = contrasts.checked_eigenvalues(np.ones((3, 3)))
     assert abs(w[0]) < 1e-9 and abs(w[2] - 3.0) < 1e-9
 
 
@@ -295,7 +303,7 @@ def test_sym_eigenvalues_requires_symmetry():
     """``eigh`` reads one triangle only; the residual check of every
     eigenpair against the whole matrix refuses an asymmetric one."""
     with pytest.raises(VerificationFailed, match="eigen residual"):
-        ratmat.checked_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        contrasts.checked_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

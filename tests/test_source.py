@@ -14,6 +14,11 @@
   layers reach it through ``schur_complement``, ``_g_inverse`` and ``rank``.
 * No ``.tolist()`` call in ``ratmat``: the exact kernel keeps one matrix
   form, the integer object array, from its input to its result.
+* No floating point in ``ratmat`` (no float literal, no ``float`` or
+  float dtype name, no ``linalg``): the exact kernel is exact only.
+* One contrast layer: ``contrasts`` alone defines the Helmert rows, the
+  congruence H num H', the eigenvalue routine and its tolerance, and no
+  other module names the Helmert rows or their norms.
 * Start-up: ``__init__`` imports no submodule (its exports resolve on first
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
@@ -170,6 +175,78 @@ def test_the_checker_sees_each_kind(tmp_path):
     assert violations(kernel) == [(2, ".tolist() call in the kernel")]
 
 
+def identifier(node):
+    """The name a node binds or reads: a name, an attribute or an import alias."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
+def float_code(path):
+    """(line, what) for every floating-point construct in one file: a float
+    or complex literal, the name ``float`` or a float dtype (``float64``),
+    and ``linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = identifier(node)
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif name is not None and (name.startswith("float") or name == "linalg"):
+            found.append((node.lineno, name))
+    return found
+
+
+HELMERT = {"_helmert", "helmert_norms"}
+CONTRAST_LAYER = HELMERT | {"congruence", "checked_eigenvalues", "_EIGEN_TOL"}
+
+
+def contrast_layer(path):
+    """(line, what) for every definition of a ``CONTRAST_LAYER`` name in one
+    file, and every reference to the Helmert rows or their norms."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, DEFINITIONS) and node.name in CONTRAST_LAYER:
+            found.append((node.lineno, f"defines {node.name}"))
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+              and node.id in CONTRAST_LAYER):
+            found.append((node.lineno, f"defines {node.id}"))
+        elif identifier(node) in HELMERT:
+            found.append((node.lineno, f"names {identifier(node)}"))
+    return found
+
+
+def test_ratmat_holds_no_floating_point_code():
+    assert float_code(PACKAGE / "ratmat.py") == []
+
+
+def test_only_contrasts_knows_the_contrast_basis():
+    found = {p.name: contrast_layer(p) for p in SOURCES if p.stem != "contrasts"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    defined = {what.split()[1] for _, what in contrast_layer(PACKAGE / "contrasts.py")
+               if what.startswith("defines")}
+    assert defined == CONTRAST_LAYER
+
+
+BAD_LAYERS = '''
+import numpy as np
+from .contrasts import helmert_norms
+
+_EIGEN_TOL = 1e-9
+
+def _helmert(x):
+    return np.linalg.eigh(x), float(x[0]), x.astype(np.float64), 2.5, helmert_norms(3)
+'''
+
+
+def test_the_layer_checks_see_each_kind(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text(BAD_LAYERS)
+    assert sorted(what for _, what in float_code(path)) == [
+        "float", "float64", "linalg", "literal 1e-09", "literal 2.5"]
+    assert sorted(what for _, what in contrast_layer(path)) == [
+        "defines _EIGEN_TOL", "defines _helmert", "names helmert_norms", "names helmert_norms"]
+
+
 CLI_LAYERS = {".errors", ".orthogonality", ".plan"}
 VERB_LAYERS = ("constructions", "gf", "arrays", "optimality", "anova")
 
@@ -219,9 +296,7 @@ def builder_scopes(path):
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         scope = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
         for node in ast.walk(top):
-            name = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else
-                    node.name if isinstance(node, ast.alias) else None)
+            name = identifier(node)
             if name in found:
                 found[name].add(scope)
     return {b: sorted(scopes) for b, scopes in found.items()}
