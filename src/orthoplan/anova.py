@@ -9,12 +9,13 @@ second is that of C with its indices reversed, a second pivot order.
 
 Everything that does not depend on Y (L, C and the two g-inverses of C)
 is built once per (U, T) as integer matrices over one denominator, [C | L]
-from one ``ratmat.schur_complement`` as every X_A'(I - P_T)X_B of the
-package is, with V'V = C and each g-inverse checked over ints.  A
-response is scaled once to integers over one denominator (binary floats
-are rationals); a sum of squares is then one integer matrix-vector
-product and two integer quadratic forms, so "SS fully adjusted = SS
-adjusted for T" is a decidable identity instead of an almost-sure event.  The independent
+from its own ``ratmat.schur_complement`` (the per-call oracle test checks
+C against ``orthogonality``'s route), with V'V = C and each g-inverse
+checked over ints.  A response is scaled once to integers over one
+denominator (binary floats are rationals); a sum of squares is then one
+integer matrix-vector product and two integer quadratic forms, so "SS
+fully adjusted = SS adjusted for T" is a decidable identity instead of
+an almost-sure event.  The independent
 projection route Y' V (V'V)^- V' Y is kept in the tests: the per-call
 oracle ``tests/oracles.py`` ``ss_adjusted_per_call`` and the dense
 projector of ``test_ss_invariant_across_runs``.
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import ratmat
 from .errors import require
-from .orthogonality import _information
 from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram, levels_of
 
 __all__ = [
@@ -129,9 +129,10 @@ class EquivalenceReport:
     adjusting for T alone reproduce the fully adjusted SS?
 
     The algebraic condition (the factor orthogonal through T to every
-    other model term) is evaluated exactly; random rational responses
-    then probe the SS identity itself.  The two must agree in both
-    directions, which ``biconditional_observed`` records.
+    other model term) is decided exactly, as C_{A;T u O} = C_{A;T} on the
+    C of the two SS forms; random rational responses then probe the SS
+    identity itself.  The two must agree in both directions, which
+    ``biconditional_observed`` records.
     """
 
     plan_name: str
@@ -176,8 +177,11 @@ def estssq_equivalence(plan, a, adjust_for, *, trials, seed):
     """Test whether SS_{A;T} equals the fully adjusted SS of A.
 
     The necessary-and-sufficient condition is that A is orthogonal
-    through T to every other term of the model (other treatment factors,
-    the general effect, the block factor when present).  Each trial
+    through T to every other term O of the model (other treatment
+    factors, the general effect, the block factor when present):
+    N = X_A'(I - P_T)X_O = 0.  As C_{A;T u O} = C_{A;T} - N C_{O;T}^- N'
+    and N C_{O;T}^- N' = 0 only when N = 0, it is decided exactly by
+    comparing the C of the two forms the trials use.  Each trial
     draws a small-integer response so both sums of squares are exact;
     when the condition fails the differing response is recorded as a
     witness.  Raises ValueError unless ``trials`` is at least 1 and
@@ -196,10 +200,9 @@ def estssq_equivalence(plan, a, adjust_for, *, trials, seed):
         others.append(GENERAL)
     if plan.blocked and BLOCK not in adjust:
         others.append(BLOCK)
-    condition = ratmat.is_zero(_information(plan, a, others, adjust)[0])
-
     full = _ss_form(plan, a, adjust + tuple(others))
     part = _ss_form(plan, a, adjust)
+    condition = bool((full.c * part.d == part.c * full.d).all())
     equal = 0
     witness = None
     first = None

@@ -6,9 +6,11 @@ factor, scalar-plus-J form of the adjusted information), the E- and
 A-values read off the contrast information matrix, and verification of
 balanced incomplete block design parameters.
 
-All pattern fits (a I + b J, a I) are exact rational comparisons, never
-least squares.  Only given plans are compared with each other here;
-class-wide optimality certificates are out of scope.
+All pattern fits (a I + b J, a I) are one exact test, never least
+squares: ``ContrastMatrix.scalar_identity``.  C_A 1 = 0 is checked, so
+C_A = a I + b J exactly when its contrast form is a I, and b = -a / s_A.
+Only given plans are compared with each other here; class-wide
+optimality certificates are out of scope.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
-from .contrasts import _EIGEN_TOL
+from .contrasts import _EIGEN_TOL, congruence
+from .errors import require
 from .orthogonality import (_columns, _contrast, _factor_information, _fully_adjusted,
                             _incidences, contrast_c_matrix)
 from .plan import BLOCK
@@ -32,18 +35,6 @@ __all__ = [
     "a_value",
     "bibd_check",
 ]
-
-
-def _fit_scalar_plus_j(num, d):
-    """(True, a, b) when num / d = a I + b J exactly, for a square integer
-    ``num`` and an int d > 0, else (False, None, None); a and b are the
-    only Fractions made."""
-    off = set(num[~np.eye(len(num), dtype=bool)])
-    diag = set(num.diagonal())
-    if len(diag) != 1 or len(off) > 1:
-        return False, None, None
-    b = off.pop() if off else 0
-    return True, Fraction(diag.pop() - b, d), Fraction(b, d)
 
 
 @dataclass(frozen=True)
@@ -130,13 +121,17 @@ def _ledger(plan, info, c_con):
     n_of = _incidences(plan, (BLOCK,) + names)
     factors = []
     for a, own in _columns(plan, names).items():
-        floors = tuple(int(k) // (own.stop - own.start) for k in plan.block_sizes)
+        s_a = own.stop - own.start
+        floors = tuple(int(k) // s_a for k in plan.block_sizes)
         l_a = n_of(a, BLOCK)
         counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
         count_pass = all(
             c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
         orth_pass = ratmat.is_zero(num[own, :own.start]) and ratmat.is_zero(num[own, own.stop:])
-        scalar_pass, fit_a, fit_b = _fit_scalar_plus_j(*adjusted[a])
+        c_num, c_d = adjusted[a]
+        require(ratmat.is_zero(c_num.sum(axis=1)), f"C_{a} 1 = 0")
+        scalar_pass, fit_a = congruence(c_num, c_d, [slice(0, s_a)]).scalar_identity()
+        fit_b = None if fit_a is None else -fit_a / s_a
         factors.append(FactorConditions(factor=a, count_pass=count_pass,
                                         block_counts=counts, t_floor=floors,
                                         orth_pass=orth_pass, scalar_pass=scalar_pass,

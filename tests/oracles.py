@@ -9,8 +9,9 @@ complement eliminates everything else at once over Fractions, and the
 contrast oracle reads a C-matrix off its Fraction congruence entry by
 entry, as ``ContrastMatrix`` did before it kept an integer pair; the
 scalar-plus-J fit reads a Fraction matrix, as the ledger did before it
-fitted the integer pair.  The explicit Helmert rows and their orthonormal
-float form check the prefix sums and norms the package applies instead.
+read the contrast form of the integer pair.  The explicit Helmert rows
+and their orthonormal float form check the prefix sums and norms the
+package applies instead.
 
 The gram oracle counts X'X run by run, one pair of column indices at a
 time, as ``plan.gram`` did before it was one bincount.
@@ -38,6 +39,7 @@ from orthoplan import contrasts, ratmat
 from orthoplan.contrasts import helmert_norms
 from orthoplan.errors import require
 from orthoplan.gf import prime_power
+from orthoplan.orthogonality import _information
 from orthoplan.plan import _as_tuple, _symbols, design_matrix, gram, levels_of
 
 
@@ -194,10 +196,13 @@ def ss_adjusted_per_call(plan, y, target, adjust_for=()):
 
 class PerCallForm:
     """Stand-in for ``orthoplan.anova._ss_form`` that hands every response of
-    an experiment to ``ss_adjusted_per_call``."""
+    an experiment to ``ss_adjusted_per_call``, and whose C = c / d is
+    X_U'(I - P_T)X_U from ``orthogonality._information``, the route that
+    is independent of the form's own Schur complement."""
 
     def __init__(self, plan, target, adjust_for=()):
         self.plan, self.target, self.adjust_for = plan, target, adjust_for
+        self.c, self.d = _information(plan, target, target, adjust_for)
 
     def ss(self, y, s):
         ys = [Fraction(v, s) for v in y.flat]

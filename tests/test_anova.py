@@ -261,6 +261,15 @@ def test_trials_share_the_response_free_algebra(seeds, monkeypatch, name, target
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("name, target, adjust", SEED_EXPERIMENTS)
+def test_equivalence_decides_the_condition_on_its_two_forms(seeds, record_calls,
+                                                            name, target, adjust):
+    """One Schur complement per SS form, and none more for the condition."""
+    calls = record_calls(ratmat, "schur_complement")
+    estssq_equivalence(seeds[name], target, adjust, trials=3, seed=0)
+    assert len(calls) == 2
+
+
 def test_equivalence_json(potp34):
     doc = estssq_equivalence(potp34, "A3", ("A1", "A2"), trials=3, seed=0).to_json()
     assert doc["condition"]["holds"] is True

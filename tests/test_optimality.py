@@ -20,6 +20,7 @@ from orthoplan import (
     universal_ledger,
 )
 from orthoplan import optimality, orthogonality, plan as plan_module
+from orthoplan.errors import VerificationFailed
 from orthoplan.orthogonality import _contrast, _factor_information
 
 
@@ -124,6 +125,22 @@ def test_ledger_counts_the_level_by_block_tables_once(record_calls, potb2_28):
     for f in ledger.factors:
         l_a = incidence(potb2_28, f.factor, BLOCK)
         assert f.block_counts == tuple(tuple(col) for col in l_a.T.tolist())
+
+
+def test_ledger_checks_that_each_c_a_sums_to_zero(monkeypatch, potb27):
+    # b = -a / s_A is derived from C_A 1 = 0, so a C_A with nonzero row sums
+    # must fail the ledger, not print that b; C_A + I / d keeps the a I + b J form
+    fully_adjusted = optimality._fully_adjusted
+
+    def patched(*args):
+        out = fully_adjusted(*args)
+        num, d = out["A1"]
+        out["A1"] = (num + np.eye(len(num), dtype=object), d)
+        return out
+
+    monkeypatch.setattr(optimality, "_fully_adjusted", patched)
+    with pytest.raises(VerificationFailed, match="C_A1 1 = 0"):
+        universal_ledger(potb27)
 
 
 @pytest.mark.parametrize("plan", ["potb2_28", "asym7"])

@@ -9,7 +9,8 @@ and triangle couplings), the ledger and the connectedness verdicts
 against their one-stage definitions, the contrast C-matrix and its
 printed entries, spectrum and scalar form against its Fraction
 congruence, the adjusted sum of squares against the dense projection
-Y' P_V Y, the pair verdicts against relabelled plans, report equality
+Y' P_V Y, the SS-equivalence condition against the cross information of
+the factor with every other term, the pair verdicts against relabelled plans, report equality
 across repeated runs, the JSON round trip, and translation over GF(s) and
 the C0 expansion against their symbol-by-symbol definitions."""
 
@@ -26,8 +27,9 @@ from oracles import (contrast_oracle, fit_scalar_plus_j, gram_oracle, helmert_ra
                      ss_adjusted_per_call, translate_oracle)
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, c0_expand,
-                       contrast_c_matrix, field_new, is_potb, is_potp, orbit, orth_through,
-                       orthogonality, ratmat, ss_adjusted, translate, universal_ledger)
+                       contrast_c_matrix, estssq_equivalence, field_new, is_potb, is_potp,
+                       orbit, orth_through, orthogonality, ratmat, ss_adjusted, translate,
+                       universal_ledger)
 from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
                                      adjusted_information, c_matrix_factor, pair_checks)
 from orthoplan.plan import (_dumps, design_matrix, gram, incidence, levels_of, plan_loads,
@@ -356,6 +358,34 @@ def test_ss_adjusted_matches_dense_projection(plan, width, data):
             oracle = (y_col.T @ p_v @ y_col)[0, 0]
             got = ss_adjusted(plan, y, target, through)
             assert got == oracle == ss_adjusted_per_call(plan, y, target, through)
+
+
+def test_estssq_condition_is_the_cross_information_of_a_with_the_other_terms():
+    """The experiment's condition, its two C-matrices equal, is
+    X_A'(I - P_T)X_O = 0 over every other term O, with T drawn from the
+    other factors, G and the blocks; the responses agree with it, and
+    the sample holds both outcomes."""
+    outcomes = []
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(plans(), st.data())
+    def experiment(plan, data):
+        names = plan.factor_names
+        terms = names + ((GENERAL, BLOCK) if plan.blocked else (GENERAL,))
+        a = data.draw(st.sampled_from(names))
+        adjust = tuple(data.draw(st.lists(st.sampled_from([u for u in terms if u != a]),
+                                          unique=True, max_size=3)))
+        others = tuple(u for u in terms if u != a and u not in adjust)
+        rep = estssq_equivalence(plan, a, adjust, trials=5, seed=0)
+        assert rep.checked_against == others
+        assert rep.condition_holds == ratmat.is_zero(
+            adjusted_information(plan, a, others, adjust))
+        assert rep.biconditional_observed
+        outcomes.append(rep.condition_holds)
+
+    experiment()
+    assert set(outcomes) == {True, False}
 
 
 def pair_verdicts(plan):

@@ -23,6 +23,9 @@
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
   a verb loads only the modules it runs.
+* One route per EstSSQ fact: ``anova`` imports, anywhere in the file, only
+  ``errors``, ``plan`` and ``ratmat``, so the experiment decides its
+  condition from its own two forms, not from ``orthogonality``.
 * One family dispatch: ``cli`` names the private family builders
   (``_potp``, ``_potb2``, ``_potb3``, ``_asym``) in ``_built`` only, so
   ``construct`` and ``catalog`` cannot build a family two ways.
@@ -283,6 +286,43 @@ def test_the_import_checks_see_nested_imports(tmp_path):
     path.write_text("import json\nif True:\n    from . import gf\n"
                     "def f():\n    from .anova import ss_adjusted\n")
     assert sorted(module_level_imports(path)) == [(1, "json"), (3, ".")]
+
+
+ANOVA_LAYERS = {"errors", "plan", "ratmat"}
+
+
+def package_imports(path):
+    """(line, module) for every import of a package module anywhere in the
+    file, function bodies included: ``from . import x``, ``from .x import y``,
+    ``from orthoplan import x`` and ``import orthoplan.x`` each name x."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names if a.name.startswith("orthoplan.")]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "orthoplan":
+            names = node.module.split(".")[1:2] or [a.name for a in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names)
+
+
+def test_anova_imports_only_the_exact_kernel_and_the_plan():
+    found = [(line, m) for line, m in package_imports(PACKAGE / "anova.py")
+             if m not in ANOVA_LAYERS]
+    assert found == []
+
+
+def test_the_anova_import_check_sees_each_kind(tmp_path):
+    path = tmp_path / "anova.py"
+    path.write_text("import json\nfrom . import ratmat, orthogonality\n"
+                    "from .orthogonality import _information\n"
+                    "def f():\n    import orthoplan.orthogonality\n"
+                    "    from orthoplan import orthogonality as o\n"
+                    "    from orthoplan.plan import gram\n")
+    assert sorted(package_imports(path)) == [
+        (2, "orthogonality"), (2, "ratmat"), (3, "orthogonality"), (5, "orthogonality"),
+        (6, "orthogonality"), (7, "plan")]
 
 
 BUILDERS = ("_potp", "_potb2", "_potb3", "_asym")
