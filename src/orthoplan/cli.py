@@ -23,7 +23,6 @@ import argparse
 import sys
 
 from .errors import VerificationFailed
-from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
 from .plan import GENERAL, _dumps, plan_loads, plan_to_csv, plan_to_json
 
 __all__ = ["main"]
@@ -69,6 +68,8 @@ def _claims(tag, rep, scalar=None):
 
 def _pair_claims(name, plan):
     """Verification report + claim list for a named built-in plan."""
+    from .orthogonality import is_potb, is_potp
+
     if name == "potp_3_4":
         rep = is_potp(plan, ("A1", "A2"))
         return rep, _claims("potp-3-4", rep)
@@ -200,6 +201,8 @@ def _split_idents(text, option):
 
 
 def _cmd_verify(args):
+    from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
+
     if args.through is not None and args.check != "potp":
         raise ValueError("--through applies only to --check potp")
     plan = _load_plan(args.plan)

@@ -23,8 +23,8 @@ import numpy as np
 from . import ratmat
 from .contrasts import _EIGEN_TOL, congruence
 from .errors import require
-from .orthogonality import (_columns, _contrast, _factor_information, _fully_adjusted,
-                            _incidences, contrast_c_matrix)
+from .orthogonality import (_columns, _contrast, _coupling, _factor_information,
+                            _fully_adjusted, _incidences, contrast_c_matrix)
 from .plan import BLOCK
 
 __all__ = [
@@ -116,25 +116,25 @@ def _ledger(plan, info, c_con):
     and its contrast C-matrix ``c_con``; each factor's level count s_A is the
     width of its column slice."""
     names = plan.factor_names
-    num, _ = info
-    adjusted = _fully_adjusted(plan, info)
+    cols = _columns(plan, names)
+    nbrs = _coupling(info[0], cols)
+    adjusted = _fully_adjusted(plan, info, nbrs)
     n_of = _incidences(plan, (BLOCK,) + names)
     factors = []
-    for a, own in _columns(plan, names).items():
+    for a, own in cols.items():
         s_a = own.stop - own.start
         floors = tuple(int(k) // s_a for k in plan.block_sizes)
         l_a = n_of(a, BLOCK)
         counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
         count_pass = all(
             c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
-        orth_pass = ratmat.is_zero(num[own, :own.start]) and ratmat.is_zero(num[own, own.stop:])
         c_num, c_d = adjusted[a]
         require(ratmat.is_zero(c_num.sum(axis=1)), f"C_{a} 1 = 0")
         scalar_pass, fit_a = congruence(c_num, c_d, [slice(0, s_a)]).scalar_identity()
         fit_b = None if fit_a is None else -fit_a / s_a
         factors.append(FactorConditions(factor=a, count_pass=count_pass,
                                         block_counts=counts, t_floor=floors,
-                                        orth_pass=orth_pass, scalar_pass=scalar_pass,
+                                        orth_pass=not nbrs[a], scalar_pass=scalar_pass,
                                         a=fit_a, b=fit_b))
     global_pass, global_a = c_con.scalar_identity()
     spectrum = tuple(c_con.eigenvalues())

@@ -23,13 +23,13 @@ The classical special cases are such slices:
 
 The stacked matrix over all factors through the blocks (through G for an
 unblocked plan) is the plan's one information matrix: it gives the
-contrast C-matrix and, as Schur complements taken along its factor
-coupling graph, every factor's fully adjusted information.
+contrast C-matrix, its ``_coupling`` map (each factor pair tested once)
+and, as Schur complements taken along that map, every factor's C_A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from math import lcm
 
@@ -170,19 +170,31 @@ def orth_through(plan, a, b, through):
                      _information=(num, d))
 
 
-def pair_checks(plan, names, through):
+def _coupling(num, cols):
+    """{A: the factors coupled with A} for a symmetric stacked information
+    matrix ``num`` with column slices ``cols``: B is coupled with A when
+    their block of ``num`` is nonzero.  Each unordered pair is tested once."""
+    coupled = {a: set() for a in cols}
+    for a, b in combinations(cols, 2):
+        if not ratmat.is_zero(num[cols[a], cols[b]]):
+            coupled[a].add(b)
+            coupled[b].add(a)
+    return coupled
+
+
+def pair_checks(plan, names, through, pfc=None):
     """A PairCheck for every unordered pair of ``names`` (in combinations
     order), each read off one stacked information matrix, which is
-    returned alongside as its pair (num, d): (checks, (num, d))."""
+    returned alongside as its pair (num, d): (checks, (num, d)).  Its
+    ``_coupling`` map decides each pass, and ``pfc``, the map through {G}, each PFC flag."""
     through = _as_tuple(through)
     num, d = info = _information(plan, names, names, through)
     cols = _columns(plan, names)
-    checks = []
-    for a, b in combinations(names, 2):
-        block = num[cols[a], cols[b]].copy()    # a view would keep all of num alive
-        checks.append(PairCheck(a=a, b=b, through=through, passed=ratmat.is_zero(block),
-                                _information=(block, d)))
-    return tuple(checks), info
+    coupled = _coupling(num, cols)
+    return tuple(PairCheck(a=a, b=b, through=through, passed=b not in coupled[a],
+                           _information=(num[cols[a], cols[b]].copy(), d),  # a view keeps num alive
+                           pfc=None if pfc is None else b not in pfc[a])
+                 for a, b in combinations(names, 2)), info
 
 
 def is_potb(plan):
@@ -191,10 +203,9 @@ def is_potb(plan):
     if not plan.blocked:
         raise ValueError(f"plan {plan.name!r} has no blocks")
     names = plan.factor_names
-    checks, info = pair_checks(plan, names, (BLOCK,))
-    pfc, _ = pair_checks(plan, names, (GENERAL,))
-    pairs = tuple(replace(c, pfc=p.passed) for c, p in zip(checks, pfc))
-    return OrthReport(plan_name=plan.name, check="potb", pairs=pairs,
+    general, _ = _information(plan, names, names, (GENERAL,))
+    checks, info = pair_checks(plan, names, (BLOCK,), _coupling(general, _columns(plan, names)))
+    return OrthReport(plan_name=plan.name, check="potb", pairs=checks,
                       c_matrix=_contrast(plan, info), _block_information=info)
 
 
@@ -230,24 +241,22 @@ def _factor_information(plan):
     return _information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
 
 
-def _fully_adjusted(plan, info, names=None):
-    """{A: C_A} over ``names`` (all factors by default), each fully adjusted
-    information C_A a reduced pair (num, d), from ``info`` = M over ``names``
-    as (num, d), ``_factor_information(plan)`` for all factors.  C_A is the
-    Schur complement of M over the other factors, and Schur complements
-    compose (Crabtree & Haynsworth 1969; for positive semidefinite M,
-    Carlson, Haynsworth & Markham 1974), so factors are eliminated in the
-    order of the coupling graph G_M, which joins two factors when M's block
-    between them is nonzero (George & Liu 1981).  C_A depends only on A's
-    connected component.  A star with hub h (a lone factor is one with no
-    leaf) is solved leaf by leaf: with term_i = M_hi M_ii^- M_ih and
-    S = M_hh - sum_i term_i, C_h = S and C_j = M_jj - M_jh (S + term_j)^- M_hj.
-    Any other component is split: eliminate one half, recurse into the other."""
-    names = plan.factor_names if names is None else names
+def _fully_adjusted(plan, info, nbrs):
+    """{A: C_A} over the factors of ``nbrs``, each fully adjusted information
+    C_A a reduced pair (num, d), from ``info`` = M over them as (num, d),
+    ``_factor_information(plan)`` for all factors.  C_A is the Schur
+    complement of M over the other factors, and Schur complements compose
+    (Crabtree & Haynsworth 1969; for positive semidefinite M, Carlson,
+    Haynsworth & Markham 1974), so factors are eliminated in the order of
+    the coupling graph G_M, ``nbrs`` = ``_coupling`` of M (George & Liu 1981).
+    C_A depends only on A's connected component.  A star with hub h (a lone
+    factor is one with no leaf) is solved leaf by leaf: with term_i =
+    M_hi M_ii^- M_ih and S = M_hh - sum_i term_i, C_h = S and C_j = M_jj -
+    M_jh (S + term_j)^- M_hj.  Any other component is split: eliminate one
+    half, recurse into the other with the map of its Schur complement."""
+    names = tuple(nbrs)
     num, d = info
     cols = _columns(plan, names)
-    nbrs = {a: {b for b in names if b != a and not ratmat.is_zero(num[cols[a], cols[b]])}
-            for a in names}
     out = {}
     for a in names:
         if a in out:
@@ -265,7 +274,8 @@ def _fully_adjusted(plan, info, names=None):
                 k, r = _pick(cols, keep), _pick(cols, drop)
                 c_num, c_d = ratmat.schur_complement(num[np.ix_(k, k)], num[np.ix_(k, r)],
                                                      num[np.ix_(r, r)], num[np.ix_(r, k)])
-                out.update(_fully_adjusted(plan, ratmat._reduced(c_num, c_d * d), keep))
+                sub = ratmat._reduced(c_num, c_d * d)
+                out.update(_fully_adjusted(plan, sub, _coupling(sub[0], _columns(plan, keep))))
             continue
         h, leaves = cols[hub], [(i, cols[i]) for i in part if i != hub]
         # each -term_i reduced on its own, then over the lcm of their denominators
@@ -288,4 +298,6 @@ def c_matrix_factor(plan, a):
     the general effect, and the block factor when present.  For any other
     T, ``adjusted_information(plan, a, a, T)`` is C_AA;T."""
     plan.factor(a)
-    return ratmat._over(*_fully_adjusted(plan, _factor_information(plan))[a])
+    info = _factor_information(plan)
+    nbrs = _coupling(info[0], _columns(plan, plan.factor_names))
+    return ratmat._over(*_fully_adjusted(plan, info, nbrs)[a])

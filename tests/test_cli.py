@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orthoplan import arrays, cli, constructions, contrasts, orthogonality, ratmat
+from orthoplan import arrays, constructions, contrasts, orthogonality, ratmat
 from orthoplan.cli import main
 from orthoplan.errors import VerificationFailed
 from orthoplan import plan as plan_module
@@ -557,22 +557,27 @@ def test_catalog_contrast_scalar_claim_checks_the_value(capsys, tmp_path, monkey
     assert code == 1 and doc["pass"] is False
 
 
-@pytest.mark.parametrize("argv,checks,decompositions", [
-    (["catalog"], 16, 9),
-    (["construct", "--family", "potb2", "--h", "4"], 2, 1),
-    (["construct", "--family", "potp", "--h", "4", "--s", "3"], 1, 1),
-    (["construct", "--family", "asym", "--s", "7"], 2, 1),
-], ids=["catalog", "potb2", "potp", "asym"])
-def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, decompositions):
-    """``is_potb`` makes two ``pair_checks`` calls and ``is_potp`` one.  A
-    built plan is checked by its builder only, whose report is printed;
-    seeds are checked by the verb.  Each contrast C-matrix is decomposed
-    once, for its report and its ledger together."""
+@pytest.mark.parametrize("argv,checks,pair_objects,decompositions", [
+    (["catalog"], 9, 265, 9),
+    (["construct", "--family", "potb2", "--h", "4"], 1, 378, 1),
+    (["construct", "--family", "potp", "--h", "4", "--s", "3"], 1, 15, 1),
+    (["construct", "--family", "asym", "--s", "7"], 1, 12, 1),
+    (["construct", "--family", "asym", "--s", "11"], 1, 30, 1),
+], ids=["catalog", "potb2", "potp", "asym", "asym-11"])
+def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, pair_objects,
+                                         decompositions):
+    """``is_potb`` and ``is_potp`` each make one ``pair_checks`` call, and
+    each pair's ``PairCheck`` is made once, its PFC flag included (the asym
+    report makes one more per pair to mark it informational).  A built plan
+    is checked by its builder only, whose report is printed; seeds are
+    checked by the verb.  Each contrast C-matrix is decomposed once, for
+    its report and its ledger together."""
     pairs = record_calls(orthogonality, "pair_checks")
+    made = record_calls(orthogonality.PairCheck, "__init__")
     eigh = record_calls(contrasts, "checked_eigenvalues")
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert (len(pairs), len(eigh)) == (checks, decompositions)
+    assert (len(pairs), len(made), len(eigh)) == (checks, pair_objects, decompositions)
 
 
 @pytest.mark.parametrize("argv", [
@@ -588,23 +593,28 @@ def test_each_array_is_verified_once(capsys, record_calls, argv):
     assert code == 0 and len(checks) == 1
 
 
-@pytest.mark.parametrize("argv,most_solves,widest,grams", [
-    (["catalog"], 20, None, 28),
-    (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3),
-    (["construct", "--family", "asym", "--s", "7"], None, None, 4),
-    (["construct", "--family", "asym", "--s", "11"], None, 12, 4),
+@pytest.mark.parametrize("argv,most_solves,widest,grams,zero_tests", [
+    (["catalog"], 20, None, 28, 831),
+    (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3, 1162),
+    (["construct", "--family", "asym", "--s", "7"], None, None, 4, 34),
+    (["construct", "--family", "asym", "--s", "11"], None, 12, 4, 71),
 ], ids=["catalog", "potb2", "asym-7", "asym-11"])
 def test_exact_layers_follow_the_structure_of_their_matrices(capsys, record_calls, argv,
-                                                             most_solves, widest, grams):
+                                                             most_solves, widest, grams,
+                                                             zero_tests):
     """Deterministic work counts of whole verbs.  A diagonal X_T'X_T (T the
     blocks or G) is solved without elimination, so the potb2 report and
     ledger eliminate nothing; the asym ledger solves its star leaf by leaf,
     each system at most as wide as the s + 1 levels of ``inf``; the gram
-    matrices counted stay as they were."""
+    matrices counted stay as they were.  Each stacked information matrix
+    has its pair blocks tested for zero once, by its coupling map: potb2
+    h=4 makes 378 tests through G, 378 through the blocks for the report
+    and 378 for the ledger, and checks each of its 28 C_A 1 = 0."""
     solves = record_calls(ratmat, "_eliminate")
+    zeros = record_calls(ratmat, "is_zero")
     counted = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
     code, _, _ = run(capsys, *argv)
-    assert code == 0 and len(counted) == grams
+    assert code == 0 and len(counted) == grams and len(zeros) == zero_tests
     if most_solves is not None:
         assert len(solves) <= most_solves
     if widest is not None:
@@ -615,7 +625,7 @@ def test_failed_self_check_exits_one(capsys, tmp_path, monkeypatch):
     def broken(plan):
         raise VerificationFailed("M Z = d RHS does not hold")
 
-    monkeypatch.setattr(cli, "is_potb", broken)
+    monkeypatch.setattr(orthogonality, "is_potb", broken)
     path = write_plan(tmp_path, seed_plans()["potb_2_7"])
     code, _, err = run(capsys, "verify", "--check", "potb", "--plan", path)
     assert code == 1 and err == "claim failed: M Z = d RHS does not hold\n"

@@ -250,14 +250,14 @@ def test_builder_report_is_a_fresh_check(build, check):
 
 
 @pytest.mark.parametrize("build,heads", [
-    (lambda: construct_asym(7), [("block",), ("block",), ("G",)]),
+    (lambda: construct_asym(7), [("block",), ("G",), ("block",)]),
     (lambda: construct_potp(4, 3), [(), (), ("G",)]),
 ], ids=["asym-7", "potp-4-3"])
 def test_incidence_self_checks_count_once(record_calls, build, heads):
     """Every incidence the asym and potp self-checks compare is a slice of
     one gram matrix (separate ``incidence`` calls would count one gram
     each).  Each builder's report counts two more: the asym report's for
-    its pairs through the block and through G, the potp report's for its
+    its pairs through G and through the block, the potp report's for its
     pairs and for its contrast C-matrix."""
     calls = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
     plan = build()

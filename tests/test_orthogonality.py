@@ -23,6 +23,8 @@ from orthoplan import (
     ratmat,
 )
 from orthoplan.orthogonality import (
+    _columns,
+    _coupling,
     _factor_information,
     _fully_adjusted,
     adjusted_information,
@@ -202,7 +204,8 @@ def test_asym_ledger_matches_the_one_stage_oracle(record_calls, s):
     and the blocks, and no solve spans more than one factor."""
     plan = construct_asym(s)
     calls = record_calls(ratmat, "_eliminate")
-    adjusted = _fully_adjusted(plan, _factor_information(plan))
+    info = _factor_information(plan)
+    adjusted = _fully_adjusted(plan, info, _coupling(info[0], _columns(plan, plan.factor_names)))
     assert max(ncol for _, ncol, *_ in calls) <= s + 1
     names = plan.factor_names
     for a, (c_num, c_d) in adjusted.items():

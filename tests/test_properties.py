@@ -1,6 +1,7 @@
 """Property tests on random small plans: the stacked adjusted information
 and its canonical integer pair (num, d) against the dense projector oracle
-and the single-pair check, every report's pair residuals against the
+and the single-pair check, the coupling map of a stacked matrix against
+the pairs that fail that check, every report's pair residuals against the
 blocks of the stacked information, the counted gram against the dense
 X'X and the run-by-run count (over stacks that span several chunks of
 runs), the text of an integer pair against that of its Fraction, the C_A
@@ -30,7 +31,7 @@ from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, c0_expand,
                        contrast_c_matrix, estssq_equivalence, field_new, is_potb, is_potp,
                        orbit, orth_through, orthogonality, ratmat, ss_adjusted, translate,
                        universal_ledger)
-from orthoplan.orthogonality import (_factor_information, _fully_adjusted,
+from orthoplan.orthogonality import (_columns, _coupling, _factor_information, _fully_adjusted,
                                      adjusted_information, c_matrix_factor, pair_checks)
 from orthoplan.plan import (_dumps, design_matrix, gram, incidence, levels_of, plan_loads,
                             plan_to_json)
@@ -108,11 +109,19 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
 
     offsets = np.cumsum([0] + [levels_of(plan, u) for u in names])
     span = {u: slice(offsets[i], offsets[i + 1]) for i, u in enumerate(names)}
+    failed = set()
     for a, b in combinations(names, 2):
         if a in through or b in through:
             continue
-        residual = orth_through(plan, a, b, through).residual
-        assert (got[span[a], span[b]] == residual).all()
+        check = orth_through(plan, a, b, through)
+        assert (got[span[a], span[b]] == check.residual).all()
+        if not check.passed:
+            failed |= {(a, b), (b, a)}
+
+    # the stacked matrix is symmetric, so the coupling map tests each
+    # unordered pair once; it couples exactly the pairs that fail
+    assert (num == num.T).all()
+    assert {(a, b) for a, nbrs in _coupling(num, span).items() for b in nbrs} == failed
 
     # the proportional frequency condition: A and B are orthogonal through G
     # exactly when n N_AB = r_A r_B'
@@ -127,7 +136,8 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
     assert (gram(plan, idents) == x.T @ x).all()
 
     # every C_A from the recursive split against the one-stage oracle
-    adjusted = _fully_adjusted(plan, _factor_information(plan))
+    info = _factor_information(plan)
+    adjusted = _fully_adjusted(plan, info, _coupling(info[0], _columns(plan, names)))
     oracles = {a: adjusted_information(plan, a, a, tuple(f for f in names if f != a) + pseudo)
                for a in names}
     assert list(adjusted) == list(names)
@@ -256,7 +266,7 @@ def test_fully_adjusted_follows_the_coupling_graph(case):
 
     orthogonality._fully_adjusted = recorded
     try:
-        adjusted = real(plan, (num, d))
+        adjusted = real(plan, (num, d), _coupling(num, _columns(plan, names)))
     finally:
         orthogonality._fully_adjusted = real
     assert bool(calls) == COUPLINGS[shape][1]
@@ -293,7 +303,7 @@ def assert_residuals_are_blocks(plan, pairs, names, through):
 @given(plans(), st.sampled_from(["none", "general", "block", "first"]))
 def test_pair_residuals_are_blocks_of_the_stacked_information(plan, which):
     """For passing and failing pairs alike, straight from ``pair_checks``
-    and after ``replace`` in ``is_potb``, ``is_potp`` and ``asym_report``."""
+    and in the reports of ``is_potb``, ``is_potp`` and ``asym_report``."""
     assume(which != "block" or plan.blocked)
     names = plan.factor_names
     through = {"none": (), "general": (GENERAL,), "block": (BLOCK,),

@@ -19,10 +19,15 @@
 * One contrast layer: ``contrasts`` alone defines the Helmert rows, the
   congruence H num H', the eigenvalue routine and its tolerance, and no
   other module names the Helmert rows or their norms.
+* One coupling map: only ``orthogonality`` tests the pair blocks of a
+  stacked information matrix for zero, so ``optimality`` never subscripts
+  the information matrix ``num``; its ledger reads each factor's pairwise
+  orthogonality off ``orthogonality._coupling``.
 * Start-up: ``__init__`` imports no submodule (its exports resolve on first
   use), and ``cli`` imports at module level only the standard library and
-  the layers every verb runs (``errors``, ``orthogonality``, ``plan``), so
-  a verb loads only the modules it runs.
+  the layers every verb runs (``errors``, ``plan``), so a verb loads only
+  the modules it runs: ``anova`` loads neither ``orthogonality`` nor
+  ``contrasts``.
 * One route per EstSSQ fact: ``anova`` imports, anywhere in the file, only
   ``errors``, ``plan`` and ``ratmat``, so the experiment decides its
   condition from its own two forms, not from ``orthogonality``.
@@ -230,6 +235,18 @@ def test_only_contrasts_knows_the_contrast_basis():
     assert defined == CONTRAST_LAYER
 
 
+def information_blocks(path):
+    """(line, what) for every subscript of the information matrix ``num``
+    in one file."""
+    return [(node.lineno, "subscript of num")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Subscript) and identifier(node.value) == "num"]
+
+
+def test_only_orthogonality_tests_the_pair_blocks_of_the_information():
+    assert information_blocks(PACKAGE / "optimality.py") == []
+
+
 BAD_LAYERS = '''
 import numpy as np
 from .contrasts import helmert_norms
@@ -238,6 +255,9 @@ _EIGEN_TOL = 1e-9
 
 def _helmert(x):
     return np.linalg.eigh(x), float(x[0]), x.astype(np.float64), 2.5, helmert_norms(3)
+
+def orth_pass(num, own):
+    return not num[own, :own.start].any() and (num[own, own.stop:] == 0).all()
 '''
 
 
@@ -248,9 +268,10 @@ def test_the_layer_checks_see_each_kind(tmp_path):
         "float", "float64", "linalg", "literal 1e-09", "literal 2.5"]
     assert sorted(what for _, what in contrast_layer(path)) == [
         "defines _EIGEN_TOL", "defines _helmert", "names helmert_norms", "names helmert_norms"]
+    assert information_blocks(path) == [(11, "subscript of num"), (11, "subscript of num")]
 
 
-CLI_LAYERS = {".errors", ".orthogonality", ".plan"}
+CLI_LAYERS = {".errors", ".plan"}
 VERB_LAYERS = ("constructions", "gf", "arrays", "optimality", "anova")
 
 
@@ -380,6 +401,23 @@ def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
     assert rc == 1 and report["check"] == "pfc" and report["pass"] is False
     assert "orthoplan.orthogonality" in loaded
     assert [m for m in loaded if m.split(".")[-1] in VERB_LAYERS] == []
+
+
+def test_anova_loads_neither_the_pair_reports_nor_the_contrasts(tmp_path, src_env):
+    plan = tmp_path / "potb_2_7.json"
+    plan.write_text(_dumps(plan_to_json(seed_plans()["potb_2_7"])))
+    argv = ["anova", "--plan", str(plan), "--target", "A1", "--adjust", "block",
+            "--trials", "2", "--out", str(tmp_path / "out.json")]
+    code = ("import json, sys\nfrom orthoplan.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('orthoplan'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env, timeout=120)
+    rc, loaded = json.loads(proc.stdout)
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert rc == 0 and report["biconditional_observed"] is True
+    assert "orthoplan.anova" in loaded
+    assert [m for m in loaded if m in ("orthoplan.orthogonality", "orthoplan.contrasts")] == []
 
 
 def test_every_export_resolves_to_its_module_object():
