@@ -7,8 +7,10 @@ prints one JSON document (or writes it with --out) and exits with
     1  a verified claim failed,
     2  usage or input error (diagnostic on stderr).
 
-Reports are deterministic (``plan._dumps``: keys sorted, two-space
+Reports are deterministic (``plan._dump``: keys sorted, two-space
 indent, no timestamps), so identical invocations are byte-identical.
+Every document is complete before ``_emit`` writes it, in bounded pieces,
+to its file or to stdout, so a run that fails prints no report.
 Each verb imports the modules it runs inside its own function, so that
 no invocation pays to load the layers it does not use.  ``catalog`` is
 ``construct`` over the seed plans and five built plans, through one family
@@ -21,19 +23,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import VerificationFailed
-from .plan import GENERAL, _dumps, plan_loads, plan_to_csv, plan_to_json
+from .plan import GENERAL, _dump, plan_loads, plan_to_csv, plan_to_json
 
 __all__ = ["main"]
 
 
-def _emit(text, out_path):
+def _emit(doc, out_path):
+    """Write the JSON document ``doc`` to ``out_path``, or to stdout without one."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            _dump(doc, fh.write)
     else:
-        sys.stdout.write(text)
+        _dump(doc, sys.stdout.write)
 
 
 def _load_plan(path):
@@ -145,7 +149,8 @@ def _documents(plan, rep):
 
     plan_doc, rep_doc, ledger = plan_to_json(plan), rep.to_json(), None
     if plan.blocked:
-        ledger = _ledger(plan, rep._block_information, rep.c_matrix).to_json()
+        ledger = _ledger(plan, rep._block_information, rep.c_matrix,
+                         rep._block_coupling).to_json()
     return plan_doc, rep_doc, ledger
 
 
@@ -162,8 +167,9 @@ def _cmd_construct(args):
     if fam in ("hadamard", "oa", "qarray"):
         doc = _matrix(args)
         if args.csv:
-            _emit("".join(",".join(map(str, row)) + "\n" for row in doc["grid"]), args.csv)
-        _emit(_dumps(doc), args.out)
+            rows = "".join(",".join(map(str, row)) + "\n" for row in doc["grid"])
+            Path(args.csv).write_text(rows)
+        _emit(doc, args.out)
         return 0
     if fam == "seed":
         from .constructions import seed_plans
@@ -182,11 +188,11 @@ def _cmd_construct(args):
     if ledger is not None:
         doc["optimality"] = ledger
     if args.csv:
-        _emit(plan_to_csv(plan), args.csv)
+        Path(args.csv).write_text(plan_to_csv(plan))
     if args.out:
-        _emit(_dumps(plan_doc), args.out)
+        _emit(plan_doc, args.out)
     if args.report or not args.out:
-        _emit(_dumps(doc), args.report)
+        _emit(doc, args.report)
     return 0 if all(c["pass"] == c["expect"] for c in claims) else 1
 
 
@@ -214,9 +220,9 @@ def _cmd_verify(args):
             raise ValueError("--through is required for --check potp")
         rep = is_potp(plan, through)
     else:
-        pairs, _ = pair_checks(plan, plan.factor_names, (GENERAL,))
+        pairs = pair_checks(plan, plan.factor_names, (GENERAL,))[0]
         rep = OrthReport(plan_name=plan.name, check="pfc", pairs=pairs)
-    _emit(_dumps(rep.to_json()), args.out)
+    _emit(rep.to_json(), args.out)
     return 0 if rep.passed else 1
 
 
@@ -225,7 +231,7 @@ def _cmd_optimality(args):
 
     plan = _load_plan(args.plan)
     ledger = universal_ledger(plan)
-    _emit(_dumps(ledger.to_json()), args.out)
+    _emit(ledger.to_json(), args.out)
     return 0
 
 
@@ -236,7 +242,7 @@ def _cmd_anova(args):
     adjust = tuple(_split_idents(args.adjust, "--adjust"))
     report = estssq_equivalence(plan, args.target, adjust,
                                 trials=args.trials, seed=args.seed)
-    _emit(_dumps(report.to_json()), args.out)
+    _emit(report.to_json(), args.out)
     return 0 if report.biconditional_observed else 1
 
 
@@ -263,7 +269,7 @@ def _cmd_catalog(args):
     overall = all(c["pass"] == c["expect"] for c in claims)
     doc = {"plans": plans, "reports": reports, "optimality": ledgers,
            "claims": claims, "pass": overall}
-    _emit(_dumps(doc), args.out)
+    _emit(doc, args.out)
     return 0 if overall else 1
 
 

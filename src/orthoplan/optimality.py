@@ -111,13 +111,15 @@ def universal_ledger(plan):
     return _ledger(plan, info, _contrast(plan, info))
 
 
-def _ledger(plan, info, c_con):
-    """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d)
-    and its contrast C-matrix ``c_con``; each factor's level count s_A is the
-    width of its column slice."""
+def _ledger(plan, info, c_con, nbrs=None):
+    """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d),
+    its contrast C-matrix ``c_con`` and its ``_coupling`` map ``nbrs`` (made
+    here when not given); each factor's level count s_A is the width of its
+    column slice."""
     names = plan.factor_names
     cols = _columns(plan, names)
-    nbrs = _coupling(info[0], cols)
+    if nbrs is None:
+        nbrs = _coupling(info[0], cols)
     adjusted = _fully_adjusted(plan, info, nbrs)
     n_of = _incidences(plan, (BLOCK,) + names)
     factors = []

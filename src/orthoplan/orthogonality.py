@@ -135,8 +135,10 @@ class OrthReport:
     check: str
     pairs: tuple
     c_matrix: ContrastMatrix | None = None
-    # X'(I - P_block)X as (num, d), set by ``is_potb`` for the ledger
+    # X'(I - P_block)X as (num, d) and its ``_coupling`` map, set by
+    # ``is_potb`` for the ledger
     _block_information: tuple | None = field(default=None, repr=False, compare=False)
+    _block_coupling: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -185,8 +187,9 @@ def _coupling(num, cols):
 def pair_checks(plan, names, through, pfc=None):
     """A PairCheck for every unordered pair of ``names`` (in combinations
     order), each read off one stacked information matrix, which is
-    returned alongside as its pair (num, d): (checks, (num, d)).  Its
-    ``_coupling`` map decides each pass, and ``pfc``, the map through {G}, each PFC flag."""
+    returned alongside as its pair (num, d) with its ``_coupling`` map:
+    (checks, (num, d), map).  The map decides each pass, and ``pfc``, the
+    map through {G}, each PFC flag."""
     through = _as_tuple(through)
     num, d = info = _information(plan, names, names, through)
     cols = _columns(plan, names)
@@ -194,7 +197,7 @@ def pair_checks(plan, names, through, pfc=None):
     return tuple(PairCheck(a=a, b=b, through=through, passed=b not in coupled[a],
                            _information=(num[cols[a], cols[b]].copy(), d),  # a view keeps num alive
                            pfc=None if pfc is None else b not in pfc[a])
-                 for a, b in combinations(names, 2)), info
+                 for a, b in combinations(names, 2)), info, coupled
 
 
 def is_potb(plan):
@@ -204,9 +207,11 @@ def is_potb(plan):
         raise ValueError(f"plan {plan.name!r} has no blocks")
     names = plan.factor_names
     general, _ = _information(plan, names, names, (GENERAL,))
-    checks, info = pair_checks(plan, names, (BLOCK,), _coupling(general, _columns(plan, names)))
+    checks, info, coupled = pair_checks(plan, names, (BLOCK,),
+                                        _coupling(general, _columns(plan, names)))
     return OrthReport(plan_name=plan.name, check="potb", pairs=checks,
-                      c_matrix=_contrast(plan, info), _block_information=info)
+                      c_matrix=_contrast(plan, info), _block_information=info,
+                      _block_coupling=coupled)
 
 
 def is_potp(plan, through):
@@ -214,7 +219,7 @@ def is_potp(plan, through):
     orthogonality through that pair (or any factor set)."""
     through = _as_tuple(through)
     rest = [f for f in plan.factor_names if f not in through]
-    checks, _ = pair_checks(plan, rest, through)
+    checks = pair_checks(plan, rest, through)[0]
     return OrthReport(plan_name=plan.name, check="potp", pairs=checks,
                       c_matrix=contrast_c_matrix(plan))
 

@@ -22,7 +22,7 @@ import io
 import json
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -213,9 +213,28 @@ def plan_to_json(plan):
     return doc
 
 
+# How many encoder chunks ``_dump`` joins into one write: about 40 kB of
+# report text, so a write-through stream makes a few syscalls per document
+# rather than one per chunk, and no more than one batch is held as text.
+_DUMP_BATCH = 4096
+
+
+def _dump(doc, write):
+    """Write the JSON text of ``doc`` through ``write`` in bounded pieces:
+    the text of every document the package writes (keys sorted, two-space
+    indent, one closing newline).  The chunks of the encoder are joined a
+    batch at a time, so the whole text is never held at once."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while batch := list(islice(chunks, _DUMP_BATCH)):
+        write("".join(batch))
+    write("\n")
+
+
 def _dumps(doc):
-    """The JSON text of every document the package writes."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``_dump``'s pieces joined: the whole JSON text of ``doc``."""
+    pieces = []
+    _dump(doc, pieces.append)
+    return "".join(pieces)
 
 
 def _expect(doc, key, typ, path):

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import gram_oracle
 
 from orthoplan import (
@@ -17,6 +19,7 @@ from orthoplan import (
     construct_potp,
     design_matrix,
     incidence,
+    is_potb,
     plan_from_json,
     plan_to_csv,
     plan_to_json,
@@ -24,7 +27,8 @@ from orthoplan import (
 )
 from orthoplan.arrays import MAX_HADAMARD_ORDER
 from orthoplan.gf import supported_orders
-from orthoplan.plan import MAX_GRAM_SIZE, MAX_RUNS, _dumps, gram, levels_of, plan_loads
+from orthoplan.plan import (_DUMP_BATCH, MAX_GRAM_SIZE, MAX_RUNS, _dump, _dumps, gram,
+                            levels_of, plan_loads)
 
 
 def tiny(blocked=False):
@@ -184,6 +188,50 @@ def test_json_round_trip(seeds):
 def test_json_round_trip_via_text():
     p = tiny(blocked=True)
     assert plan_loads(_dumps(plan_to_json(p))) == p
+
+
+# Characters the encoder escapes or that look like JSON syntax, beside any other.
+AWKWARD = '"\\/[]{},: \n\r\t\x00\x1f\x7fé€\u2028😀'
+texts = st.text(st.sampled_from(AWKWARD) | st.characters(), max_size=6)
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | texts
+           | st.sampled_from([1e-300, -0.0, 5e-324, 1.7976931348623157e308, 2 ** 80]))
+documents = st.recursive(
+    scalars,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(texts, kids, max_size=4)),
+    max_leaves=40)
+
+
+def dump_pieces(doc):
+    pieces = []
+    _dump(doc, pieces.append)
+    return pieces
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(documents)
+@example({})
+@example([])
+@example([[], {}, [[]], {"": {}}, ((),), {"a": [{}]}])
+@example({"b": (1, ("x",)), "a": {"q\"\\[,]\n": "é😀"}, "": [1e-300, -0.0, True, None]})
+def test_dump_writes_the_text_of_json_dumps(doc):
+    """The pieces of ``_dump`` join to the text ``json.dumps`` gives with
+    sorted keys and a two-space indent, and one closing newline."""
+    pieces = dump_pieces(doc)
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert pieces[-1] == "\n" and "" not in pieces
+    assert _dumps(doc) == "".join(pieces)
+
+
+def test_a_large_report_reaches_write_in_batches(potb2_28):
+    """A report of many chunks, here the pair report of potb2 h=4, is written
+    a batch of ``_DUMP_BATCH`` encoder chunks at a time, then the newline."""
+    doc = is_potb(potb2_28).to_json()
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
+    pieces = dump_pieces(doc)
+    assert chunks > 2 * _DUMP_BATCH
+    assert len(pieces) == -(-chunks // _DUMP_BATCH) + 1
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("doc,path", [

@@ -309,7 +309,7 @@ def test_pair_residuals_are_blocks_of_the_stacked_information(plan, which):
     through = {"none": (), "general": (GENERAL,), "block": (BLOCK,),
                "first": names[:1]}[which]
     rest = tuple(f for f in names if f not in through)
-    checks, _ = pair_checks(plan, rest, through)
+    checks = pair_checks(plan, rest, through)[0]
     assert_residuals_are_blocks(plan, checks, rest, through)
     if which == "first":
         assert_residuals_are_blocks(plan, is_potp(plan, through).pairs, rest, through)

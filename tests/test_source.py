@@ -23,6 +23,9 @@
   stacked information matrix for zero, so ``optimality`` never subscripts
   the information matrix ``num``; its ledger reads each factor's pairwise
   orthogonality off ``orthogonality._coupling``.
+* One document writer: only ``plan`` calls ``json.dumps``, ``json.dump``
+  or ``JSONEncoder``, so every report is written in bounded pieces by
+  ``plan._dump`` and no verb holds a whole JSON text.
 * Start-up: ``__init__`` imports no submodule (its exports resolve on first
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``plan``), so a verb loads only
@@ -269,6 +272,53 @@ def test_the_layer_checks_see_each_kind(tmp_path):
     assert sorted(what for _, what in contrast_layer(path)) == [
         "defines _EIGEN_TOL", "defines _helmert", "names helmert_norms", "names helmert_norms"]
     assert information_blocks(path) == [(11, "subscript of num"), (11, "subscript of num")]
+
+
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def json_writers(path):
+    """(line, what) for every reference to a JSON writer of the standard
+    library in one file: ``json.dump``, ``json.dumps`` or ``JSONEncoder``
+    read off the ``json`` module (under any alias) or imported from it."""
+    module = ast.parse(path.read_text(), filename=str(path))
+    aliases = {a.asname or a.name for node in ast.walk(module) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "json"}
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("json"):
+            found.extend((node.lineno, f"imports {a.name}")
+                         for a in node.names if a.name in JSON_WRITERS)
+        elif isinstance(node, ast.Attribute) and node.attr in JSON_WRITERS and (
+                identifier(node.value) in aliases or node.attr == "JSONEncoder"):
+            found.append((node.lineno, f"json.{node.attr}"))
+    return found
+
+
+def test_only_plan_writes_json_text():
+    found = {p.name: json_writers(p) for p in SOURCES if p.stem != "plan"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert [what for _, what in json_writers(PACKAGE / "plan.py")] == ["json.JSONEncoder"]
+
+
+BAD_WRITERS = '''
+import json
+import json as j
+from json import dumps, JSONEncoder as Enc
+from json.encoder import JSONEncoder
+
+def f(doc, fh):
+    json.dump(doc, fh)
+    return j.dumps(doc), json.encoder.JSONEncoder(indent=2), json.loads("1")
+'''
+
+
+def test_the_json_writer_check_sees_each_kind(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text(BAD_WRITERS)
+    assert sorted(json_writers(path)) == [
+        (4, "imports JSONEncoder"), (4, "imports dumps"), (5, "imports JSONEncoder"),
+        (8, "json.dump"), (9, "json.JSONEncoder"), (9, "json.dumps")]
 
 
 CLI_LAYERS = {".errors", ".plan"}
