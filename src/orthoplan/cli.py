@@ -149,8 +149,7 @@ def _documents(plan, rep):
 
     plan_doc, rep_doc, ledger = plan_to_json(plan), rep.to_json(), None
     if plan.blocked:
-        ledger = _ledger(plan, rep._block_information, rep.c_matrix,
-                         rep._block_coupling).to_json()
+        ledger = _ledger(plan, rep.c_matrix, rep._block_coupling).to_json()
     return plan_doc, rep_doc, ledger
 
 

@@ -7,8 +7,10 @@ A-values read off the contrast information matrix, and verification of
 balanced incomplete block design parameters.
 
 All pattern fits (a I + b J, a I) are one exact test, never least
-squares: ``ContrastMatrix.scalar_identity``.  C_A 1 = 0 is checked, so
-C_A = a I + b J exactly when its contrast form is a I, and b = -a / s_A.
+squares: ``ContrastMatrix.scalar_identity``.  A factor's fit reads its
+fully adjusted block H_A C_A H_A' of the contrast C-matrix the report
+prints.  H_A 1 = 0 and C_A 1 = 0 (``orthogonality._contrast`` checks M's
+rows), so C_A = a I + b J exactly when that block is a I; b = -a / s_A.
 Only given plans are compared with each other here; class-wide
 optimality certificates are out of scope.
 """
@@ -21,10 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratmat
-from .contrasts import _EIGEN_TOL, congruence
-from .errors import require
-from .orthogonality import (_columns, _contrast, _coupling, _factor_information,
-                            _fully_adjusted, _incidences, contrast_c_matrix)
+from .contrasts import _EIGEN_TOL, ContrastMatrix
+from .orthogonality import (_coupling, _fully_adjusted, _incidences, _slices,
+                            contrast_c_matrix)
 from .plan import BLOCK
 
 __all__ = [
@@ -103,46 +104,36 @@ class OptimalityLedger:
 
 def universal_ledger(plan):
     """Assemble the full ledger: per-factor conditions, the global scalar
-    identity, and the contrast spectrum, all read off one matrix
-    X'(I - P_block)X."""
+    identity, and the contrast spectrum, all read off one contrast
+    C-matrix of X'(I - P_block)X."""
     if not plan.blocked:
         raise ValueError("the per-factor conditions are about blocked plans")
-    info = _factor_information(plan)
-    return _ledger(plan, info, _contrast(plan, info))
+    return _ledger(plan, contrast_c_matrix(plan))
 
 
-def _ledger(plan, info, c_con, nbrs=None):
-    """``universal_ledger`` read off ``info`` = X'(I - P_block)X as (num, d),
-    its contrast C-matrix ``c_con`` and its ``_coupling`` map ``nbrs`` (made
-    here when not given); each factor's level count s_A is the width of its
-    column slice."""
-    names = plan.factor_names
-    cols = _columns(plan, names)
+def _ledger(plan, c_con, nbrs=None):
+    """``universal_ledger`` read off the contrast C-matrix ``c_con`` of
+    X'(I - P_block)X and its ``_coupling`` map ``nbrs`` (made here when not
+    given); s_A is one more than the width of A's contrast column slice."""
+    cols = _slices({f.name: f.levels - 1 for f in plan.factors})
     if nbrs is None:
-        nbrs = _coupling(info[0], cols)
-    adjusted = _fully_adjusted(plan, info, nbrs)
-    n_of = _incidences(plan, (BLOCK,) + names)
+        nbrs = _coupling(c_con.num, cols)
+    adjusted = _fully_adjusted((c_con.num, c_con.d), cols, nbrs)
+    n_of = _incidences(plan, (BLOCK,) + plan.factor_names)
     factors = []
     for a, own in cols.items():
-        s_a = own.stop - own.start
+        s_a = own.stop - own.start + 1
         floors = tuple(int(k) // s_a for k in plan.block_sizes)
-        l_a = n_of(a, BLOCK)
-        counts = tuple(tuple(int(x) for x in l_a[:, j]) for j in range(plan.b))
-        count_pass = all(
-            c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
-        c_num, c_d = adjusted[a]
-        require(ratmat.is_zero(c_num.sum(axis=1)), f"C_{a} 1 = 0")
-        scalar_pass, fit_a = congruence(c_num, c_d, [slice(0, s_a)]).scalar_identity()
+        counts = tuple(map(tuple, n_of(a, BLOCK).T.tolist()))
+        count_pass = all(c in (t, t + 1) for t, col in zip(floors, counts) for c in col)
+        scalar_pass, fit_a = ContrastMatrix(*adjusted[a], c_con.norms[own]).scalar_identity()
         fit_b = None if fit_a is None else -fit_a / s_a
         factors.append(FactorConditions(factor=a, count_pass=count_pass,
                                         block_counts=counts, t_floor=floors,
                                         orth_pass=not nbrs[a], scalar_pass=scalar_pass,
                                         a=fit_a, b=fit_b))
-    global_pass, global_a = c_con.scalar_identity()
-    spectrum = tuple(c_con.eigenvalues())
-    return OptimalityLedger(plan_name=plan.name, factors=tuple(factors),
-                            global_pass=global_pass, global_a=global_a,
-                            spectrum=spectrum)
+    return OptimalityLedger(plan.name, tuple(factors), *c_con.scalar_identity(),
+                            tuple(c_con.eigenvalues()))
 
 
 def e_value(plan):

@@ -21,10 +21,13 @@ The classical special cases are such slices:
 * T = {block}: the defining condition of a plan orthogonal through the
   block factor, N_AB = L_A D_k^{-1} L_B'.
 
-The stacked matrix over all factors through the blocks (through G for an
-unblocked plan) is the plan's one information matrix: it gives the
-contrast C-matrix, its ``_coupling`` map (each factor pair tested once)
-and, as Schur complements taken along that map, every factor's C_A.
+The stacked matrix M over all factors through the blocks (through G for
+an unblocked plan) is the plan's one information matrix: it gives the
+contrast C-matrix K = H M H', its ``_coupling`` map (each factor pair
+tested once) and, as Schur complements along that map, every C_A.  M's
+rows sum to zero over each factor's columns (``_contrast`` checks it), the
+part H drops, so K couples the pairs M couples and its Schur complements
+are the H_A C_A H_A' that ``optimality`` reads.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 
 from . import ratmat
 from .contrasts import ContrastMatrix, congruence
+from .errors import require
 from .plan import BLOCK, GENERAL, _as_tuple, gram, levels_of
 
 __all__ = [
@@ -52,10 +56,15 @@ __all__ = [
 ]
 
 
+def _slices(widths):
+    """{u: slice}: the widths {u: w} packed side by side, in order."""
+    *starts, _ = accumulate(widths.values(), initial=0)
+    return {u: slice(o, o + w) for (u, w), o in zip(widths.items(), starts)}
+
+
 def _columns(plan, idents):
     """Slice of each identifier's columns in the stacked design matrix."""
-    *starts, _ = accumulate((levels_of(plan, u) for u in idents), initial=0)
-    return {u: slice(o, o + levels_of(plan, u)) for u, o in zip(idents, starts)}
+    return _slices({u: levels_of(plan, u) for u in idents})
 
 
 def _incidences(plan, idents):
@@ -135,9 +144,7 @@ class OrthReport:
     check: str
     pairs: tuple
     c_matrix: ContrastMatrix | None = None
-    # X'(I - P_block)X as (num, d) and its ``_coupling`` map, set by
-    # ``is_potb`` for the ledger
-    _block_information: tuple | None = field(default=None, repr=False, compare=False)
+    # the ``_coupling`` map of X'(I - P_block)X and of ``c_matrix``, for the ledger
     _block_coupling: dict | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -210,8 +217,7 @@ def is_potb(plan):
     checks, info, coupled = pair_checks(plan, names, (BLOCK,),
                                         _coupling(general, _columns(plan, names)))
     return OrthReport(plan_name=plan.name, check="potb", pairs=checks,
-                      c_matrix=_contrast(plan, info), _block_information=info,
-                      _block_coupling=coupled)
+                      c_matrix=_contrast(plan, info), _block_coupling=coupled)
 
 
 def is_potp(plan, through):
@@ -226,8 +232,12 @@ def is_potp(plan, through):
 
 def _contrast(plan, info):
     """The contrast C-matrix of the stacked information ``info`` = (num, d)
-    over all factors (``contrasts.congruence``)."""
-    return congruence(*info, _columns(plan, plan.factor_names).values())
+    over all factors (``contrasts.congruence``), once its rows are checked
+    to sum to zero over each factor's columns."""
+    cols = _columns(plan, plan.factor_names).values()
+    require(ratmat.is_zero(np.add.reduceat(info[0], [c.start for c in cols], axis=1)),
+            "M 1_A = 0 for every factor A")
+    return congruence(*info, cols)
 
 
 def contrast_c_matrix(plan):
@@ -246,22 +256,22 @@ def _factor_information(plan):
     return _information(plan, names, names, (BLOCK,) if plan.blocked else (GENERAL,))
 
 
-def _fully_adjusted(plan, info, nbrs):
+def _fully_adjusted(info, cols, nbrs):
     """{A: C_A} over the factors of ``nbrs``, each fully adjusted information
-    C_A a reduced pair (num, d), from ``info`` = M over them as (num, d),
-    ``_factor_information(plan)`` for all factors.  C_A is the Schur
-    complement of M over the other factors, and Schur complements compose
-    (Crabtree & Haynsworth 1969; for positive semidefinite M, Carlson,
-    Haynsworth & Markham 1974), so factors are eliminated in the order of
-    the coupling graph G_M, ``nbrs`` = ``_coupling`` of M (George & Liu 1981).
-    C_A depends only on A's connected component.  A star with hub h (a lone
-    factor is one with no leaf) is solved leaf by leaf: with term_i =
-    M_hi M_ii^- M_ih and S = M_hh - sum_i term_i, C_h = S and C_j = M_jj -
-    M_jh (S + term_j)^- M_hj.  Any other component is split: eliminate one
-    half, recurse into the other with the map of its Schur complement."""
+    C_A a reduced pair (num, d), from ``info`` = M over them as (num, d) with
+    column slices ``cols`` (on the contrast C-matrix, each is H_A C_A H_A').
+    C_A is the Schur complement of M over the other factors, and Schur
+    complements compose (Crabtree & Haynsworth 1969; for positive
+    semidefinite M, Carlson, Haynsworth & Markham 1974), so factors are
+    eliminated in the order of the coupling graph G_M, ``nbrs`` =
+    ``_coupling`` of M (George & Liu 1981).  C_A depends only on A's
+    connected component.  A star with hub h (a lone factor is one with no
+    leaf) is solved leaf by leaf: with term_i = M_hi M_ii^- M_ih and S =
+    M_hh - sum_i term_i, C_h = S and C_j = M_jj - M_jh (S + term_j)^- M_hj.
+    Any other component is split: eliminate one half, recurse into the
+    other with the map of its Schur complement."""
     names = tuple(nbrs)
     num, d = info
-    cols = _columns(plan, names)
     out = {}
     for a in names:
         if a in out:
@@ -280,7 +290,8 @@ def _fully_adjusted(plan, info, nbrs):
                 c_num, c_d = ratmat.schur_complement(num[np.ix_(k, k)], num[np.ix_(k, r)],
                                                      num[np.ix_(r, r)], num[np.ix_(r, k)])
                 sub = ratmat._reduced(c_num, c_d * d)
-                out.update(_fully_adjusted(plan, sub, _coupling(sub[0], _columns(plan, keep))))
+                sub_cols = _slices({u: cols[u].stop - cols[u].start for u in keep})
+                out.update(_fully_adjusted(sub, sub_cols, _coupling(sub[0], sub_cols)))
             continue
         h, leaves = cols[hub], [(i, cols[i]) for i in part if i != hub]
         # each -term_i reduced on its own, then over the lcm of their denominators
@@ -303,6 +314,5 @@ def c_matrix_factor(plan, a):
     the general effect, and the block factor when present.  For any other
     T, ``adjusted_information(plan, a, a, T)`` is C_AA;T."""
     plan.factor(a)
-    info = _factor_information(plan)
-    nbrs = _coupling(info[0], _columns(plan, plan.factor_names))
-    return ratmat._over(*_fully_adjusted(plan, info, nbrs)[a])
+    info, cols = _factor_information(plan), _columns(plan, plan.factor_names)
+    return ratmat._over(*_fully_adjusted(info, cols, _coupling(info[0], cols))[a])

@@ -9,9 +9,11 @@ complement eliminates everything else at once over Fractions, and the
 contrast oracle reads a C-matrix off its Fraction congruence entry by
 entry, as ``ContrastMatrix`` did before it kept an integer pair; the
 scalar-plus-J fit reads a Fraction matrix, as the ledger did before it
-read the contrast form of the integer pair.  The explicit Helmert rows
-and their orthonormal float form check the prefix sums and norms the
-package applies instead.
+read the contrast form of the integer pair, and the level-coordinate
+ledger reads each C_A off M and then its contrast form, with its C_A 1 = 0
+check, as the ledger did before it read the contrast C-matrix.  The
+explicit Helmert rows and their orthonormal float form check the prefix
+sums and norms the package applies instead.
 
 The gram oracle counts X'X run by run, one pair of column indices at a
 time, as ``plan.gram`` did before it was one bincount.
@@ -36,10 +38,10 @@ from math import isqrt
 import numpy as np
 
 from orthoplan import contrasts, ratmat
-from orthoplan.contrasts import helmert_norms
+from orthoplan.contrasts import congruence, helmert_norms
 from orthoplan.errors import require
 from orthoplan.gf import prime_power
-from orthoplan.orthogonality import _information
+from orthoplan.orthogonality import _coupling, _fully_adjusted, _information
 from orthoplan.plan import _as_tuple, _symbols, design_matrix, gram, levels_of
 
 
@@ -227,6 +229,21 @@ def fit_scalar_plus_j(mat):
         return False, None, None
     b = off.pop() if off else Fraction(0)
     return True, diag.pop() - b, b
+
+
+def level_ledger(info, cols):
+    """({A: (scalar_pass, a, b)}, {A: C_A}) read off M = ``info`` as (num, d)
+    with level column slices ``cols``: each C_A a Schur complement of M,
+    checked to sum to zero by rows, then fitted by the scalar identity of
+    its contrast form, with b = -a / s_A."""
+    adjusted = _fully_adjusted(info, cols, _coupling(info[0], cols))
+    fits = {}
+    for a, (c_num, c_d) in adjusted.items():
+        s_a = cols[a].stop - cols[a].start
+        require(ratmat.is_zero(c_num.sum(axis=1)), f"C_{a} 1 = 0")
+        ok, fit = congruence(c_num, c_d, [slice(0, s_a)]).scalar_identity()
+        fits[a] = (ok, fit, None if fit is None else -fit / s_a)
+    return fits, adjusted
 
 
 def contrast_oracle(raw, norms):

@@ -620,22 +620,23 @@ def test_each_array_is_verified_once(capsys, record_calls, argv):
 
 
 @pytest.mark.parametrize("argv,most_solves,widest,grams,zero_tests", [
-    (["catalog"], 20, None, 28, 589),
-    (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3, 784),
-    (["construct", "--family", "asym", "--s", "7"], None, None, 4, 28),
-    (["construct", "--family", "asym", "--s", "11"], None, 12, 4, 56),
+    (["catalog"], 4, None, 28, 519),
+    (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3, 757),
+    (["construct", "--family", "asym", "--s", "7"], 0, 0, 4, 13),
+    (["construct", "--family", "asym", "--s", "11"], 0, 0, 4, 31),
 ], ids=["catalog", "potb2", "asym-7", "asym-11"])
 def test_exact_layers_follow_the_structure_of_their_matrices(capsys, record_calls, argv,
                                                              most_solves, widest, grams,
                                                              zero_tests):
     """Deterministic work counts of whole verbs.  A diagonal X_T'X_T (T the
     blocks or G) is solved without elimination, so the potb2 report and
-    ledger eliminate nothing; the asym ledger solves its star leaf by leaf,
-    each system at most as wide as the s + 1 levels of ``inf``; the gram
-    matrices counted stay as they were.  Each stacked information matrix
-    has its pair blocks tested for zero once, by its coupling map, and the
-    ledger reads the report's map: potb2 h=4 makes 378 tests through G and
-    378 through the blocks, and checks each of its 28 C_A 1 = 0."""
+    ledger eliminate nothing.  The ledger reads the contrast C-matrix, where
+    every system the asym star solves is diagonal, so the asym ledger
+    eliminates nothing either; the gram matrices counted stay as they were.
+    Each stacked information matrix has its pair blocks tested for zero
+    once, by its coupling map, and the ledger reads the report's map: potb2
+    h=4 makes 378 tests through G and 378 through the blocks, and one test
+    that the rows of X'(I - P_block)X sum to zero over each factor."""
     solves = record_calls(ratmat, "_eliminate")
     zeros = record_calls(ratmat, "is_zero")
     counted = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))

@@ -21,7 +21,6 @@ from orthoplan import (
 )
 from orthoplan import optimality, orthogonality, plan as plan_module
 from orthoplan.errors import VerificationFailed
-from orthoplan.orthogonality import _contrast, _factor_information
 
 
 def conditions(plan, name):
@@ -116,10 +115,9 @@ def test_ledger_of_uncoupled_factors_needs_no_solve(monkeypatch, ico26):
 def test_ledger_counts_the_level_by_block_tables_once(record_calls, potb2_28):
     # every factor's L_A is a slice of one gram over the block and the
     # factors (``incidence`` would count one gram per factor)
-    info = _factor_information(potb2_28)
-    c_con = _contrast(potb2_28, info)
+    c_con = contrast_c_matrix(potb2_28)
     calls = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
-    ledger = optimality._ledger(potb2_28, info, c_con)
+    ledger = optimality._ledger(potb2_28, c_con)
     assert [idents for _, idents in calls] == [("block",) + potb2_28.factor_names]
     assert ledger == universal_ledger(potb2_28)
     for f in ledger.factors:
@@ -128,18 +126,21 @@ def test_ledger_counts_the_level_by_block_tables_once(record_calls, potb2_28):
 
 
 def test_ledger_checks_that_each_c_a_sums_to_zero(monkeypatch, potb27):
-    # b = -a / s_A is derived from C_A 1 = 0, so a C_A with nonzero row sums
-    # must fail the ledger, not print that b; C_A + I / d keeps the a I + b J form
-    fully_adjusted = optimality._fully_adjusted
+    # b = -a / s_A is derived from C_A 1 = 0, which holds because the rows of
+    # M = X'(I - P_block)X sum to zero over each factor's columns; H drops
+    # that part of M, so an M with one nonzero row sum must fail where the
+    # contrast C-matrix is formed, not print that b.  M + e_0 e_0' / d stays
+    # symmetric and positive semidefinite
+    information = orthogonality._information
 
     def patched(*args):
-        out = fully_adjusted(*args)
-        num, d = out["A1"]
-        out["A1"] = (num + np.eye(len(num), dtype=object), d)
-        return out
+        num, d = information(*args)
+        num = num.copy()
+        num[0, 0] += 1
+        return num, d
 
-    monkeypatch.setattr(optimality, "_fully_adjusted", patched)
-    with pytest.raises(VerificationFailed, match="C_A1 1 = 0"):
+    monkeypatch.setattr(orthogonality, "_information", patched)
+    with pytest.raises(VerificationFailed, match=r"^M 1_A = 0 for every factor A does not hold$"):
         universal_ledger(potb27)
 
 

@@ -200,12 +200,13 @@ def test_c_matrix_factor_level_space(potb27):
 @pytest.mark.parametrize("s", [3, 7, 11])
 def test_asym_ledger_matches_the_one_stage_oracle(record_calls, s):
     """The asym coupling graph is a star with hub ``inf``: every C_A read
-    leaf by leaf equals the one-stage adjustment for all other factors
-    and the blocks, and no solve spans more than one factor."""
+    leaf by leaf in level coordinates (the route of ``c_matrix_factor``)
+    equals the one-stage adjustment for all other factors and the blocks,
+    and no solve spans more than one factor."""
     plan = construct_asym(s)
     calls = record_calls(ratmat, "_eliminate")
-    info = _factor_information(plan)
-    adjusted = _fully_adjusted(plan, info, _coupling(info[0], _columns(plan, plan.factor_names)))
+    info, cols = _factor_information(plan), _columns(plan, plan.factor_names)
+    adjusted = _fully_adjusted(info, cols, _coupling(info[0], cols))
     assert max(ncol for _, ncol, *_ in calls) <= s + 1
     names = plan.factor_names
     for a, (c_num, c_d) in adjusted.items():

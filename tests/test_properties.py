@@ -7,10 +7,12 @@ X'X and the run-by-run count (over stacks that span several chunks of
 runs), the text of an integer pair against that of its Fraction, the C_A
 read along the coupling graph (also on random star, two-component, chain
 and triangle couplings), the ledger and the connectedness verdicts
-against their one-stage definitions, the contrast C-matrix and its
-printed entries, spectrum and scalar form against its Fraction
-congruence, the adjusted sum of squares against the dense projection
-Y' P_V Y, the SS-equivalence condition against the cross information of
+against their one-stage definitions, the ledger's per-factor fit and the
+fully adjusted blocks of the contrast C-matrix against the
+level-coordinate route (on random and built plans and on those
+couplings), the contrast C-matrix and its printed entries, spectrum and
+scalar form against its Fraction congruence, the adjusted sum of squares
+against the dense projection Y' P_V Y, the SS-equivalence condition against the cross information of
 the factor with every other term, the pair verdicts against relabelled plans, report equality
 across repeated runs, the JSON round trip, and translation over GF(s) and
 the C0 expansion against their symbol-by-symbol definitions."""
@@ -21,18 +23,21 @@ from itertools import accumulate, combinations
 from math import gcd, lcm
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import (contrast_oracle, fit_scalar_plus_j, gram_oracle, helmert_raw,
-                     information_reversed, one_stage_schur, projector, schur_reversed,
-                     ss_adjusted_per_call, translate_oracle)
+                     information_reversed, level_ledger, one_stage_schur, projector,
+                     schur_reversed, ss_adjusted_per_call, translate_oracle)
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, c0_expand,
                        contrast_c_matrix, estssq_equivalence, field_new, is_potb, is_potp,
-                       orbit, orth_through, orthogonality, ratmat, ss_adjusted, translate,
-                       universal_ledger)
-from orthoplan.orthogonality import (_columns, _coupling, _factor_information, _fully_adjusted,
-                                     adjusted_information, c_matrix_factor, pair_checks)
+                       optimality, orbit, orth_through, orthogonality, ratmat, ss_adjusted,
+                       translate, universal_ledger)
+from orthoplan.contrasts import ContrastMatrix, congruence
+from orthoplan.orthogonality import (_columns, _contrast, _coupling, _factor_information,
+                                     _fully_adjusted, _slices, adjusted_information,
+                                     c_matrix_factor, pair_checks)
 from orthoplan.plan import (_dumps, design_matrix, gram, incidence, levels_of, plan_loads,
                             plan_to_json)
 
@@ -68,6 +73,22 @@ def dense_oracle(plan, names, through):
     """X_U' (I - P_T) X_U with the n x n projector built explicitly."""
     x_u = stacked_design(plan, names)
     return x_u.T @ residual_projector(plan, through) @ x_u
+
+
+def assert_ledger_reads_the_contrast_blocks(plan, info, c_con):
+    """The ledger's per-factor (scalar_pass, a, b) against the level-coordinate
+    oracle on M = ``info``, and each fully adjusted block of the contrast
+    C-matrix ``c_con`` = H M H' against H_A C_A H_A'."""
+    names = plan.factor_names
+    fits, level = level_ledger(info, _columns(plan, names))
+    ledger = optimality._ledger(plan, c_con)
+    assert {f.factor: (f.scalar_pass, f.a, f.b) for f in ledger.factors} == fits
+    cols = _slices({u: levels_of(plan, u) - 1 for u in names})
+    blocks = _fully_adjusted((c_con.num, c_con.d), cols, _coupling(c_con.num, cols))
+    assert list(blocks) == list(names)
+    for a, (c_num, c_d) in blocks.items():
+        want = congruence(*level[a], [slice(0, levels_of(plan, a))])
+        assert ContrastMatrix(c_num, c_d, c_con.norms[cols[a]]) == want
 
 
 def helmert_rows(plan, names):
@@ -136,8 +157,8 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
     assert (gram(plan, idents) == x.T @ x).all()
 
     # every C_A from the recursive split against the one-stage oracle
-    info = _factor_information(plan)
-    adjusted = _fully_adjusted(plan, info, _coupling(info[0], _columns(plan, names)))
+    info, cols = _factor_information(plan), _columns(plan, names)
+    adjusted = _fully_adjusted(info, cols, _coupling(info[0], cols))
     oracles = {a: adjusted_information(plan, a, a, tuple(f for f in names if f != a) + pseudo)
                for a in names}
     assert list(adjusted) == list(names)
@@ -153,6 +174,7 @@ def test_stacked_information_matches_projector_and_pair_checks(plan, which, reve
             assert entry.orth_pass == all(verdicts)
             fit = fit_scalar_plus_j(oracles[entry.factor])
             assert (entry.scalar_pass, entry.a, entry.b) == fit
+        assert_ledger_reads_the_contrast_blocks(plan, info, contrast_c_matrix(plan))
 
     # the integer contrast C-matrix against its Fraction congruence
     contrast_through = (BLOCK,) if plan.blocked else (GENERAL,)
@@ -220,10 +242,13 @@ COUPLINGS = {
 
 
 @st.composite
-def coupled_information(draw):
+def coupled_information(draw, centred=False):
     """(plan, (num, d), shape): M = num / d with num = A'A for an integer A
     whose row blocks each touch one factor or one coupled pair, so M's
-    coupling graph is exactly the drawn shape; factors in a drawn order."""
+    coupling graph is exactly the drawn shape; factors in a drawn order.
+    ``centred`` makes each row sum to zero over each factor's columns, as
+    the rows of an information matrix through the blocks do, and blocks
+    the one-run plan."""
     shape = draw(st.sampled_from(sorted(COUPLINGS)))
     edges, _ = COUPLINGS[shape]
     k = 1 + max(max(e) for e in edges)
@@ -236,15 +261,18 @@ def coupled_information(draw):
         for _ in range(draw(st.integers(1, 2))):
             row = [0] * starts[-1]
             for f in group:
-                for c in cols[f]:
-                    row[c] = draw(st.integers(-3, 3))
+                vals = [draw(st.integers(-3, 3)) for _ in cols[f]]
+                if centred:
+                    vals[-1] -= sum(vals)
+                for c, x in zip(cols[f], vals):
+                    row[c] = x
             rows.append(row)
     a = np.array(rows, dtype=object)
     num = a.T @ a
     for i, j in edges:
         assume(not ratmat.is_zero(num[np.ix_(cols[i], cols[j])]))
     plan = Plan("coupled", tuple(Factor(f"F{f}", sizes[f]) for f in order),
-                (tuple(0 for _ in order),))
+                (tuple(0 for _ in order),), (1,) if centred else None)
     return plan, (num, draw(st.integers(1, 6))), shape
 
 
@@ -266,7 +294,8 @@ def test_fully_adjusted_follows_the_coupling_graph(case):
 
     orthogonality._fully_adjusted = recorded
     try:
-        adjusted = real(plan, (num, d), _coupling(num, _columns(plan, names)))
+        cols = _columns(plan, names)
+        adjusted = real((num, d), cols, _coupling(num, cols))
     finally:
         orthogonality._fully_adjusted = real
     assert bool(calls) == COUPLINGS[shape][1]
@@ -278,6 +307,26 @@ def test_fully_adjusted_follows_the_coupling_graph(case):
         oracle = one_stage_schur(num, span[a], rest)    # d times C_A
         assert c_d > 0 and gcd(c_d, *c_num.flat) == 1
         assert (d * c_num == c_d * oracle).all()
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(coupled_information(centred=True))
+def test_ledger_reads_the_contrast_c_matrix_of_any_coupling(case):
+    """The ledger's fit and the contrast blocks against the level-coordinate
+    route, on information matrices coupled as a star, a split (chain or
+    triangle) or two components, singular ones among them."""
+    plan, info, _ = case
+    assert_ledger_reads_the_contrast_blocks(plan, info, _contrast(plan, info))
+
+
+@pytest.mark.parametrize("plan", ["potb27", "ico26", "potb33", "potb3_15", "asym3", "asym7"])
+def test_ledger_reads_the_contrast_c_matrix_of_built_plans(request, plan):
+    """The same comparison on plans whose factors of three or more levels
+    reach the a I + b J form, which random ones seldom do."""
+    plan = request.getfixturevalue(plan)
+    assert_ledger_reads_the_contrast_blocks(plan, _factor_information(plan),
+                                            contrast_c_matrix(plan))
 
 
 def assert_residuals_are_blocks(plan, pairs, names, through):

@@ -34,6 +34,10 @@
 * One route per EstSSQ fact: ``anova`` imports, anywhere in the file, only
   ``errors``, ``plan`` and ``ratmat``, so the experiment decides its
   condition from its own two forms, not from ``orthogonality``.
+* One coordinate system for the ledger: ``optimality`` takes none of
+  ``_information``, ``_factor_information``, ``_contrast`` or ``_columns``
+  from ``orthogonality``, so it reads the contrast C-matrix the report
+  prints, not a second level-coordinate copy of the information.
 * One family dispatch: ``cli`` names the private family builders
   (``_potp``, ``_potb2``, ``_potb3``, ``_asym``) in ``_built`` only, so
   ``construct`` and ``catalog`` cannot build a family two ways.
@@ -394,6 +398,46 @@ def test_the_anova_import_check_sees_each_kind(tmp_path):
     assert sorted(package_imports(path)) == [
         (2, "orthogonality"), (2, "ratmat"), (3, "orthogonality"), (5, "orthogonality"),
         (6, "orthogonality"), (7, "plan")]
+
+
+LEVEL_ROUTE = {"_information", "_factor_information", "_contrast", "_columns"}
+
+
+def names_taken(path, module):
+    """(line, name) for every name the file takes from the package module
+    ``module``, anywhere in the file: ``from .module import name`` (aliased
+    too), ``from orthoplan.module import name`` and ``m.name`` for ``m`` a
+    name bound to the module by ``from . import module [as m]``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").split(".")
+            if (node.level and source == [module]) or source == ["orthoplan", module]:
+                yield from ((node.lineno, a.name) for a in node.names)
+            elif (node.level and not node.module) or source == ["orthoplan"]:
+                bound |= {a.asname or a.name for a in node.names if a.name == module}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and identifier(node.value) in bound:
+            yield node.lineno, node.attr
+
+
+def test_optimality_reads_no_level_coordinate_information():
+    found = [(line, name) for line, name in names_taken(PACKAGE / "optimality.py", "orthogonality")
+             if name in LEVEL_ROUTE]
+    assert found == []
+
+
+def test_the_level_route_check_sees_each_kind(tmp_path):
+    path = tmp_path / "optimality.py"
+    path.write_text("from .orthogonality import _coupling, _contrast as c\n"
+                    "from . import orthogonality as o, ratmat\n"
+                    "def f(plan):\n    from orthoplan.orthogonality import _columns\n"
+                    "    from orthoplan import orthogonality\n"
+                    "    return o._information(plan), orthogonality._factor_information(plan)\n")
+    assert sorted(names_taken(path, "orthogonality")) == [
+        (1, "_contrast"), (1, "_coupling"), (4, "_columns"), (6, "_factor_information"),
+        (6, "_information")]
 
 
 BUILDERS = ("_potp", "_potb2", "_potb3", "_asym")
