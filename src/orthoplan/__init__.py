@@ -11,8 +11,8 @@ from importlib import import_module
 _EXPORTS = {
     "gf": ("GaloisField", "SquareClasses", "field_new", "square_classes", "supported_orders"),
     "arrays": ("OrthogonalArray", "hadamard", "hadamard_to_oa", "oa_rao_hamming", "q_extend"),
-    "plan": ("BLOCK", "GENERAL", "Factor", "Plan", "design_matrix", "incidence",
-             "plan_from_json", "plan_to_json", "plan_to_csv"),
+    "plan": ("BLOCK", "GENERAL", "Factor", "Plan", "incidence", "plan_from_json",
+             "plan_to_json", "plan_to_csv"),
     "ratmat": ("g_inverse", "rank"),
     "contrasts": ("ContrastMatrix",),
     "orthogonality": ("OrthReport", "PairCheck", "c_matrix_factor", "contrast_c_matrix",

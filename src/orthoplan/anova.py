@@ -8,17 +8,18 @@ every call with two g-inverses of C, which must agree exactly: the
 second is that of C with its indices reversed, a second pivot order.
 
 Everything that does not depend on Y (L, C and the two g-inverses of C)
-is built once per (U, T) as integer matrices over one denominator, [C | L]
-from its own ``ratmat.schur_complement`` (the per-call oracle test checks
-C against ``orthogonality``'s route), with V'V = C and each g-inverse
-checked over ints.  A response is scaled once to integers over one
-denominator (binary floats are rationals); a sum of squares is then one
-integer matrix-vector product and two integer quadratic forms, so "SS
-fully adjusted = SS adjusted for T" is a decidable identity instead of
-an almost-sure event.  The independent
-projection route Y' V (V'V)^- V' Y is kept in the tests: the per-call
-oracle ``tests/oracles.py`` ``ss_adjusted_per_call`` and the dense
-projector of ``test_ss_invariant_across_runs``.
+is built once per (U, T) as integer matrices over one denominator: [C | L]
+is the Schur complement, by ``ratmat.schur_complement``, of the T block
+of the stacked [X'X | X'] over T then U, whose X' is read off the runs'
+symbols (the per-call oracle test checks C against ``orthogonality``'s
+route), with V'V = C and each g-inverse checked over ints.  A response
+is scaled once to integers over one denominator (binary floats are
+rationals); a sum of squares is then one integer matrix-vector product
+and two integer quadratic forms, so "SS fully adjusted = SS adjusted for
+T" is a decidable identity instead of an almost-sure event.  The
+independent projection route Y' V (V'V)^- V' Y is kept in the tests: the
+per-call oracle ``tests/oracles.py`` ``ss_adjusted_per_call`` and the
+dense projector of ``test_ss_invariant_across_runs``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import ratmat
 from .errors import require
-from .plan import BLOCK, GENERAL, _as_tuple, design_matrix, gram, levels_of
+from .plan import BLOCK, GENERAL, _as_tuple, _symbols, gram, levels_of
 
 __all__ = [
     "EquivalenceReport",
@@ -89,7 +90,8 @@ class _SSForm:
 
 def _ss_form(plan, target, adjust_for=()):
     """The ``_SSForm`` of the factor set ``target`` adjusted for the set
-    ``adjust_for``, from one gram matrix and one Schur complement:
+    ``adjust_for``, from one stacked [X'X | X'] over T then U and one Schur
+    complement of its slices:
     [C | L] = [N_UU | X_U'] - N_UT (X_T'X_T)^- [N_TU | X_T']."""
     target = _as_tuple(target)
     adjust = _as_tuple(adjust_for)
@@ -97,12 +99,14 @@ def _ss_form(plan, target, adjust_for=()):
         raise ValueError("empty target set")
     if set(target) & set(adjust):
         raise ValueError(f"target {target} meets adjusting set {adjust}")
-    x = np.hstack([design_matrix(plan, u) for u in adjust + target])
-    g = gram(plan, adjust + target)
-    t = sum(levels_of(plan, u) for u in adjust)
-    u = g.shape[0] - t
-    cl, d = ratmat.schur_complement(np.hstack([g[t:, t:], x[:, t:].T]), g[t:, :t],
-                                    g[:t, :t], np.hstack([g[:t, t:], x[:, :t].T]))
+    idents = adjust + target
+    # X' of each identifier: the column of a run with symbol x is column x of I
+    xt = np.vstack([np.eye(levels_of(plan, w), dtype=object)[:, list(_symbols(plan, w))]
+                    for w in idents])
+    gx = np.hstack([gram(plan, idents), xt])                    # [X'X | X']
+    t = sum(levels_of(plan, w) for w in adjust)
+    u = xt.shape[0] - t
+    cl, d = ratmat.schur_complement(gx[t:, t:], gx[t:, :t], gx[:t, :t], gx[:t, t:])
     c, l = cl[:, :u], cl[:, u:]
     # L = V', so the run-level L L' = V'V must be the gram-level C: l l' = d c
     require((l @ l.T == d * c).all(), f"V'V = C for {target} adjusted for {adjust}")

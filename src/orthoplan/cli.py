@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .errors import VerificationFailed
-from .plan import GENERAL, _dump, plan_loads, plan_to_csv, plan_to_json
+from .plan import GENERAL, _csv, _dump, plan_loads, plan_to_csv, plan_to_json
 
 __all__ = ["main"]
 
@@ -166,8 +166,7 @@ def _cmd_construct(args):
     if fam in ("hadamard", "oa", "qarray"):
         doc = _matrix(args)
         if args.csv:
-            rows = "".join(",".join(map(str, row)) + "\n" for row in doc["grid"])
-            Path(args.csv).write_text(rows)
+            Path(args.csv).write_text(_csv(doc["grid"]))
         _emit(doc, args.out)
         return 0
     if fam == "seed":

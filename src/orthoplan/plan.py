@@ -1,11 +1,11 @@
 """Plan data model: factors, runs, optional blocking, derived matrices,
 and JSON / CSV serialization.
 
-A plan is n runs on m >= 1 factors.  Factor A with s_A levels produces
-the n x s_A design matrix X_A (0/1, one unit entry per row).  Two
-pseudo-factors are addressable wherever a factor identifier is accepted:
-``GENERAL`` ("G", the all-ones column) and ``BLOCK`` (the n x b block
-indicator, only for blocked plans).
+A plan is n runs on m >= 1 factors.  Factor A with s_A levels stands for
+the n x s_A design matrix X_A (0/1, one unit entry per row), which the
+package never forms.  Two pseudo-factors are addressable wherever a
+factor identifier is accepted: ``GENERAL`` ("G", the all-ones column)
+and ``BLOCK`` (the n x b block indicator, only for blocked plans).
 
 Every identifier reads as one symbol per run, so the gram matrix X'X of
 any stack of identifiers is one int64 ``np.bincount`` of the column-index
@@ -169,13 +169,6 @@ def _symbols(plan, name):
     return plan.column(name)
 
 
-def design_matrix(plan, name):
-    """n x s indicator matrix of a factor, or of GENERAL / BLOCK."""
-    s = levels_of(plan, name)
-    return np.array([[int(x == lvl) for lvl in range(s)] for x in _symbols(plan, name)],
-                    dtype=object)
-
-
 def gram(plan, idents):
     """X' X of the stacked design matrices [X_u1 X_u2 ...] of ``idents``:
     an int64 ``np.bincount`` of codes size * i + j over the column pairs
@@ -228,13 +221,6 @@ def _dump(doc, write):
     while batch := list(islice(chunks, _DUMP_BATCH)):
         write("".join(batch))
     write("\n")
-
-
-def _dumps(doc):
-    """``_dump``'s pieces joined: the whole JSON text of ``doc``."""
-    pieces = []
-    _dump(doc, pieces.append)
-    return "".join(pieces)
 
 
 def _expect(doc, key, typ, path):
@@ -298,16 +284,17 @@ def plan_loads(text):
     return plan_from_json(doc)
 
 
+def _csv(rows):
+    """The CSV text of ``rows``, one line each ending in a newline: the text
+    of every CSV file the package writes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def plan_to_csv(plan):
     """One run per line; blocked plans carry a leading block-index column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if plan.blocked:
-        writer.writerow(["block", *plan.factor_names])
-        for lbl, run in zip(plan.block_labels(), plan.runs):
-            writer.writerow([lbl, *run])
-    else:
-        writer.writerow(list(plan.factor_names))
-        for run in plan.runs:
-            writer.writerow(list(run))
-    return buf.getvalue()
+        return _csv([("block", *plan.factor_names),
+                     *((lbl, *run) for lbl, run in zip(plan.block_labels(), plan.runs))])
+    return _csv([plan.factor_names, *plan.runs])

@@ -16,7 +16,11 @@ explicit Helmert rows and their orthonormal float form check the prefix
 sums and norms the package applies instead.
 
 The gram oracle counts X'X run by run, one pair of column indices at a
-time, as ``plan.gram`` did before it was one bincount.
+time, as ``plan.gram`` did before it was one bincount.  The design matrix
+X_u, n x s with one unit entry per run, is built run by run; the package
+never forms it, and reads X'X and X' off the runs' symbols instead.
+``dumps`` joins the pieces of ``plan._dump`` into the whole JSON text, to
+write plan files and to compare documents.
 
 The translation oracle adds GF(p^k) labels digit by digit in base p,
 symbol by symbol, as ``constructions.translate`` did before it read one
@@ -42,12 +46,26 @@ from orthoplan.contrasts import congruence, helmert_norms
 from orthoplan.errors import require
 from orthoplan.gf import prime_power
 from orthoplan.orthogonality import _coupling, _fully_adjusted, _information
-from orthoplan.plan import _as_tuple, _symbols, design_matrix, gram, levels_of
+from orthoplan.plan import _as_tuple, _dump, _symbols, gram, levels_of
 
 
 def to_float(m):
     """A matrix of ints or Fractions as float64, entry by entry."""
     return np.array([[float(x) for x in row] for row in m], dtype=np.float64)
+
+
+def design_matrix(plan, name):
+    """n x s indicator matrix of a factor, or of GENERAL / BLOCK."""
+    s = levels_of(plan, name)
+    return np.array([[int(x == lvl) for lvl in range(s)] for x in _symbols(plan, name)],
+                    dtype=object)
+
+
+def dumps(doc):
+    """``plan._dump``'s pieces joined: the whole JSON text of ``doc``."""
+    pieces = []
+    _dump(doc, pieces.append)
+    return "".join(pieces)
 
 
 def gram_oracle(plan, idents):

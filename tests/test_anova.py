@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import PerCallForm, projector, ss_adjusted_per_call
+from oracles import PerCallForm, design_matrix, projector, ss_adjusted_per_call
 
 from orthoplan import (
     BLOCK,
@@ -18,7 +18,6 @@ from orthoplan import (
     ss_adjusted,
 )
 from orthoplan.errors import VerificationFailed
-from orthoplan.plan import design_matrix
 
 
 def aliased_plan():

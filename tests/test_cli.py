@@ -8,12 +8,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from oracles import dumps
 
 from orthoplan import arrays, cli, constructions, contrasts, orthogonality, ratmat
 from orthoplan.cli import main
 from orthoplan.errors import VerificationFailed
 from orthoplan import plan as plan_module
-from orthoplan.plan import _dumps, plan_to_json
+from orthoplan.plan import plan_to_json
 from orthoplan import Factor, Plan, construct_potp, seed_plans
 
 
@@ -25,7 +26,7 @@ def run(capsys, *argv):
 
 def write_plan(tmp_path, plan, name="plan.json"):
     path = tmp_path / name
-    path.write_text(_dumps(plan_to_json(plan)))
+    path.write_text(dumps(plan_to_json(plan)))
     return str(path)
 
 
@@ -146,7 +147,8 @@ def test_construct_hadamard(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["kind"] == "hadamard" and doc["order"] == 8
     assert len(doc["grid"]) == 8
-    assert len(csv_file.read_text().splitlines()) == 8
+    # one line per row, entries (-1 among them) joined by commas
+    assert csv_file.read_text() == "".join(",".join(map(str, row)) + "\n" for row in doc["grid"])
 
 
 def test_construct_hadamard_unsupported(capsys):

@@ -14,6 +14,8 @@ from orthoplan import (
     c0_expand,
     diamond,
     field_new,
+    hadamard,
+    hadamard_to_oa,
     is_potb,
     is_potp,
     orbit,
@@ -28,6 +30,7 @@ from orthoplan.constructions import (
     _potb2,
     _potb3,
     _potp,
+    _product,
     asym_report,
     construct_asym,
     construct_potb2,
@@ -282,6 +285,32 @@ def test_asym_requires_the_report_it_hands_over(monkeypatch):
 
     monkeypatch.setattr(constructions, "is_potb", failing_level_pair)
     with pytest.raises(VerificationFailed, match="asym s=7: s-level pairs orthogonal"):
+        construct_asym(7)
+
+
+def test_product_requires_the_contrast_scalar_it_states(potb27):
+    """The product checks its C-matrix against the scalar its caller states:
+    potb2 h=2 has C = 8 I, so a stated 9 fails after every pair has passed."""
+    array = hadamard_to_oa(hadamard(2))
+    assert _product(potb27, array, "potb2 h=2", 8)[2] == 8
+    with pytest.raises(VerificationFailed,
+                       match="^potb2 h=2: contrast C-matrix = 9 I does not hold$"):
+        _product(potb27, array, "potb2 h=2", 9)
+
+
+def test_asym_requires_a_flat_incidence_against_the_extended_factor(monkeypatch):
+    """One run of the developed plan moved to another level of ``inf`` keeps
+    every s-level pair at I + J but leaves N(x1, inf) = J."""
+    real = constructions.orbit
+
+    def one_inf_symbol_moved(base, field, name):
+        plan = real(base, field, name=name)
+        first = plan.runs[0]
+        moved = (*first[:-1], (first[-1] + 1) % (field.order + 1))
+        return replace(plan, runs=(moved,) + plan.runs[1:])
+
+    monkeypatch.setattr(constructions, "orbit", one_inf_symbol_moved)
+    with pytest.raises(VerificationFailed, match="^asym s=7: N\\(x1,inf\\) = J does not hold$"):
         construct_asym(7)
 
 

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from orthoplan import field_new, square_classes, supported_orders
+from orthoplan import field_new, gf, square_classes, supported_orders
+from orthoplan.errors import VerificationFailed
 from orthoplan.gf import prime_power
 
 
@@ -130,6 +131,15 @@ def test_order_above_limit(order):
     size, and a huge order is never factored."""
     with pytest.raises(ValueError, match=f"^field order {order} exceeds 128$"):
         field_new(order)
+
+
+def test_reducible_modulus_is_a_failed_self_check(monkeypatch):
+    """Over x^2 + 2 = (x + 1)(x + 2) the unit x + 1 has no inverse, which
+    the field's one structural check refuses."""
+    monkeypatch.setitem(gf._MODULUS, 9, (2, 0, 1))
+    with pytest.raises(VerificationFailed,
+                       match=r"^GF\(9\): every unit has an inverse does not hold$"):
+        field_new(9)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import information_reversed
+from oracles import design_matrix, information_reversed
 
 from orthoplan import (
     BLOCK,
@@ -29,7 +29,7 @@ from orthoplan.orthogonality import (
     _fully_adjusted,
     adjusted_information,
 )
-from orthoplan.plan import design_matrix, gram, incidence
+from orthoplan.plan import gram, incidence
 
 
 def full_factorial_22():

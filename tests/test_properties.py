@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import (contrast_oracle, fit_scalar_plus_j, gram_oracle, helmert_raw,
-                     information_reversed, level_ledger, one_stage_schur, projector,
-                     schur_reversed, ss_adjusted_per_call, translate_oracle)
+from oracles import (contrast_oracle, design_matrix, dumps, fit_scalar_plus_j, gram_oracle,
+                     helmert_raw, information_reversed, level_ledger, one_stage_schur,
+                     projector, schur_reversed, ss_adjusted_per_call, translate_oracle)
 
 from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, c0_expand,
                        contrast_c_matrix, estssq_equivalence, field_new, is_potb, is_potp,
@@ -38,8 +38,7 @@ from orthoplan.contrasts import ContrastMatrix, congruence
 from orthoplan.orthogonality import (_columns, _contrast, _coupling, _factor_information,
                                      _fully_adjusted, _slices, adjusted_information,
                                      c_matrix_factor, pair_checks)
-from orthoplan.plan import (_dumps, design_matrix, gram, incidence, levels_of, plan_loads,
-                            plan_to_json)
+from orthoplan.plan import gram, incidence, levels_of, plan_loads, plan_to_json
 
 
 @st.composite
@@ -486,7 +485,7 @@ def test_pair_verdicts_are_invariant_under_relabelling(plan, data):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(plans())
 def test_plan_json_round_trip(plan):
-    assert plan_loads(_dumps(plan_to_json(plan))) == plan
+    assert plan_loads(dumps(plan_to_json(plan))) == plan
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -97,6 +97,21 @@ def test_g_inverse_property(seed):
         assert (m @ g @ m == m).all()
 
 
+def test_a_wrong_g_inverse_is_a_failed_self_check(monkeypatch):
+    """A back substitution one off in one entry gives a G with M G M != M,
+    which the g-inverse refuses."""
+    real = ratmat._back_substitute
+
+    def off_by_one(*args):
+        g = real(*args)
+        g[0, 0] += 1
+        return g
+
+    monkeypatch.setattr(ratmat, "_back_substitute", off_by_one)
+    with pytest.raises(VerificationFailed, match="^M G M = M does not hold$"):
+        ratmat.g_inverse(ints([[2, 1], [1, 1]]))
+
+
 # ---------------------------------------------------------------------------
 # consistent solves
 

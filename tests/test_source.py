@@ -67,10 +67,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import dumps
 
 import orthoplan
 from orthoplan import seed_plans
-from orthoplan.plan import _dumps, plan_to_json
+from orthoplan.plan import plan_to_json
 
 PACKAGE = Path(orthoplan.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -483,7 +484,7 @@ def test_the_dispatch_check_sees_each_kind_of_reference(tmp_path):
 
 def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
     plan = tmp_path / "potp_3_4.json"
-    plan.write_text(_dumps(plan_to_json(seed_plans()["potp_3_4"])))
+    plan.write_text(dumps(plan_to_json(seed_plans()["potp_3_4"])))
     argv = ["verify", "--check", "pfc", "--plan", str(plan), "--out", str(tmp_path / "out.json")]
     code = ("import json, sys\nfrom orthoplan.cli import main\n"
             f"rc = main({argv!r})\n"
@@ -499,7 +500,7 @@ def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
 
 def test_anova_loads_neither_the_pair_reports_nor_the_contrasts(tmp_path, src_env):
     plan = tmp_path / "potb_2_7.json"
-    plan.write_text(_dumps(plan_to_json(seed_plans()["potb_2_7"])))
+    plan.write_text(dumps(plan_to_json(seed_plans()["potb_2_7"])))
     argv = ["anova", "--plan", str(plan), "--target", "A1", "--adjust", "block",
             "--trials", "2", "--out", str(tmp_path / "out.json")]
     code = ("import json, sys\nfrom orthoplan.cli import main\n"
@@ -517,7 +518,7 @@ def test_anova_loads_neither_the_pair_reports_nor_the_contrasts(tmp_path, src_en
 def test_every_export_resolves_to_its_module_object():
     names = {}
     exec("from orthoplan import *", names)
-    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 50
+    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 49
     for name in orthoplan.__all__:
         module = importlib.import_module(f"orthoplan.{orthoplan._MODULE_OF[name]}")
         assert getattr(orthoplan, name) is getattr(module, name) is names[name]
@@ -572,16 +573,27 @@ def references(tree):
         todo.extend((child, inside) for child in ast.iter_child_nodes(node))
 
 
-def unreferenced(defining, referencing):
-    """'module.name' for every public definition in the files ``defining``
-    that no file of ``referencing`` names outside that definition itself."""
+def private_definitions(tree):
+    """(name, node) for every private top-level function and class of a
+    module; a dunder such as a module ``__getattr__`` is the interpreter's
+    to call."""
+    for top in tree.body:
+        if (isinstance(top, DEFINITIONS) and top.name.startswith("_")
+                and not top.name.endswith("__")):
+            yield top.name, top
+
+
+def unreferenced(defining, referencing, definitions=public_definitions):
+    """'module.name' for every definition (by default every public one) in
+    the files ``defining`` that no file of ``referencing`` names outside
+    that definition itself."""
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in {*defining, *referencing}}
     seen = {}
     for path in referencing:
         for name, inside in references(trees[path]):
             seen.setdefault(name, []).append(inside)
     return [f"{path.stem}.{qualified}" for path in defining
-            for qualified, node in public_definitions(trees[path])
+            for qualified, node in definitions(trees[path])
             if all(node in inside for inside in seen.get(node.name, []))]
 
 
@@ -590,6 +602,13 @@ def test_every_public_name_has_a_caller():
     the tests: each has a reference in the package, the benchmark or a demo."""
     assert DEMOS and {p.stem for p in BENCH} >= {"traced_op"}
     assert unreferenced(SOURCES, SOURCES + BENCH + DEMOS) == []
+
+
+def test_every_private_name_has_a_caller():
+    """No private top-level function or class of the package is a helper
+    that only the tests call: each has a reference in the package, the
+    benchmark or a demo."""
+    assert unreferenced(SOURCES, SOURCES + BENCH + DEMOS, private_definitions) == []
 
 
 BAD_CALLERS = {
@@ -636,6 +655,59 @@ def test_the_caller_check_sees_each_kind(tmp_path):
     assert unreferenced(paths[:1], paths) == ["lib.unused", "lib.recursive", "lib.Lonely"]
     assert unreferenced(paths[:1], paths[:1]) == [
         "lib.unused", "lib.recursive", "lib.Kept", "lib.Kept.read", "lib.Lonely"]
+
+
+BAD_PRIVATE_CALLERS = {
+    "lib": '''
+def _used():
+    return 1
+
+def _unused():
+    return 2
+
+def _recursive(n):
+    return _recursive(n - 1) if n else 0
+
+def _imported():
+    return 3
+
+class _Form:
+    pass
+
+class _Lonely:
+    pass
+
+def __getattr__(name):
+    return _Form
+
+def public():
+    return _used()
+
+class Kept:
+    def _method(self):
+        return 4
+''',
+    "user": '''
+from lib import _imported
+
+def run():
+    return _imported()
+
+def _local():
+    return 5
+''',
+}
+
+
+def test_the_private_caller_check_sees_each_kind(tmp_path):
+    paths = []
+    for stem, text in BAD_PRIVATE_CALLERS.items():
+        paths.append(tmp_path / f"{stem}.py")
+        paths[-1].write_text(text)
+    assert unreferenced(paths, paths, private_definitions) == [
+        "lib._unused", "lib._recursive", "lib._Lonely", "user._local"]
+    assert unreferenced(paths[:1], paths[:1], private_definitions) == [
+        "lib._unused", "lib._recursive", "lib._imported", "lib._Lonely"]
 
 
 def dataclass_fields(tree):
