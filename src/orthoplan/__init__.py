@@ -19,7 +19,7 @@ _EXPORTS = {
                       "is_potb", "is_potp", "orth_through"),
     "constructions": ("asym_report", "c0_expand", "construct_asym", "construct_potb2",
                       "construct_potb3", "construct_potp", "diamond", "orbit", "power_plan",
-                      "seed_plans", "translate", "validate_signed_seed"),
+                      "seed_plans", "translate"),
     "optimality": ("FactorConditions", "OptimalityLedger", "a_value", "bibd_check",
                    "e_value", "universal_ledger"),
     "anova": ("EquivalenceReport", "estssq_equivalence", "ss_adjusted"),

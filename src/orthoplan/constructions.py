@@ -13,7 +13,6 @@ concrete output.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 
@@ -26,14 +25,9 @@ from .plan import BLOCK, MAX_GRAM_SIZE, Factor, Plan
 
 __all__ = [
     "seed_plans",
-    "seed_potp_34",
-    "seed_potb_27",
-    "seed_ico_26",
-    "seed_potb_33",
     "translate",
     "orbit",
     "c0_expand",
-    "validate_signed_seed",
     "construct_potp",
     "power_plan",
     "diamond",
@@ -45,75 +39,53 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# seed plans (rows are factors, columns are runs)
+# seed plans: factor names, levels, rows (one per factor, columns are runs)
+# and block sizes, each under the property it is built for
 
-def _plan_from_rows(name, factor_names, levels, rows, block_sizes=None):
-    runs = tuple(zip(*rows))
-    factors = tuple(Factor(nm, lv) for nm, lv in zip(factor_names, levels))
-    return Plan(name=name, factors=factors, runs=runs, block_sizes=block_sizes)
-
-
-def seed_potp_34():
-    """Four three-level factors in 12 runs, no blocks; factors A3, A4 (and
-    every other pair avoiding {A1, A2}) are orthogonal through {A1, A2}."""
-    rows = [
-        [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2],
-        [1, 1, 2, 2, 2, 2, 0, 0, 0, 0, 1, 1],
-        [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],
-        [0, 1, 0, 2, 1, 2, 1, 0, 2, 0, 2, 1],
-    ]
-    return _plan_from_rows("potp_3_4", ["A1", "A2", "A3", "A4"], [3] * 4, rows)
-
-
-def seed_potb_27():
-    """Seven two-level factors in two blocks of five; orthogonal through
-    the block factor, with contrast C-matrix 4 I_7.  The second block
-    deliberately repeats one run."""
-    rows = [
-        [0, 0, 1, 1, 0, 0, 1, 1, 1, 1],
-        [0, 1, 0, 1, 0, 1, 0, 1, 1, 1],
-        [0, 1, 1, 0, 0, 1, 1, 0, 1, 1],
-        [0, 0, 1, 1, 1, 1, 0, 0, 0, 0],
-        [0, 1, 0, 1, 1, 0, 1, 0, 0, 0],
-        [0, 1, 1, 0, 1, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0, 0, 1, 1],
-    ]
-    names = [f"A{i}" for i in range(1, 8)]
-    return _plan_from_rows("potb_2_7", names, [2] * 7, rows, block_sizes=(5, 5))
-
-
-def seed_ico_26():
-    """Six two-level factors in two blocks of five, split into two classes
-    {A1,B1,C1} / {A2,B2,C2}: cross-class pairs are orthogonal through the
-    block factor, within-class pairs are not."""
-    rows = [
-        [0, 0, 1, 1, 0, 0, 0, 1, 1, 0],
-        [0, 1, 0, 1, 0, 0, 1, 0, 1, 0],
-        [0, 1, 1, 0, 0, 0, 1, 1, 0, 0],
-        [0, 0, 1, 1, 0, 1, 1, 0, 0, 1],
-        [0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
-        [0, 1, 1, 0, 0, 1, 0, 0, 1, 1],
-    ]
-    names = ["A1", "B1", "C1", "A2", "B2", "C2"]
-    return _plan_from_rows("ico_2_6", names, [2] * 6, rows, block_sizes=(5, 5))
-
-
-def seed_potb_33():
-    """Three three-level factors in blocks of sizes 4, 4, 2; orthogonal
-    through the block factor and universally optimal in its class."""
-    rows = [
-        [0, 0, 1, 2, 0, 0, 1, 2, 1, 2],
-        [0, 1, 0, 2, 2, 0, 1, 0, 2, 1],
-        [0, 1, 2, 0, 2, 0, 0, 1, 1, 2],
-    ]
-    return _plan_from_rows("potb_3_3", ["A1", "A2", "A3"], [3] * 3, rows,
-                           block_sizes=(4, 4, 2))
+_SEEDS = {
+    # no blocks; every pair avoiding {A1, A2}, A3 and A4 among them, is
+    # orthogonal through {A1, A2}
+    "potp_3_4": (("A1", "A2", "A3", "A4"), 3, (
+        (0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2),
+        (1, 1, 2, 2, 2, 2, 0, 0, 0, 0, 1, 1),
+        (0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2),
+        (0, 1, 0, 2, 1, 2, 1, 0, 2, 0, 2, 1),
+    ), None),
+    # orthogonal through the block factor with contrast C-matrix 4 I_7; the
+    # second block deliberately repeats one run
+    "potb_2_7": (("A1", "A2", "A3", "A4", "A5", "A6", "A7"), 2, (
+        (0, 0, 1, 1, 0, 0, 1, 1, 1, 1),
+        (0, 1, 0, 1, 0, 1, 0, 1, 1, 1),
+        (0, 1, 1, 0, 0, 1, 1, 0, 1, 1),
+        (0, 0, 1, 1, 1, 1, 0, 0, 0, 0),
+        (0, 1, 0, 1, 1, 0, 1, 0, 0, 0),
+        (0, 1, 1, 0, 1, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1, 0, 0, 0, 1, 1),
+    ), (5, 5)),
+    # cross-class pairs of {A1, B1, C1} / {A2, B2, C2} are orthogonal through
+    # the block factor, within-class pairs are not
+    "ico_2_6": (("A1", "B1", "C1", "A2", "B2", "C2"), 2, (
+        (0, 0, 1, 1, 0, 0, 0, 1, 1, 0),
+        (0, 1, 0, 1, 0, 0, 1, 0, 1, 0),
+        (0, 1, 1, 0, 0, 0, 1, 1, 0, 0),
+        (0, 0, 1, 1, 0, 1, 1, 0, 0, 1),
+        (0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
+        (0, 1, 1, 0, 0, 1, 0, 0, 1, 1),
+    ), (5, 5)),
+    # orthogonal through the block factor, universally optimal in its class
+    "potb_3_3": (("A1", "A2", "A3"), 3, (
+        (0, 0, 1, 2, 0, 0, 1, 2, 1, 2),
+        (0, 1, 0, 2, 2, 0, 1, 0, 2, 1),
+        (0, 1, 2, 0, 2, 0, 0, 1, 1, 2),
+    ), (4, 4, 2)),
+}
 
 
 def seed_plans():
     """All built-in seed plans, keyed by name."""
-    plans = [seed_potp_34(), seed_potb_27(), seed_ico_26(), seed_potb_33()]
-    return {p.name: p for p in plans}
+    return {name: Plan(name=name, factors=tuple(Factor(f, levels) for f in names),
+                       runs=tuple(zip(*rows)), block_sizes=blocks)
+            for name, (names, levels, rows, blocks) in _SEEDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -165,36 +137,6 @@ def c0_expand(array, field):
 # ---------------------------------------------------------------------------
 # plans orthogonal through a pair of factors
 
-def validate_signed_seed(p):
-    """Conditions on a signed seed array over {0, 1, -1} with n columns:
-
-    (a) the first row is zero;
-    (b) entries of any two rows never differ by more than one;
-    (c) for k in {1, -1} the count of columns with row_j - row_i = k is
-        n/2 for the leading pair {0, 1} and n/4 for every other pair.
-    """
-    p = np.asarray(p)
-    m, n = p.shape
-    if n % 4 != 0:
-        raise ValueError("seed array needs a column count divisible by 4")
-    if p[0].any():
-        raise ValueError("first seed row must be zero")
-    if not np.isin(p, (-1, 0, 1)).all():
-        raise ValueError("seed entries must lie in {0, 1, -1}")
-    # (j, i) is the check of (i, j) with k = 1 and k = -1 swapped
-    for i, j in combinations(range(m), 2):
-        diff = p[j] - p[i]
-        if np.abs(diff).max() > 1:
-            raise ValueError(f"rows {i},{j}: difference leaves {{0,1,-1}}")
-        want = n // 2 if (i, j) == (0, 1) else n // 4
-        for k in (1, -1):
-            got = int((diff == k).sum())
-            if got != want:
-                raise ValueError(
-                    f"rows {i},{j}: difference {k} occurs {got} times, expected {want}")
-    return True
-
-
 def _signed_seed(h):
     """The 2h x 2h signed seed array built from a normalized Hadamard
     matrix: a zero row, a (+1/-1)-split row, and two half-mapped copies of
@@ -231,7 +173,14 @@ def _refuse_gram_size(what, size):
 
 def _potp(h, s):
     """``construct_potp(h, s)`` and its verified ``is_potp`` report through
-    the first two factors, as (plan, report, None)."""
+    the first two factors, as (plan, report, None).
+
+    The hypothesis of Theorem 2orthPlan, a signed seed meeting conditions
+    (a)-(c), is implied and not checked on its own: the seed is read off a
+    Hadamard matrix that ``hadamard`` verified (H H' = h I), and the
+    conclusion, every pair's incidence pattern and orthogonality through
+    the leading pair, is required of the plan returned.  A seed that breaks
+    (a)-(c) in a way that matters fails those checks (exit 1)."""
     _refuse_gram_size(f"potp h={h} s={s}", 2 * h * s + 1)
     field = field_new(s)
     if s % 4 != 3:
@@ -239,7 +188,6 @@ def _potp(h, s):
     if h % 4 != 0:
         raise ValueError(f"seed needs a Hadamard order divisible by 4, got {h}")
     seed = _signed_seed(h)
-    validate_signed_seed(seed)
     labels = np.where(seed >= 0, seed, field.neg_table[1])
     expanded = c0_expand(labels, field)
     m = 2 * h
@@ -315,7 +263,7 @@ def construct_potb2(h):
 def _potb2(h):
     """``construct_potb2(h)`` as (plan, verified report, contrast scalar 4h)."""
     _refuse_gram_size(f"potb2 h={h}", 16 * h + 1)
-    return _product(seed_potb_27(), hadamard_to_oa(hadamard(h)), f"potb2 h={h}", 4 * h)
+    return _product(seed_plans()["potb_2_7"], hadamard_to_oa(hadamard(h)), f"potb2 h={h}", 4 * h)
 
 
 def construct_potb3():
@@ -330,7 +278,7 @@ def construct_potb3():
 
 def _potb3():
     """``construct_potb3()`` as (plan, verified report, contrast scalar 27)."""
-    return _product(seed_potb_33(), oa_rao_hamming(field_new(3)), "potb3", 27)
+    return _product(seed_plans()["potb_3_3"], oa_rao_hamming(field_new(3)), "potb3", 27)
 
 
 def _product(seed, q, what, scalar):

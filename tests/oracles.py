@@ -26,6 +26,10 @@ The translation oracle adds GF(p^k) labels digit by digit in base p,
 symbol by symbol, as ``constructions.translate`` did before it read one
 padded addition table; it never reads a field table.
 
+The signed-seed oracle checks conditions (a)-(c) of Theorem 2orthPlan on
+a seed array directly, pair of rows by pair of rows; ``constructions._potp``
+checks only the theorem's conclusion, on the plan it returns.
+
 The Gaussian-elimination oracle runs ordinary elimination over Fractions,
 row by row, with the pivot rule of the package's fraction-free kernel, so
 the two must pick the same pivots.
@@ -36,7 +40,7 @@ elimination on the index-reversed system, with the result reversed back.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import isqrt
 
 import numpy as np
@@ -299,3 +303,33 @@ def translate_oracle(plan, vectors, s):
     """The runs of ``constructions.translate``: vector-major, then runs."""
     return tuple(tuple(translate_symbol(x, u, s) for x, u in zip(run, v))
                  for v in vectors for run in plan.runs)
+
+
+def validate_signed_seed(p):
+    """Conditions on a signed seed array over {0, 1, -1} with n columns:
+
+    (a) the first row is zero;
+    (b) entries of any two rows never differ by more than one;
+    (c) for k in {1, -1} the count of columns with row_j - row_i = k is
+        n/2 for the leading pair {0, 1} and n/4 for every other pair.
+    """
+    p = np.asarray(p)
+    m, n = p.shape
+    if n % 4 != 0:
+        raise ValueError("seed array needs a column count divisible by 4")
+    if p[0].any():
+        raise ValueError("first seed row must be zero")
+    if not np.isin(p, (-1, 0, 1)).all():
+        raise ValueError("seed entries must lie in {0, 1, -1}")
+    # (j, i) is the check of (i, j) with k = 1 and k = -1 swapped
+    for i, j in combinations(range(m), 2):
+        diff = p[j] - p[i]
+        if np.abs(diff).max() > 1:
+            raise ValueError(f"rows {i},{j}: difference leaves {{0,1,-1}}")
+        want = n // 2 if (i, j) == (0, 1) else n // 4
+        for k in (1, -1):
+            got = int((diff == k).sum())
+            if got != want:
+                raise ValueError(
+                    f"rows {i},{j}: difference {k} occurs {got} times, expected {want}")
+    return True

@@ -660,6 +660,24 @@ def test_failed_self_check_exits_one(capsys, tmp_path, monkeypatch):
     assert code == 1 and err == "claim failed: M Z = d RHS does not hold\n"
 
 
+def test_a_seed_breaking_the_theorem_fails_the_potp_pattern_check(capsys, monkeypatch):
+    """The potp builder checks the theorem's conclusion on its plan, not the
+    seed's conditions on their own: a seed with two entries of its third
+    row swapped fails the pattern check, a failed claim (exit 1), not bad
+    input."""
+    real = constructions._signed_seed
+
+    def swapped(h):
+        seed = real(h)
+        seed[2, [0, 1]] = seed[2, [1, 0]]
+        return seed
+
+    monkeypatch.setattr(constructions, "_signed_seed", swapped)
+    code, out, err = run(capsys, "construct", "--family", "potp", "--h", "4", "--s", "3")
+    assert (code, out) == (1, "")
+    assert err == "claim failed: potp h=4 s=3: incidence pattern at A3,A4 does not hold\n"
+
+
 @pytest.mark.parametrize("family", ["oa", "qarray", "asym"])
 def test_a_huge_field_order_fails_fast(src_env, family):
     """The field-size bound is checked before the order is factored, so an

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import validate_signed_seed
 
 from orthoplan import (
     Factor,
@@ -22,7 +23,6 @@ from orthoplan import (
     power_plan,
     seed_plans,
     translate,
-    validate_signed_seed,
 )
 from orthoplan import constructions, orthogonality, plan as plan_module
 from orthoplan.constructions import (
@@ -137,8 +137,10 @@ def test_c0_expand_refuses_non_labels(bad):
 # ---------------------------------------------------------------------------
 # signed seed arrays
 
-@pytest.mark.parametrize("h", [4, 8])
+@pytest.mark.parametrize("h", [4, 8, 12, 16, 20])
 def test_signed_seed_valid(h):
+    """Paley at 12 and 20, Kronecker at 16: the oracle checks conditions
+    (a)-(c), which ``_potp`` does not check on its own."""
     seed = _signed_seed(h)
     assert seed.shape == (2 * h, 2 * h)
     assert validate_signed_seed(seed)
@@ -312,6 +314,79 @@ def test_asym_requires_a_flat_incidence_against_the_extended_factor(monkeypatch)
     monkeypatch.setattr(constructions, "orbit", one_inf_symbol_moved)
     with pytest.raises(VerificationFailed, match="^asym s=7: N\\(x1,inf\\) = J does not hold$"):
         construct_asym(7)
+
+
+def test_product_requires_the_shape_its_inputs_give(monkeypatch):
+    """A product whose first two blocks are merged has one block too few."""
+    real = constructions.diamond
+
+    def merged(q, seed, name=None):
+        plan = real(q, seed, name=name)
+        sizes = plan.block_sizes
+        return replace(plan, block_sizes=(sizes[0] + sizes[1],) + sizes[2:])
+
+    monkeypatch.setattr(constructions, "diamond", merged)
+    with pytest.raises(VerificationFailed,
+                       match="^potb2 h=2: 14 factors in 4 blocks does not hold$"):
+        _potb2(2)
+
+
+def test_product_requires_every_pair_orthogonal_through_the_block(monkeypatch):
+    """One flipped symbol of the product leaves a pair of A1 not orthogonal
+    through the blocks."""
+    real = constructions.diamond
+
+    def flipped(q, seed, name=None):
+        plan = real(q, seed, name=name)
+        first = plan.runs[0]
+        return replace(plan, runs=((1 - first[0],) + first[1:],) + plan.runs[1:])
+
+    monkeypatch.setattr(constructions, "diamond", flipped)
+    with pytest.raises(VerificationFailed,
+                       match="^potb2 h=2: pairs orthogonal through block does not hold$"):
+        _potb2(2)
+
+
+def test_potp_requires_orthogonality_through_the_leading_pair(monkeypatch):
+    """A report read through another pair than the leading one fails the
+    potp builder, whose incidence patterns all hold."""
+    real = constructions.is_potp
+    monkeypatch.setattr(constructions, "is_potp", lambda plan, through: real(plan, ("A1", "A3")))
+    with pytest.raises(VerificationFailed,
+                       match="^potp h=4 s=3: pairs orthogonal through A1,A2 does not hold$"):
+        _potp(4, 3)
+
+
+def test_asym_requires_i_plus_j_between_level_factors(monkeypatch):
+    """One finite symbol of x1 moved by 1 (mod 7) breaks N(x1, x2) = I + J."""
+    real = constructions.orbit
+
+    def shifted(base, field, name):
+        plan = real(base, field, name=name)
+        first = plan.runs[0]
+        return replace(plan, runs=(((first[0] + 1) % field.order,) + first[1:],)
+                       + plan.runs[1:])
+
+    monkeypatch.setattr(constructions, "orbit", shifted)
+    with pytest.raises(VerificationFailed, match=r"^asym s=7: N\(x1,x2\) = I \+ J does not hold$"):
+        _asym(7)
+
+
+def test_asym_requires_the_level_by_block_pattern(monkeypatch):
+    """Swapping a run of block 0 with one of block 1 keeps every factor-pair
+    incidence, so only the level-by-block check sees it."""
+    real = constructions.orbit
+
+    def swapped(base, field, name):
+        plan = real(base, field, name=name)
+        runs = list(plan.runs)
+        runs[0], runs[4] = runs[4], runs[0]
+        return replace(plan, runs=tuple(runs))
+
+    monkeypatch.setattr(constructions, "orbit", swapped)
+    with pytest.raises(VerificationFailed, match=r"^asym s=7: L\(x1\) = M' \+ I on even blocks, "
+                                                 r"J - M' on odd ones does not hold$"):
+        _asym(7)
 
 
 def test_potb2_bad_order():

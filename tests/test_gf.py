@@ -1,6 +1,7 @@
 """Field tables: axioms checked exhaustively for every supported order."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,18 @@ def test_reducible_modulus_is_a_failed_self_check(monkeypatch):
     with pytest.raises(VerificationFailed,
                        match=r"^GF\(9\): every unit has an inverse does not hold$"):
         field_new(9)
+
+
+def test_square_classes_require_two_halves():
+    """A multiplication table whose unit squares are all 1 leaves C0 = {1},
+    which the square-class check refuses."""
+    f7 = field_new(7)
+    mul = f7.mul_table.copy()
+    units = np.arange(1, 7)
+    mul[units, units] = 1
+    with pytest.raises(VerificationFailed, match=r"^GF\(7\): squares and non-squares each "
+                                                 r"fill half the units does not hold$"):
+        square_classes(replace(f7, mul_table=mul))
 
 
 # ---------------------------------------------------------------------------

@@ -518,7 +518,7 @@ def test_anova_loads_neither_the_pair_reports_nor_the_contrasts(tmp_path, src_en
 def test_every_export_resolves_to_its_module_object():
     names = {}
     exec("from orthoplan import *", names)
-    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 49
+    assert len(set(orthoplan.__all__)) == len(orthoplan.__all__) == 48
     for name in orthoplan.__all__:
         module = importlib.import_module(f"orthoplan.{orthoplan._MODULE_OF[name]}")
         assert getattr(orthoplan, name) is getattr(module, name) is names[name]
@@ -868,3 +868,120 @@ def test_the_exception_check_sees_each_kind(tmp_path):
     path = tmp_path / "bad.py"
     path.write_text(BAD_EXCEPTIONS)
     assert uncaught_exceptions([path]) == ["bad.Deeper", "bad.Qualified", "bad.Unnamed"]
+
+
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+# The witness of each self-check: a test that makes exactly that check fail,
+# with its message.  Keyed by module and message template, each f-string
+# field written {}; a template that two sites of one module share (two routes
+# to one claim) has one witness for both.
+WITNESSES = {
+    ("anova", "Q of {} adjusted for {} in the column space of C"):
+        "test_q_outside_the_column_space_of_c_is_refused",
+    ("anova", "SS of {} adjusted for {}: routes agree"): "test_routes_agree_check_fires",
+    ("anova", "V'V = C for {} adjusted for {}"): "test_l_that_is_not_v_transposed_is_refused",
+    ("arrays", "hadamard({}): H H' = {} I"):
+        "test_hadamard_refuses_a_matrix_that_fails_the_identity",
+    ("constructions", "{}: incidence pattern at {},{}"):
+        "test_a_seed_breaking_the_theorem_fails_the_potp_pattern_check",
+    ("constructions", "{}: pairs orthogonal through {},{}"):
+        "test_potp_requires_orthogonality_through_the_leading_pair",
+    ("constructions", "{}: {} factors in {} blocks"):
+        "test_product_requires_the_shape_its_inputs_give",
+    ("constructions", "{}: pairs orthogonal through block"):
+        "test_product_requires_every_pair_orthogonal_through_the_block",
+    ("constructions", "{}: contrast C-matrix = {} I"):
+        "test_product_requires_the_contrast_scalar_it_states",
+    ("constructions", "asym s={}: s-level pairs orthogonal through block"):
+        "test_asym_requires_the_report_it_hands_over",
+    ("constructions", "{}: N({},{}) = I + J"): "test_asym_requires_i_plus_j_between_level_factors",
+    ("constructions", "{}: N({},inf) = J"):
+        "test_asym_requires_a_flat_incidence_against_the_extended_factor",
+    ("constructions", "{}: L({}) = M' + I on even blocks, J - M' on odd ones"):
+        "test_asym_requires_the_level_by_block_pattern",
+    ("constructions", "{}: L({}) is a BIBD(v={}, b={}, r={}, k={}, lambda={})"):
+        "test_failed_construction_check_exits_one_under_any_flags",
+    ("gf", "GF({}): every unit has an inverse"): "test_reducible_modulus_is_a_failed_self_check",
+    ("gf", "GF({}): squares and non-squares each fill half the units"):
+        "test_square_classes_require_two_halves",
+    ("orthogonality", "M 1_A = 0 for every factor A"):
+        "test_ledger_checks_that_each_c_a_sums_to_zero",
+    ("ratmat", "no inconsistent equation"): "test_an_inconsistent_system_is_a_failed_self_check",
+    ("ratmat", "free rows of the elimination are zero"):
+        "test_a_nonzero_free_row_is_a_failed_self_check",
+    ("ratmat", "M Z = d RHS"): "test_self_checks_survive_python_O",
+    ("ratmat", "M G M = M"): "test_a_wrong_g_inverse_is_a_failed_self_check",
+}
+
+
+def message_template(node):
+    """A message's text with each f-string field written ``{}``; None for a
+    message that is not a string literal."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def require_sites(path):
+    """(line, template) for every ``require(ok, message)`` call in one file."""
+    return sorted((node.lineno, message_template(node.args[1]))
+                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.Call) and identifier(node.func) == "require")
+
+
+def unwitnessed(paths, witnesses, tests):
+    """(file, line, what) for every ``require`` site of the files ``paths``
+    that ``witnesses`` does not map, or maps to a test that no file of
+    ``tests`` defines."""
+    defined = {node.name for p in tests for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    found = []
+    for path in paths:
+        for line, message in require_sites(path):
+            test = witnesses.get((path.stem, message))
+            if test is None:
+                found.append((path.name, line, f"no witness for {message!r}"))
+            elif test not in defined:
+                found.append((path.name, line, f"witness {test} is not defined"))
+    return found
+
+
+def test_every_self_check_has_a_witness():
+    """Each self-check is seen to fail by a named test, and every entry of
+    the map names a site that still exists."""
+    sites = {(p.stem, message) for p in SOURCES for _, message in require_sites(p)}
+    assert unwitnessed(SOURCES, WITNESSES, TESTS) == []
+    assert sorted(set(WITNESSES) - sites) == []
+
+
+BAD_SITES = '''
+from . import errors
+from .errors import require
+
+
+def f(ok, what, a):
+    require(ok, "plain claim")
+    require(ok, f"{what}: N({a},inf) = J")
+    errors.require(ok, f"{what}: {a:>3} listed" " twice")
+    require(ok, what)
+    require(ok, "unmapped claim")
+'''
+
+
+def test_the_witness_check_sees_each_kind(tmp_path):
+    path, tests = tmp_path / "bad.py", tmp_path / "test_bad.py"
+    path.write_text(BAD_SITES)
+    tests.write_text("def test_plain():\n    pass\n\ndef helper_flat():\n    pass\n"
+                     "\nclass TestFlat:\n    def test_flat(self):\n        pass\n")
+    assert require_sites(path) == [(7, "plain claim"), (8, "{}: N({},inf) = J"),
+                                   (9, "{}: {} listed twice"), (10, None),
+                                   (11, "unmapped claim")]
+    witnesses = {("bad", "plain claim"): "test_plain", ("bad", "{}: N({},inf) = J"): "test_flat",
+                 ("bad", "{}: {} listed twice"): "helper_flat"}
+    assert unwitnessed([path], witnesses, [tests]) == [
+        ("bad.py", 9, "witness helper_flat is not defined"),
+        ("bad.py", 10, "no witness for None"),
+        ("bad.py", 11, "no witness for 'unmapped claim'")]
