@@ -3,23 +3,23 @@
 The SS of a factor set U adjusted for a set T is the squared length of
 the projection of Y onto span(V), V = (I - P_T) X_U.  With
 L = X_U' - N_UT G_T X_T' = V' and C = C_UU;T = V'V it is the g-inverse
-form  Q' C^- Q  with  Q = L Y = X_U'Y - N_UT G_T X_T'Y,  evaluated on
-every call with two g-inverses of C, which must agree exactly: the
-second is that of C with its indices reversed, a second pivot order.
+form  Q' C^- Q  with  Q = L Y = X_U'Y - N_UT G_T X_T'Y.
 
-Everything that does not depend on Y (L, C and the two g-inverses of C)
-is built once per (U, T) as integer matrices over one denominator: [C | L]
+Everything that does not depend on Y (L, C and one g-inverse G of C) is
+built once per (U, T) as integer matrices over one denominator: [C | L]
 is the Schur complement, by ``ratmat.schur_complement``, of the T block
 of the stacked [X'X | X'] over T then U, whose X' is read off the runs'
 symbols (the per-call oracle test checks C against ``orthogonality``'s
-route), with V'V = C and each g-inverse checked over ints.  A response
-is scaled once to integers over one denominator (binary floats are
+route), with L L' = C and G checked over ints.  Those two checks decide
+every response: Q = L Y lies in col(L) = col(L L') = col(C), where Q' G Q
+is the same for every g-inverse G (Rao & Mitra 1971).  A response is
+scaled once to integers over one denominator (binary floats are
 rationals); a sum of squares is then one integer matrix-vector product
-and two integer quadratic forms, so "SS fully adjusted = SS adjusted for
+and one integer quadratic form, so "SS fully adjusted = SS adjusted for
 T" is a decidable identity instead of an almost-sure event.  The
-independent projection route Y' V (V'V)^- V' Y is kept in the tests: the
-per-call oracle ``tests/oracles.py`` ``ss_adjusted_per_call`` and the
-dense projector of ``test_ss_invariant_across_runs``.
+independent routes are kept in the tests: the per-call oracle
+``tests/oracles.py`` ``ss_adjusted_per_call`` (the projection route and
+both pivot orders) and the dense projector of ``test_ss_invariant_across_runs``.
 """
 
 from __future__ import annotations
@@ -49,43 +49,26 @@ def _response(plan, y):
     return y_col, s
 
 
-def _quad(x, g, scale):
-    """x' G x / scale for G = num / den given as the pair g = (num, den)."""
-    num, den = g
-    return Fraction((x.T @ num @ x)[0, 0], den * scale)
-
-
 @dataclass(frozen=True)
 class _SSForm:
     """Everything in SS_{U;T} that does not depend on the response, as
     integer matrices over the reduced denominator d of one Schur
     complement, [C | L] = [c | l] / d with C = C_UU;T and
-    L = X_U' - N_UT G_T X_T', and the g-inverses g of c and g2 of c
-    index-reversed (reversed back) as pairs (num, den), each checked over
-    ints when it was built, as was L L' = C.  L is V' = ((I - P_T) X_U)',
-    so Q' C^- Q is the projection Y' V (V'V)^- V' Y."""
+    L = X_U' - N_UT G_T X_T', and one g-inverse g of c as the pair
+    (num, den), checked over ints when it was built, as was L L' = C.  So
+    every Q = L Y lies in col(C), where Q' C^- Q, the projection
+    Y' V (V'V)^- V' Y, is the same for every g-inverse of C."""
 
-    target: tuple
-    adjust: tuple
     d: int
     l: np.ndarray
     c: np.ndarray
     g: tuple
-    g2: tuple
 
     def ss(self, y, s):
-        """SS_{U;T} of the response Y = y / s, ``y`` an integer column,
-        from both g-inverses, required equal."""
+        """SS_{U;T} of the response Y = y / s, ``y`` an integer column."""
         q = self.l @ y                       # Q = q / (d s)
-        num, den = self.g
-        require((self.c @ (num @ q) == den * q).all(),
-                f"Q of {self.target} adjusted for {self.adjust} in the column space of C")
-        # Q' C^- Q = q' c^- q / (d s^2), from both g-inverses
-        ss_g = _quad(q, self.g, self.d * s * s)
-        ss_g2 = _quad(q, self.g2, self.d * s * s)
-        require(ss_g == ss_g2 >= 0,
-                f"SS of {self.target} adjusted for {self.adjust}: routes agree")
-        return ss_g
+        num, den = self.g                    # Q' C^- Q = q' c^- q / (d s^2)
+        return Fraction((q.T @ num @ q)[0, 0], den * self.d * s * s)
 
 
 def _ss_form(plan, target, adjust_for=()):
@@ -110,19 +93,17 @@ def _ss_form(plan, target, adjust_for=()):
     c, l = cl[:, :u], cl[:, u:]
     # L = V', so the run-level L L' = V'V must be the gram-level C: l l' = d c
     require((l @ l.T == d * c).all(), f"V'V = C for {target} adjusted for {adjust}")
-    g = ratmat._g_inverse(c)
-    g2, den2 = ratmat._g_inverse(c[::-1, ::-1])
-    return _SSForm(target=target, adjust=adjust, d=d, l=l, c=c, g=g, g2=(g2[::-1, ::-1], den2))
+    return _SSForm(d=d, l=l, c=c, g=ratmat._g_inverse(c))
 
 
 def ss_adjusted(plan, y, target, adjust_for=()):
     """SS of the factor set ``target`` adjusted for the set ``adjust_for``
     (identifiers may include the general effect and the block factor).
 
-    The g-inverse form Q' C^- Q is evaluated with two g-inverses of C and
-    required equal, making invariance to the g-inverse choice part of the
-    result; the form's L is checked against C once, when it is built.
-    Returns the exact ``Fraction``.
+    The g-inverse form Q' C^- Q is evaluated with one checked g-inverse of
+    C: L L' = C, checked when the form is built, puts Q = L Y in col(C),
+    where the form does not depend on the g-inverse chosen.  Returns the
+    exact ``Fraction``.
     """
     return _ss_form(plan, target, adjust_for).ss(*_response(plan, y))
 

@@ -283,14 +283,15 @@ def _potb3():
 
 def _product(seed, q, what, scalar):
     """``diamond(q, seed)``, the ``is_potb`` report that verified it and
-    ``scalar`` as (plan, report, scalar): the shape its inputs give, every
-    pair orthogonal through the block factor, and the C-matrix ``scalar * I``."""
+    ``scalar`` as (plan, report, scalar): the shape its inputs give and the
+    contrast C-matrix ``scalar * I``, which implies the report's pass: it
+    leaves each block H_A M_AB H_B' zero, and M's rows and columns sum to
+    zero over each factor (``orthogonality._contrast``), so each M_AB is 0."""
     m, block_sizes = seed.m * (q.rows + 1), seed.block_sizes * q.columns
     plan = diamond(q, seed, name=f"potb_{q.symbols}_{m}")
     require(plan.m == m and plan.block_sizes == block_sizes,
             f"{what}: {m} factors in {len(block_sizes)} blocks")
     report = is_potb(plan)
-    require(report.passed, f"{what}: pairs orthogonal through block")
     require(report.c_matrix.scalar_identity() == (True, scalar),
             f"{what}: contrast C-matrix = {scalar} I")
     return plan, report, scalar
@@ -355,6 +356,11 @@ def asym_report(plan):
 
 
 def _verify_asym(plan, field, sq, t):
+    """N(x, inf) = J, the level-by-block pattern L of each s-level factor x
+    and the BIBDs of L(x0) and L(inf).  N(a, b) = I + J between s-level
+    factors is implied: the checked L and BIBD give L L' = (t + 1)(I + J)
+    over blocks of t + 1, so the report's pass, which ``_asym`` requires,
+    holds exactly when N(a, b) = L L' / (t + 1) = I + J."""
     s = field.order
     c0 = list(sq.c0)
     eye = np.eye(s, dtype=object)
@@ -362,11 +368,6 @@ def _verify_asym(plan, field, sq, t):
     names = [f"x{c}" for c in c0]
     what = f"asym s={s}"
     n_of = _incidences(plan, (BLOCK,) + plan.factor_names)
-
-    # within the s-level factors: incidence I + J; L L' = (t+1) N is the report's pass
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            require((n_of(a, b) == eye + jay).all(), f"{what}: N({a},{b}) = I + J")
 
     # against the extended factor: flat incidence
     for a in names:

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
@@ -281,6 +282,8 @@ def plan_loads(text):
         raise ValueError(f"$: not valid JSON ({exc.msg})") from exc
     except RecursionError as exc:
         raise ValueError("$: nested too deeply") from exc
+    except ValueError as exc:      # an integer longer than int() converts
+        raise ValueError(f"$: an integer exceeds {sys.get_int_max_str_digits()} digits") from exc
     return plan_from_json(doc)
 
 

@@ -7,8 +7,8 @@ Python ints, which a square diagonal system skips (d is the lcm of its
 diagonal), and verify their results over ints with checks that
 ``python -O`` keeps.  The kernel has that one matrix form from input to
 result: a pivot updates every free row in one array expression, and back
-substitution is one row product per pivot.  It has one pivot order; a
-second is the same elimination on the index-reversed matrix.  ``Fraction``
+substitution is one row product per pivot.  It has one pivot order; the
+reversed order is a test oracle in ``tests/oracles.py`` only.  ``Fraction``
 input is accepted only by ``rank`` and ``g_inverse``, which scale it to
 ints once; ``Fraction`` entries are made only by ``_over``, where a matrix
 leaves through the public API, and a report prints an entry x / d with
@@ -112,7 +112,10 @@ def _solve_scaled(m, rhs):
     and M Z_int = d RHS verified over ints.  Mismatched row counts raise
     ValueError (from ``np.hstack``).  A square, non-empty, diagonal M needs
     no elimination: d is the lcm of its nonzero diagonal entries and
-    Z_int[i] = (d / m_ii) RHS[i]; a zero m_ii needs RHS[i] = 0 (Z_int[i] = 0)."""
+    Z_int[i] = (d / m_ii) RHS[i]; a zero m_ii needs RHS[i] = 0 (Z_int[i] = 0).
+    Otherwise the one elimination of [M | RHS] zeroes the M part of every
+    free row by construction, so only its RHS part is checked; M Z = d RHS
+    decides the result whatever the elimination did."""
     ncol = m.shape[1]
     diag = m.diagonal()
     if 0 < ncol == m.shape[0] == rhs.shape[0] and np.count_nonzero(m) == np.count_nonzero(diag):
@@ -123,7 +126,6 @@ def _solve_scaled(m, rhs):
     else:
         a, pivots, d = _eliminate(np.hstack([m, rhs]), ncol)
         rest = np.delete(a, [pr for pr, _ in pivots], axis=0)
-        require(is_zero(rest[:, :ncol]), "free rows of the elimination are zero")
         require(is_zero(rest[:, ncol:]), "no inconsistent equation")
         z = _back_substitute(a, pivots, d, ncol)
     require((m @ z == d * rhs).all(), "M Z = d RHS")
@@ -162,9 +164,8 @@ def _g_inverse(m):
     Found from a full-rank submatrix in one elimination of [M | I]: it
     picks r independent rows I and columns J of M, and back substitution
     with the free variables zero solves M[I,J] Z = d I[I,:].  So G carries
-    (M[I,J])^-1 on the (J, I) positions, zero elsewhere.  The g-inverse of
-    the index-reversed M, reversed back, is a second, generally different,
-    one.
+    (M[I,J])^-1 on the (J, I) positions, zero elsewhere, in the one pivot
+    order; ``tests/oracles.py`` ``g_inverse_reversed`` is the reversed one.
     """
     nrow, ncol = m.shape
     a, pivots, d = _eliminate(np.hstack([m, np.eye(nrow, dtype=object)]), ncol)

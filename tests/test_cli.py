@@ -622,7 +622,7 @@ def test_each_array_is_verified_once(capsys, record_calls, argv):
 
 
 @pytest.mark.parametrize("argv,most_solves,widest,grams,zero_tests", [
-    (["catalog"], 4, None, 28, 519),
+    (["catalog"], 4, None, 28, 515),
     (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3, 757),
     (["construct", "--family", "asym", "--s", "7"], 0, 0, 4, 13),
     (["construct", "--family", "asym", "--s", "11"], 0, 0, 4, 31),
@@ -765,6 +765,9 @@ INPUT_ERRORS = {   # id: (argv, plan document or raw text, the message after "er
     "run-not-list": (VERIFY, dict(BLOCKED, runs=[[0, 0], 1]), "$.runs[1]: expected a list"),
     "symbol-not-int": (VERIFY, dict(BLOCKED, runs=[[0, False], [1, 1]]),
                        "$.runs[0][1]: expected an integer"),
+    # an integer longer than int() converts, wherever it stands
+    "int-too-long": (VERIFY, '{"name": "p", "runs": [[' + "7" * (sys.get_int_max_str_digits() + 1)
+                     + "]]}", f"$: an integer exceeds {sys.get_int_max_str_digits()} digits"),
     # plan values the schema lets through
     "names-repeat": (VERIFY, with_factor(name="B"), "factor names must be unique"),
     "no-factors": (VERIFY, dict(BLOCKED, factors=[]),

@@ -331,9 +331,10 @@ def test_product_requires_the_shape_its_inputs_give(monkeypatch):
         _potb2(2)
 
 
-def test_product_requires_every_pair_orthogonal_through_the_block(monkeypatch):
+def test_product_with_a_broken_pair_fails_the_scalar_check(monkeypatch):
     """One flipped symbol of the product leaves a pair of A1 not orthogonal
-    through the blocks."""
+    through the blocks, so the contrast C-matrix is no longer 8 I: the
+    scalar check decides every pair."""
     real = constructions.diamond
 
     def flipped(q, seed, name=None):
@@ -343,7 +344,7 @@ def test_product_requires_every_pair_orthogonal_through_the_block(monkeypatch):
 
     monkeypatch.setattr(constructions, "diamond", flipped)
     with pytest.raises(VerificationFailed,
-                       match="^potb2 h=2: pairs orthogonal through block does not hold$"):
+                       match="^potb2 h=2: contrast C-matrix = 8 I does not hold$"):
         _potb2(2)
 
 
@@ -355,21 +356,6 @@ def test_potp_requires_orthogonality_through_the_leading_pair(monkeypatch):
     with pytest.raises(VerificationFailed,
                        match="^potp h=4 s=3: pairs orthogonal through A1,A2 does not hold$"):
         _potp(4, 3)
-
-
-def test_asym_requires_i_plus_j_between_level_factors(monkeypatch):
-    """One finite symbol of x1 moved by 1 (mod 7) breaks N(x1, x2) = I + J."""
-    real = constructions.orbit
-
-    def shifted(base, field, name):
-        plan = real(base, field, name=name)
-        first = plan.runs[0]
-        return replace(plan, runs=(((first[0] + 1) % field.order,) + first[1:],)
-                       + plan.runs[1:])
-
-    monkeypatch.setattr(constructions, "orbit", shifted)
-    with pytest.raises(VerificationFailed, match=r"^asym s=7: N\(x1,x2\) = I \+ J does not hold$"):
-        _asym(7)
 
 
 def test_asym_requires_the_level_by_block_pattern(monkeypatch):

@@ -26,11 +26,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import (contrast_oracle, design_matrix, dumps, fit_scalar_plus_j, gram_oracle,
-                     helmert_raw, information_reversed, level_ledger, one_stage_schur,
-                     projector, schur_reversed, ss_adjusted_per_call, translate_oracle)
+from oracles import (PerCallForm, contrast_oracle, design_matrix, dumps, fit_scalar_plus_j,
+                     gram_oracle, helmert_raw, information_reversed, level_ledger,
+                     one_stage_schur, projector, schur_reversed, ss_adjusted_per_call,
+                     translate_oracle)
 
-from orthoplan import (BLOCK, GENERAL, Factor, Plan, asym_report, c0_expand,
+from orthoplan import (BLOCK, GENERAL, Factor, Plan, anova, asym_report, c0_expand,
                        contrast_c_matrix, estssq_equivalence, field_new, is_potb, is_potp,
                        optimality, orbit, orth_through, orthogonality, ratmat, ss_adjusted,
                        translate, universal_ledger)
@@ -418,11 +419,13 @@ def test_ss_adjusted_matches_dense_projection(plan, width, data):
             assert got == oracle == ss_adjusted_per_call(plan, y, target, through)
 
 
-def test_estssq_condition_is_the_cross_information_of_a_with_the_other_terms():
+def test_estssq_condition_is_the_cross_information_of_a_with_the_other_terms(monkeypatch):
     """The experiment's condition, its two C-matrices equal, is
     X_A'(I - P_T)X_O = 0 over every other term O, with T drawn from the
     other factors, G and the blocks; the responses agree with it, and
-    the sample holds both outcomes."""
+    the sample holds both outcomes.  Each report is the one the per-call
+    oracle gives, whose every SS takes the projection route and both pivot
+    orders, required equal, which the package does not check per response."""
     outcomes = []
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True,
@@ -436,6 +439,9 @@ def test_estssq_condition_is_the_cross_information_of_a_with_the_other_terms():
                                           unique=True, max_size=3)))
         others = tuple(u for u in terms if u != a and u not in adjust)
         rep = estssq_equivalence(plan, a, adjust, trials=5, seed=0)
+        with monkeypatch.context() as patched:
+            patched.setattr(anova, "_ss_form", PerCallForm)
+            assert estssq_equivalence(plan, a, adjust, trials=5, seed=0) == rep
         assert rep.checked_against == others
         assert rep.condition_holds == ratmat.is_zero(
             adjusted_information(plan, a, others, adjust))

@@ -112,24 +112,6 @@ def test_a_wrong_g_inverse_is_a_failed_self_check(monkeypatch):
         ratmat.g_inverse(ints([[2, 1], [1, 1]]))
 
 
-def test_a_nonzero_free_row_is_a_failed_self_check(monkeypatch):
-    """An elimination that leaves a nonzero coefficient in a free row is
-    refused before back substitution reads its pivot rows."""
-    real = ratmat._eliminate
-
-    def off_in_a_free_row(a, ncol):
-        a, pivots, d = real(a, ncol)
-        free = next(r for r in range(a.shape[0]) if r not in {pr for pr, _ in pivots})
-        a[free, 0] += 1
-        return a, pivots, d
-
-    monkeypatch.setattr(ratmat, "_eliminate", off_in_a_free_row)
-    with pytest.raises(VerificationFailed,
-                       match="^free rows of the elimination are zero does not hold$"):
-        ratmat.schur_complement(ints([[0]]), ints([[1, 1]]), ints([[1, 1], [1, 1]]),
-                                ints([[1], [1]]))
-
-
 # ---------------------------------------------------------------------------
 # consistent solves
 
