@@ -17,11 +17,23 @@ no invocation pays to load the layers it does not use.  ``catalog`` is
 dispatch (``_built``), one claim writer (``_claims``; ``catalog`` only
 renames labels) and one document assembly (``_documents``).  A built
 plan's report is the one its builder verified it with.
+
+``main(argv)`` is the whole CLI for an in-process caller.  A process
+enters through ``_run`` (``python -m orthoplan.cli`` and the ``orthoplan``
+script), which calls ``main`` and then freezes the garbage collector, so
+that interpreter exit skips its full collection over every object numpy,
+the package and the standard library left: it would free memory that the
+OS takes back a moment later anyway.  It freezes after ``main`` returns,
+once every report file is closed, so every collection during the run
+still happens and peak memory cannot move; stdio flushing and ``atexit``
+still run, which ``os._exit`` would skip.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +50,7 @@ def _emit(doc, out_path):
             _dump(doc, fh.write)
     else:
         _dump(doc, sys.stdout.write)
+        sys.stdout.flush()    # a failed write is an OSError of main, not of exit
 
 
 def _load_plan(path):
@@ -336,5 +349,29 @@ def main(argv=None):
         return 1
 
 
+def _run():
+    """The process entry: ``main()``, then ``gc.freeze()``, then its exit code.
+
+    The freeze moves every tracked object into the permanent generation,
+    which the full collection at interpreter exit does not traverse; it is
+    the only work skipped.  ``main`` never freezes, since an in-process
+    caller runs it many times and collects what it leaves.  ``os._exit``
+    would skip the collection too, but with it the flush of stdio and
+    ``atexit``.  A report ``main`` could not write (and exited 2 for) stays
+    buffered, so fd 1 is pointed at ``os.devnull`` (the ``signal`` module's
+    "Note on SIGPIPE") and the exit flush cannot fail a second time.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:    # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_run())

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, determinism, file outputs."""
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -702,6 +703,67 @@ def test_failed_construction_check_exits_one_under_any_flags(src_env, flags):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("claim failed: asym s=5: L(inf) is a BIBD(v=6, b=10, r=5, k=3, "
                            "lambda=2) does not hold\n")
+
+
+# What main() produces in-process, the process entry produces in a process.
+ENTRY_OPS = {
+    "construct": ["construct", "--family", "potb2", "--h", "2", "--out", "{dir}/plan.json",
+                  "--report", "{dir}/report.json", "--csv", "{dir}/plan.csv"],
+    "verify": ["verify", "--check", "potb", "--plan", "{plan}"],
+    "optimality": ["optimality", "--plan", "{plan}"],
+    "anova": ["anova", "--plan", "{plan}", "--target", "A1", "--adjust", "block"],
+    "catalog": ["catalog"],
+}
+
+
+@pytest.mark.parametrize("verb", ENTRY_OPS)
+def test_the_process_entry_changes_only_time(capsys, src_env, tmp_path, potb27, verb):
+    """``python -m orthoplan.cli`` runs ``cli._run``, which freezes the
+    collector after ``main`` returns: stdout, stderr, exit code and every
+    written file are those of ``main`` called in-process."""
+    plan = write_plan(tmp_path, potb27)
+    sides = []
+    for side in ("process", "main"):
+        out_dir = tmp_path / side
+        out_dir.mkdir()
+        argv = [arg.format(dir=out_dir, plan=plan) for arg in ENTRY_OPS[verb]]
+        if side == "process":
+            proc = subprocess.run([sys.executable, "-m", "orthoplan.cli", *argv],
+                                  capture_output=True, env=src_env, timeout=120)
+            result = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        else:
+            result = run(capsys, *argv)
+        sides.append((result, {f.name: f.read_bytes() for f in out_dir.iterdir()}))
+    assert sides[0] == sides[1]
+    assert sides[0][0][0] == 0 and len(sides[0][1]) == (3 if verb == "construct" else 0)
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    """Only the process entry freezes: an in-process caller runs ``main``
+    many times and collects what each run leaves."""
+    before = gc.get_freeze_count()
+    assert run(capsys, "catalog")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("verb", ["anova", "catalog"])
+def test_a_failed_stdout_write_exits_two_with_one_line(src_env, tmp_path, potb27, verb,
+                                                       buffered):
+    """Buffered stdout (no PYTHONUNBUFFERED) holds a short report until a
+    flush: ``_emit`` flushes, so the failure is an ``OSError`` of ``main``,
+    and the process entry keeps the exit flush from failing a second time."""
+    argv = {"anova": ["anova", "--target", "A1", "--adjust", "block",
+                      "--plan", write_plan(tmp_path, potb27)],
+            "catalog": ["catalog"]}[verb]
+    env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "orthoplan.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
 
 
 def test_unknown_verb(capsys):

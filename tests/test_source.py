@@ -41,6 +41,10 @@
 * One family dispatch: ``cli`` names the private family builders
   (``_potp``, ``_potb2``, ``_potb3``, ``_asym``) in ``_built`` only, so
   ``construct`` and ``catalog`` cannot build a family two ways.
+* One process entry: ``gc.freeze`` is named only in ``cli._run``, nothing
+  names ``os._exit``, and the ``orthoplan`` script of ``pyproject.toml`` is
+  the function the ``__main__`` block of ``cli`` calls, so ``main`` stays
+  free of process-wide state for in-process callers.
 * The benchmark under ``bench/`` reads the package through its exports:
   every ``orthoplan.<name>`` it reads is exported, so none that the
   benchmark calls goes away.
@@ -62,6 +66,7 @@ import ast
 import builtins
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -444,11 +449,11 @@ def test_the_level_route_check_sees_each_kind(tmp_path):
 BUILDERS = ("_potp", "_potb2", "_potb3", "_asym")
 
 
-def builder_scopes(path):
-    """{builder: sorted scopes} for the private family builders named in one
-    file (by name, attribute or import); a scope is the top-level function
-    that names it, or '<module>'."""
-    found = {b: set() for b in BUILDERS}
+def name_scopes(path, names):
+    """{name: sorted scopes} for the ``names`` named in one file (by name,
+    attribute or import); a scope is the top-level function that names it,
+    or '<module>'."""
+    found = {b: set() for b in names}
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         scope = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
         for node in ast.walk(top):
@@ -459,7 +464,7 @@ def builder_scopes(path):
 
 
 def test_cli_names_the_family_builders_in_one_function():
-    assert builder_scopes(PACKAGE / "cli.py") == {b: ["_built"] for b in BUILDERS}
+    assert name_scopes(PACKAGE / "cli.py", BUILDERS) == {b: ["_built"] for b in BUILDERS}
 
 
 BAD_DISPATCH = '''
@@ -478,8 +483,52 @@ def two(h):
 def test_the_dispatch_check_sees_each_kind_of_reference(tmp_path):
     path = tmp_path / "bad.py"
     path.write_text(BAD_DISPATCH)
-    assert builder_scopes(path) == {"_potp": ["<module>", "one"], "_potb2": ["one", "two"],
-                                    "_potb3": [], "_asym": []}
+    assert name_scopes(path, BUILDERS) == {"_potp": ["<module>", "one"],
+                                           "_potb2": ["one", "two"], "_potb3": [], "_asym": []}
+
+
+PROCESS_ONLY = ("freeze", "_exit")
+
+
+def main_block_call(path):
+    """The function a module's ``if __name__ == "__main__":`` block passes
+    the result of to ``sys.exit``, or None."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, ast.If) and ast.unparse(top.test) == "__name__ == '__main__'":
+            body = "\n".join(ast.unparse(stmt) for stmt in top.body)
+            match = re.fullmatch(r"sys\.exit\((\w+)\(\)\)", body)
+            return match and match[1]
+    return None
+
+
+def script_entry():
+    """The function ``pyproject.toml`` names as the ``orthoplan`` script;
+    read as text, since ``tomllib`` is newer than the oldest Python supported."""
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^\[project\.scripts\]\northoplan = "orthoplan\.cli:(\w+)"$', text, re.M)
+    return match and match[1]
+
+
+def test_only_the_process_entry_freezes_the_collector():
+    """``gc.freeze`` has one call site, ``cli._run``, which ``main`` never
+    reaches, and nothing calls ``os._exit``, which skips stdio flushing."""
+    found = {(p.name, name, scope) for p in SOURCES
+             for name, scopes in name_scopes(p, PROCESS_ONLY).items() for scope in scopes}
+    assert found == {("cli.py", "freeze", "_run")}
+
+
+def test_the_script_and_the_main_block_share_one_process_entry():
+    assert script_entry() == main_block_call(PACKAGE / "cli.py") == "_run"
+
+
+def test_the_entry_checks_see_each_kind(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text("import gc\nfrom os import _exit\n\ndef main():\n    gc.freeze()\n"
+                    "\nif __name__ == '__main__':\n    sys.exit(main())\n")
+    assert name_scopes(path, PROCESS_ONLY) == {"freeze": ["main"], "_exit": ["<module>"]}
+    assert main_block_call(path) == "main"
+    path.write_text("if __name__ == '__main__':\n    main()\n")
+    assert main_block_call(path) is None
 
 
 def test_verify_loads_none_of_the_other_layers(tmp_path, src_env):
