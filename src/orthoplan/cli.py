@@ -32,6 +32,7 @@ still run, which ``os._exit`` would skip.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -48,6 +49,8 @@ def _emit(doc, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             _dump(doc, fh.write)
+    elif sys.stdout is None:    # the process started with fd 1 closed
+        raise OSError(errno.EBADF, "stdout is closed")
     else:
         _dump(doc, sys.stdout.write)
         sys.stdout.flush()    # a failed write is an OSError of main, not of exit
@@ -160,10 +163,8 @@ def _documents(plan, rep):
     """Plan, report and ledger JSON of a verified plan; ledger None if unblocked."""
     from .optimality import _ledger
 
-    plan_doc, rep_doc, ledger = plan_to_json(plan), rep.to_json(), None
-    if plan.blocked:
-        ledger = _ledger(plan, rep.c_matrix, rep._block_coupling).to_json()
-    return plan_doc, rep_doc, ledger
+    return (plan_to_json(plan), rep.to_json(),
+            _ledger(plan, rep.c_matrix).to_json() if plan.blocked else None)
 
 
 def _require(args, attr):

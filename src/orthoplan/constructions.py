@@ -351,7 +351,8 @@ def asym_report(plan):
     residual alongside the proportional frequency status (which is what
     actually holds for them)."""
     rep = is_potb(plan)
-    pairs = tuple(replace(p, informational="inf" in (p.a, p.b)) for p in rep.pairs)
+    pairs = tuple(replace(p, informational=True) if "inf" in (p.a, p.b) else p
+                  for p in rep.pairs)
     return replace(rep, check="asym-dual", pairs=pairs)
 
 

@@ -111,13 +111,12 @@ def universal_ledger(plan):
     return _ledger(plan, contrast_c_matrix(plan))
 
 
-def _ledger(plan, c_con, nbrs=None):
+def _ledger(plan, c_con):
     """``universal_ledger`` read off the contrast C-matrix ``c_con`` of
-    X'(I - P_block)X and its ``_coupling`` map ``nbrs`` (made here when not
-    given); s_A is one more than the width of A's contrast column slice."""
+    X'(I - P_block)X and its ``_coupling`` map; s_A is one more than the
+    width of A's contrast column slice."""
     cols = _slices({f.name: f.levels - 1 for f in plan.factors})
-    if nbrs is None:
-        nbrs = _coupling(c_con.num, cols)
+    nbrs = _coupling(c_con.num, cols)
     adjusted = _fully_adjusted((c_con.num, c_con.d), cols, nbrs)
     n_of = _incidences(plan, (BLOCK,) + plan.factor_names)
     factors = []

@@ -144,8 +144,6 @@ class OrthReport:
     check: str
     pairs: tuple
     c_matrix: ContrastMatrix | None = None
-    # the ``_coupling`` map of X'(I - P_block)X and of ``c_matrix``, for the ledger
-    _block_coupling: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -193,9 +191,8 @@ def _coupling(num, cols):
 
 def pair_checks(plan, names, through, pfc=None):
     """A PairCheck for every unordered pair of ``names`` (in combinations
-    order), each read off one stacked information matrix, which is
-    returned alongside as its pair (num, d) with its ``_coupling`` map:
-    (checks, (num, d), map).  The map decides each pass, and ``pfc``, the
+    order) and the one stacked information they are read off, as (checks,
+    (num, d)).  Its ``_coupling`` map decides each pass, and ``pfc``, the
     map through {G}, each PFC flag."""
     through = _as_tuple(through)
     num, d = info = _information(plan, names, names, through)
@@ -204,7 +201,7 @@ def pair_checks(plan, names, through, pfc=None):
     return tuple(PairCheck(a=a, b=b, through=through, passed=b not in coupled[a],
                            _information=(num[cols[a], cols[b]].copy(), d),  # a view keeps num alive
                            pfc=None if pfc is None else b not in pfc[a])
-                 for a, b in combinations(names, 2)), info, coupled
+                 for a, b in combinations(names, 2)), info
 
 
 def is_potb(plan):
@@ -214,10 +211,9 @@ def is_potb(plan):
         raise ValueError(f"plan {plan.name!r} has no blocks")
     names = plan.factor_names
     general, _ = _information(plan, names, names, (GENERAL,))
-    checks, info, coupled = pair_checks(plan, names, (BLOCK,),
-                                        _coupling(general, _columns(plan, names)))
+    checks, info = pair_checks(plan, names, (BLOCK,), _coupling(general, _columns(plan, names)))
     return OrthReport(plan_name=plan.name, check="potb", pairs=checks,
-                      c_matrix=_contrast(plan, info), _block_coupling=coupled)
+                      c_matrix=_contrast(plan, info))
 
 
 def is_potp(plan, through):

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -540,18 +541,23 @@ def catalog_doc(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_PLANS))
-def test_catalog_restates_what_construct_prints(capsys, catalog_doc, name):
+def test_catalog_restates_what_construct_prints(capsys, tmp_path, catalog_doc, name):
     """``catalog`` is ``construct`` over its nine plans: the same plan,
     report and ledger, and each catalog claim has the pass and expect of
-    the construct claim it renames.  A built plan's catalog label uses
-    underscores and drops the potb scalar suffix; the one construct claim
-    it leaves out is the asym blocked-identity claim."""
+    the construct claim it renames.  A blocked plan's ledger is also the one
+    the ``optimality`` verb prints for construct's plan document.  A built
+    plan's catalog label uses underscores and drops the potb scalar suffix;
+    the one construct claim it leaves out is the asym blocked-identity claim."""
     code, out, err = run(capsys, "construct", "--family", *CATALOG_PLANS[name])
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert catalog_doc["plans"][name] == doc["plan"]
     assert catalog_doc["reports"][name] == doc["report"]
     assert catalog_doc["optimality"].get(name) == doc.get("optimality")
+    if "optimality" in doc:
+        path = tmp_path / "plan.json"
+        path.write_text(dumps(doc["plan"]))
+        assert run(capsys, "optimality", "--plan", str(path)) == (0, dumps(doc["optimality"]), "")
     tag = name.replace("_", "-")
     mine = [c for c in catalog_doc["claims"] if c["label"].startswith((name + "-", tag + "-"))]
     renamed = set()
@@ -587,17 +593,17 @@ def test_catalog_contrast_scalar_claim_checks_the_value(capsys, tmp_path, monkey
 
 
 @pytest.mark.parametrize("argv,checks,pair_objects,decompositions", [
-    (["catalog"], 9, 265, 9),
+    (["catalog"], 9, 262, 9),
     (["construct", "--family", "potb2", "--h", "4"], 1, 378, 1),
     (["construct", "--family", "potp", "--h", "4", "--s", "3"], 1, 15, 1),
-    (["construct", "--family", "asym", "--s", "7"], 1, 12, 1),
-    (["construct", "--family", "asym", "--s", "11"], 1, 30, 1),
+    (["construct", "--family", "asym", "--s", "7"], 1, 9, 1),
+    (["construct", "--family", "asym", "--s", "11"], 1, 20, 1),
 ], ids=["catalog", "potb2", "potp", "asym", "asym-11"])
 def test_each_built_plan_is_checked_once(capsys, record_calls, argv, checks, pair_objects,
                                          decompositions):
     """``is_potb`` and ``is_potp`` each make one ``pair_checks`` call, and
     each pair's ``PairCheck`` is made once, its PFC flag included (the asym
-    report makes one more per pair to mark it informational).  A built plan
+    report makes one more per extended pair to mark it informational).  A built plan
     is checked by its builder only, whose report is printed; seeds are
     checked by the verb.  Each contrast C-matrix is decomposed once, for
     its report and its ledger together."""
@@ -623,10 +629,10 @@ def test_each_array_is_verified_once(capsys, record_calls, argv):
 
 
 @pytest.mark.parametrize("argv,most_solves,widest,grams,zero_tests", [
-    (["catalog"], 4, None, 28, 515),
-    (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3, 757),
-    (["construct", "--family", "asym", "--s", "7"], 0, 0, 4, 13),
-    (["construct", "--family", "asym", "--s", "11"], 0, 0, 4, 31),
+    (["catalog"], 4, None, 28, 757),
+    (["construct", "--family", "potb2", "--h", "4"], 0, 0, 3, 1135),
+    (["construct", "--family", "asym", "--s", "7"], 0, 0, 4, 19),
+    (["construct", "--family", "asym", "--s", "11"], 0, 0, 4, 46),
 ], ids=["catalog", "potb2", "asym-7", "asym-11"])
 def test_exact_layers_follow_the_structure_of_their_matrices(capsys, record_calls, argv,
                                                              most_solves, widest, grams,
@@ -637,9 +643,10 @@ def test_exact_layers_follow_the_structure_of_their_matrices(capsys, record_call
     every system the asym star solves is diagonal, so the asym ledger
     eliminates nothing either; the gram matrices counted stay as they were.
     Each stacked information matrix has its pair blocks tested for zero
-    once, by its coupling map, and the ledger reads the report's map: potb2
-    h=4 makes 378 tests through G and 378 through the blocks, and one test
-    that the rows of X'(I - P_block)X sum to zero over each factor."""
+    once, by its coupling map, and the ledger maps the contrast C-matrix it
+    reads: potb2 h=4 makes 378 tests through G, 378 through the blocks and
+    378 on the contrast C-matrix, and one test that the rows of
+    X'(I - P_block)X sum to zero over each factor."""
     solves = record_calls(ratmat, "_eliminate")
     zeros = record_calls(ratmat, "is_zero")
     counted = record_calls(orthogonality, "gram", record_calls(plan_module, "gram"))
@@ -764,6 +771,26 @@ def test_a_failed_stdout_write_exits_two_with_one_line(src_env, tmp_path, potb27
         proc = subprocess.run([sys.executable, "-m", "orthoplan.cli", *argv], stdout=full,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_closed_stdout_exits_two_only_when_the_report_goes_there(src_env, tmp_path,
+                                                                   to_file):
+    """A process started with fd 1 closed has ``sys.stdout`` None: a report
+    meant for stdout is an I/O error (exit 2, one line), while one written
+    with --out needs no stdout at all."""
+    out = tmp_path / "catalog.json"
+    argv = ["catalog", "--out", str(out)] if to_file else ["catalog"]
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m orthoplan.cli "$@" >&-',
+                           sys.executable, *argv],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env=src_env, timeout=120)
+    if to_file:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(out.read_text())["pass"] is True
+    else:
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 9] stdout is closed\n")
 
 
 def test_unknown_verb(capsys):

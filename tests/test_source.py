@@ -53,6 +53,9 @@
   ``bench/`` or ``demos/`` (a name only the tests run belongs in
   ``tests/``), and each module's ``__all__`` lists only names the module
   defines.
+* Layers meet at public fields: no module reads ``x._name`` for an ``x``
+  other than ``self`` or a module the file imports, so no layer hands
+  private state of its objects to another.
 * No unread state: every field of a package dataclass is read as an
   attribute, ``obj.field``, outside ``__post_init__``, by the package,
   ``bench/`` or ``demos/``.  The match is by attribute name, so a field
@@ -833,6 +836,52 @@ def test_the_field_check_sees_each_kind(tmp_path):
     path.write_text(BAD_FIELDS)
     assert unread_fields([path], [path]) == ["bad.Kept.checked", "bad.Kept.written",
                                              "bad.Kept.unread"]
+
+
+def foreign_private_reads(path):
+    """(line, text) for every ``x._name`` read in one file whose ``x`` is
+    neither ``self`` nor a name bound to a module by an import of the file;
+    dunder names belong to the language, not to a layer."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owners = {"self"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            owners |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            owners |= {a.asname or a.name for a in node.names}
+    return sorted((n.lineno, ast.unparse(n)) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and n.attr.startswith("_") and not n.attr.endswith("__")
+                  and not (isinstance(n.value, ast.Name) and n.value.id in owners))
+
+
+def test_layers_meet_at_public_fields():
+    """No module reads private state off another module's object: what one
+    layer hands to the next is a public field or a return value."""
+    assert {p.name: foreign_private_reads(p) for p in SOURCES} == {p.name: [] for p in SOURCES}
+
+
+BAD_PRIVATE_READS = '''
+import numpy as np
+from . import ratmat as rm
+from .plan import _dump
+
+
+class Report:
+    def read(self, rep):
+        return self._x, rm._over(1), np._core, _dump, type(rep).__name__, rep._x
+
+
+def hand_off(rep, other):
+    other._y = rep.c._y
+    return rep()._z
+'''
+
+
+def test_the_private_read_check_sees_each_kind(tmp_path):
+    path = tmp_path / "bad.py"
+    path.write_text(BAD_PRIVATE_READS)
+    assert foreign_private_reads(path) == [(9, "rep._x"), (13, "rep.c._y"), (14, "rep()._z")]
 
 
 def class_name(node):
