@@ -12,11 +12,26 @@ indent, no timestamps), so identical invocations are byte-identical.
 Every document is complete before ``_emit`` writes it, in bounded pieces,
 to its file or to stdout, so a run that fails prints no report.
 Each verb imports the modules it runs inside its own function, so that
-no invocation pays to load the layers it does not use.  ``catalog`` is
-``construct`` over the seed plans and five built plans, through one family
-dispatch (``_built``), one claim writer (``_claims``; ``catalog`` only
-renames labels) and one document assembly (``_documents``).  A built
-plan's report is the one its builder verified it with.
+no invocation pays to load the layers it does not use.
+
+What loads when: ``import orthoplan.cli`` loads the standard library,
+``errors`` and ``plan`` and no numpy (``plan.gram`` imports numpy when
+it is called; every other layer imports it with the module).  ``main`` and
+each verb decide every refusal of their own, and of ``plan``, before a
+verb imports its first numeric layer: argparse (``--help`` included), a
+stdout closed at start when the document goes there, the options of a
+``construct`` family, ``--through`` and ``--adjust``, and the whole plan
+file (missing, invalid or too deep, schema, run and gram-size limits,
+symbols, block sizes).  So these exit without loading numpy.  A refusal
+that a numeric layer decides (an unknown factor or seed, ``--trials``,
+a field or Hadamard limit, a plan without the blocks a check needs)
+comes after numpy loads.
+
+``catalog`` is ``construct`` over the seed plans and five built plans,
+through one family dispatch (``_built``), one claim writer (``_claims``;
+``catalog`` only renames labels) and one document assembly
+(``_documents``).  A built plan's report is the one its builder verified
+it with.
 
 ``main(argv)`` is the whole CLI for an in-process caller.  A process
 enters through ``_run`` (``python -m orthoplan.cli`` and the ``orthoplan``
@@ -49,8 +64,6 @@ def _emit(doc, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             _dump(doc, fh.write)
-    elif sys.stdout is None:    # the process started with fd 1 closed
-        raise OSError(errno.EBADF, "stdout is closed")
     else:
         _dump(doc, sys.stdout.write)
         sys.stdout.flush()    # a failed write is an OSError of main, not of exit
@@ -144,16 +157,15 @@ def _built(family, **options):
 
 def _matrix(args):
     """The document of a hadamard, oa or qarray matrix, its grid included."""
+    order = _require(args, "order") if args.family == "hadamard" else args.order
+    s = _require(args, "s") if order is None else None
     from .arrays import hadamard, hadamard_to_oa, oa_rao_hamming, q_extend
     from .gf import field_new
 
     if args.family == "hadamard":
-        h = hadamard(_require(args, "order"))
+        h = hadamard(order)
         return {"kind": "hadamard", "order": int(h.shape[0]), "grid": h.tolist()}
-    if args.order is not None:
-        oa = hadamard_to_oa(hadamard(args.order))
-    else:
-        oa = oa_rao_hamming(field_new(_require(args, "s")))
+    oa = hadamard_to_oa(hadamard(order)) if order is not None else oa_rao_hamming(field_new(s))
     grid = q_extend(oa) if args.family == "qarray" else oa.grid
     return {"kind": args.family, "rows": len(grid), "columns": oa.columns, "symbols": oa.symbols,
             "zero_row": args.family == "qarray", "grid": grid.tolist()}
@@ -184,9 +196,10 @@ def _cmd_construct(args):
         _emit(doc, args.out)
         return 0
     if fam == "seed":
+        name = _require(args, "name")
         from .constructions import seed_plans
 
-        name, plans = _require(args, "name"), seed_plans()
+        plans = seed_plans()
         if name not in plans:
             raise ValueError(f"unknown seed plan {name!r}; have {sorted(plans)}")
         plan = plans[name]
@@ -219,17 +232,17 @@ def _split_idents(text, option):
 
 
 def _cmd_verify(args):
-    from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
-
     if args.through is not None and args.check != "potp":
         raise ValueError("--through applies only to --check potp")
     plan = _load_plan(args.plan)
+    through = _split_idents(args.through or "", "--through")
+    if args.check == "potp" and not through:
+        raise ValueError("--through is required for --check potp")
+    from .orthogonality import OrthReport, is_potb, is_potp, pair_checks
+
     if args.check == "potb":
         rep = is_potb(plan)
     elif args.check == "potp":
-        through = _split_idents(args.through or "", "--through")
-        if not through:
-            raise ValueError("--through is required for --check potp")
         rep = is_potp(plan, through)
     else:
         pairs = pair_checks(plan, plan.factor_names, (GENERAL,))[0]
@@ -239,19 +252,19 @@ def _cmd_verify(args):
 
 
 def _cmd_optimality(args):
+    plan = _load_plan(args.plan)
     from .optimality import universal_ledger
 
-    plan = _load_plan(args.plan)
     ledger = universal_ledger(plan)
     _emit(ledger.to_json(), args.out)
     return 0
 
 
 def _cmd_anova(args):
-    from .anova import estssq_equivalence
-
     plan = _load_plan(args.plan)
     adjust = tuple(_split_idents(args.adjust, "--adjust"))
+    from .anova import estssq_equivalence
+
     report = estssq_equivalence(plan, args.target, adjust,
                                 trials=args.trials, seed=args.seed)
     _emit(report.to_json(), args.out)
@@ -341,6 +354,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if sys.stdout is None and not (args.out or getattr(args, "report", None)):
+            raise OSError(errno.EBADF, "stdout is closed")    # fd 1 was closed at start
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

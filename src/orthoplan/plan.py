@@ -13,6 +13,10 @@ pairs each run hits, and incidence matrices are its slices.  Nothing is
 cached: each call builds a fresh exact integer matrix.
 ``plan_from_json`` refuses a document over ``MAX_GRAM_SIZE`` or
 ``MAX_RUNS`` before it builds anything.
+
+``gram`` is the one function that computes with numpy, and it imports
+numpy itself: loading a plan file, checking it and writing a document
+load no numpy, so the CLI refuses a bad plan file before numpy's import.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import accumulate, islice
-
-import numpy as np
 
 GENERAL = "G"
 BLOCK = "block"
@@ -174,7 +176,10 @@ def gram(plan, idents):
     """X' X of the stacked design matrices [X_u1 X_u2 ...] of ``idents``:
     an int64 ``np.bincount`` of codes size * i + j over the column pairs
     each run hits, in chunks of no more codes than the size x size result.
-    Exact Python ints; a repeated identifier gives repeated blocks."""
+    Exact Python ints; a repeated identifier gives repeated blocks.  numpy
+    is imported here, when ``gram`` is called, not with the module."""
+    import numpy as np
+
     idents = _as_tuple(idents)
     *offsets, size = accumulate((levels_of(plan, u) for u in idents), initial=0)
     hit = np.array([np.add(_symbols(plan, u), o) for u, o in zip(idents, offsets)],

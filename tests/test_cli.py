@@ -779,18 +779,47 @@ def test_a_closed_stdout_exits_two_only_when_the_report_goes_there(src_env, tmp_
                                                                    to_file):
     """A process started with fd 1 closed has ``sys.stdout`` None: a report
     meant for stdout is an I/O error (exit 2, one line), while one written
-    with --out needs no stdout at all."""
-    out = tmp_path / "catalog.json"
-    argv = ["catalog", "--out", str(out)] if to_file else ["catalog"]
-    proc = subprocess.run(["sh", "-c", 'exec "$0" -m orthoplan.cli "$@" >&-',
-                           sys.executable, *argv],
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                          env=src_env, timeout=120)
-    if to_file:
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert json.loads(out.read_text())["pass"] is True
-    else:
-        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 9] stdout is closed\n")
+    with --out needs no stdout at all, nor does ``construct --out`` without
+    --report, which writes the plan to its file and prints no report."""
+    ops = {   # argv, and a (key, value) of the document written to {out}
+        False: [(["catalog"], None)],
+        True: [(["catalog", "--out", "{out}"], ("pass", True)),
+               (["construct", "--family", "potb2", "--h", "2", "--out", "{out}"],
+                ("name", "potb_2_14"))],
+    }[to_file]
+    for argv, written in ops:
+        out = tmp_path / f"{argv[0]}.json"
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m orthoplan.cli "$@" >&-',
+                               sys.executable, *(a.format(out=out) for a in argv)],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              env=src_env, timeout=120)
+        if to_file:
+            key, value = written
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert json.loads(out.read_text())[key] == value
+        else:
+            assert (proc.returncode, proc.stderr) == (2, "error: [Errno 9] stdout is closed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["construct", "--family", "potb3"],
+    ["construct", "--family", "seed", "--name", "potb_2_7", "--csv", "{out}"],
+    ["verify", "--check", "pfc", "--plan", "{out}"],
+], ids=["catalog", "construct", "construct-csv", "verify"])
+def test_a_closed_stdout_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    """With ``sys.stdout`` None, an invocation whose document goes to
+    stdout exits 2 before it builds, reads or writes anything."""
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("a plan was built with stdout closed")
+
+    monkeypatch.setattr(constructions, "seed_plans", unbuildable)
+    monkeypatch.setattr(cli, "_built", unbuildable)
+    monkeypatch.setattr(sys, "stdout", None)
+    out = tmp_path / "written"
+    code = main([a.format(out=out) for a in argv])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 9] stdout is closed\n")
+    assert not out.exists()
 
 
 def test_unknown_verb(capsys):
@@ -949,15 +978,73 @@ INPUT_ERRORS = {   # id: (argv, plan document or raw text, the message after "er
 }
 
 
-@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
-def test_every_input_error_prints_one_line_and_exits_two(capsys, tmp_path, case):
-    """Each bad input or usage exits 2 with its own message on stderr,
-    byte for byte, and nothing on stdout."""
+def input_error(tmp_path, case):
+    """The argv of the ``INPUT_ERRORS`` case ``case``, with its plan file
+    written under ``tmp_path``, and the whole stderr it must print."""
     argv, plan, message = INPUT_ERRORS[case]
     if plan is not None:
         path = tmp_path / "plan.json"
         path.write_text(plan if isinstance(plan, str) else json.dumps(plan))
         argv = [a.replace("{plan}", str(path)) for a in argv]
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    message = message.replace("{tmp}", str(tmp_path))
-    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    return argv, f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_every_input_error_prints_one_line_and_exits_two(capsys, tmp_path, case):
+    """Each bad input or usage exits 2 with its own message on stderr,
+    byte for byte, and nothing on stdout."""
+    argv, err = input_error(tmp_path, case)
+    assert run(capsys, *argv) == (2, "", err)
+
+
+# ---------------------------------------------------------------------------
+# start-up: what the CLI decides itself, it refuses before numpy loads
+
+# The INPUT_ERRORS cases that cli and plan decide: argparse, the options of
+# a family, --through and --adjust, and the whole plan file.
+FRONT_END_ERRORS = ("json-invalid", "json-too-deep", "doc-not-object", "runs-too-many",
+                    "plan-file-missing", "potp-needs-h", "seed-needs-name",
+                    "hadamard-needs-order", "oa-needs-s", "option-unread", "adjust-twice")
+# The process entry on the child's argv; the last line of stderr says whether numpy loaded.
+NUMPY_PROBE = ("import sys\nfrom orthoplan.cli import _run\ncode = _run()\n"
+               "sys.stderr.write(f'numpy loaded: {\"numpy\" in sys.modules}\\n')\n"
+               "sys.exit(code)\n")
+
+
+def probe_numpy(src_env, argv):
+    """(exit code, stdout, stderr, whether numpy loaded) of the process
+    entry run on ``argv`` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True,
+                          text=True, env=src_env, timeout=120)
+    err, _, loaded = proc.stderr.rpartition("numpy loaded: ")
+    return proc.returncode, proc.stdout, err, {"True\n": True, "False\n": False}[loaded]
+
+
+def test_importing_the_cli_loads_no_numpy(src_env):
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys\nimport orthoplan.cli\nprint('numpy' in sys.modules)"],
+                          capture_output=True, text=True, env=src_env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_help_loads_no_numpy(src_env):
+    code, out, err, loaded = probe_numpy(src_env, ["--help"])
+    assert (code, err, loaded) == (0, "", False) and out.startswith("usage: orthoplan")
+
+
+@pytest.mark.parametrize("case", FRONT_END_ERRORS)
+def test_a_front_end_refusal_exits_before_numpy_loads(src_env, tmp_path, case):
+    """Exit code, stdout and stderr are those the in-process sweep pins."""
+    argv, err = input_error(tmp_path, case)
+    assert probe_numpy(src_env, argv) == (2, "", err, False)
+
+
+@pytest.mark.parametrize("verb", ENTRY_OPS)
+def test_a_verb_that_computes_loads_numpy(src_env, tmp_path, potb27, verb):
+    """The probe sees numpy when a verb forms its matrices, so the refusals
+    above cannot pass for a probe that never sees it."""
+    plan = write_plan(tmp_path, potb27)
+    argv = [arg.format(dir=tmp_path, plan=plan) for arg in ENTRY_OPS[verb]]
+    code, _, err, loaded = probe_numpy(src_env, argv)
+    assert (code, err, loaded) == (0, "", True)

@@ -30,7 +30,9 @@
   use), and ``cli`` imports at module level only the standard library and
   the layers every verb runs (``errors``, ``plan``), so a verb loads only
   the modules it runs: ``anova`` loads neither ``orthogonality`` nor
-  ``contrasts``.
+  ``contrasts``.  ``__init__``, ``errors`` and ``plan`` import no numpy at
+  module level (``plan.gram`` imports it when called), so ``import
+  orthoplan.cli`` loads no numpy and a refusal the CLI decides exits first.
 * One route per EstSSQ fact: ``anova`` imports, anywhere in the file, only
   ``errors``, ``plan`` and ``ratmat``, so the experiment decides its
   condition from its own two forms, not from ``orthogonality``.
@@ -365,11 +367,28 @@ def test_cli_imports_only_the_stdlib_and_the_shared_layers():
     assert found == []
 
 
+NUMPY_FREE = ("__init__.py", "errors.py", "plan.py")
+
+
+def numpy_at_import(path):
+    """Lines of the imports of numpy that run when the module is imported."""
+    return sorted(line for line, m in module_level_imports(path) if m.split(".")[0] == "numpy")
+
+
+def test_the_start_up_layers_import_no_numpy():
+    found = {name: numpy_at_import(PACKAGE / name) for name in NUMPY_FREE}
+    assert found == {name: [] for name in NUMPY_FREE}
+
+
 def test_the_import_checks_see_nested_imports(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("import json\nif True:\n    from . import gf\n"
                     "def f():\n    from .anova import ss_adjusted\n")
     assert sorted(module_level_imports(path)) == [(1, "json"), (3, ".")]
+    path.write_text("import numpy as np\nfrom numpy.linalg import eigh\n"
+                    "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+                    "import numpyish\ndef gram(plan):\n    import numpy as np\n")
+    assert numpy_at_import(path) == [1, 2, 4]
 
 
 ANOVA_LAYERS = {"errors", "plan", "ratmat"}
